@@ -56,13 +56,6 @@ struct BenchOptions {
   bool csv = false;
   bool full = false;
   std::string json;  // empty = no JSON output
-
-  /// Stamp the intra-run thread knobs onto an engine config (applied by
-  /// the shared config helpers below, so every bench honors the flags).
-  FmConfig apply(FmConfig fm) const {
-    fm.refine_threads = refine_threads;
-    return fm;
-  }
 };
 
 /// Wall/CPU consumed by this bench process so far.  The baseline is set
@@ -160,15 +153,6 @@ inline FmConfig reported_clip() {
 inline MlConfig ml_config(const FmConfig& refine) {
   MlConfig config;
   config.refine = refine;
-  return config;
-}
-
-/// ML wrapper honoring the bench's intra-run thread flags
-/// (--refine-threads / --coarsen-threads).
-inline MlConfig ml_config(const FmConfig& refine, const BenchOptions& opt) {
-  MlConfig config;
-  config.refine = opt.apply(refine);
-  config.coarsen.coarsen_threads = opt.coarsen_threads;
   return config;
 }
 

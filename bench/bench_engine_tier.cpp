@@ -1,5 +1,5 @@
-// Engine-tier comparison: the five --engine choices of vpart (flat LIFO,
-// flat CLIP, ML, n-level, memetic) head to head on ibm-class instances —
+// Engine-tier comparison: every engine of the registry (ML, flat LIFO,
+// flat CLIP, n-level, memetic) head to head on ibm-class instances —
 // min/avg cut and CPU per engine at equal multistart budgets, plus each
 // engine's best-seen cut so the n-level/evo acceptance bar ("beat the
 // flat-FM best seen") is read straight off the table.
@@ -11,11 +11,10 @@
 //
 // Default: ibm01-03 at scale 0.3, 20 runs.  EXPERIMENTS.md tables use
 // --cases ibm01,ibm02,ibm03 --scale 0.3 --runs 20 --csv.
-#include <memory>
+#include <algorithm>
 
 #include "bench/bench_common.h"
-#include "src/part/evo/evo_partitioner.h"
-#include "src/part/nlevel/nlevel_partitioner.h"
+#include "src/part/engine.h"
 
 using namespace vlsipart;
 using namespace vlsipart::bench;
@@ -35,44 +34,30 @@ int main(int argc, char** argv) {
       "%.2f\n\n",
       opt.runs, opt.scale);
 
-  struct EngineSpec {
-    const char* name;
-    std::size_t runs_divisor;  // evo amortizes many ML descents per start
-  };
-  const EngineSpec specs[] = {
-      {"flat", 1}, {"clip", 1}, {"ml", 1}, {"nlevel", 1}, {"evo", 4},
-  };
-
   std::vector<std::string> header = {"Engine", "Metric"};
   for (const auto& name : opt.cases) header.push_back(name);
   TextTable table(std::move(header));
 
-  for (const EngineSpec& spec : specs) {
-    const std::size_t runs =
-        std::max<std::size_t>(1, opt.runs / spec.runs_divisor);
-    std::vector<std::string> min_row = {spec.name, "min cut"};
-    std::vector<std::string> avg_row = {spec.name, "avg cut"};
-    std::vector<std::string> cpu_row = {spec.name, "CPU s"};
+  // Every registered engine through the front door.  vcycles = 0 makes
+  // the ml run a plain run_multistart, like every other engine here.
+  EngineSpec spec;
+  spec.tolerance = 0.10;
+  spec.vcycles = 0;
+  spec.seed = opt.seed;
+  spec.threads = opt.threads;
+  spec.fm = our_lifo();
+  spec.fm.refine_threads = opt.refine_threads;
+  spec.ml.coarsen.coarsen_threads = opt.coarsen_threads;
+  for (const EngineInfo& info : engine_registry()) {
+    spec.engine = info.name;
+    // evo amortizes many ML descents per start.
+    const std::size_t runs_divisor = info.kind == EngineKind::kEvo ? 4 : 1;
+    spec.starts = std::max<std::size_t>(1, opt.runs / runs_divisor);
+    std::vector<std::string> min_row = {info.name, "min cut"};
+    std::vector<std::string> avg_row = {info.name, "avg cut"};
+    std::vector<std::string> cpu_row = {info.name, "CPU s"};
     for (const Hypergraph& h : graphs) {
-      const PartitionProblem problem = make_problem(h, 0.10);
-      std::unique_ptr<Bipartitioner> engine;
-      if (std::string(spec.name) == "flat") {
-        engine = std::make_unique<FlatFmPartitioner>(opt.apply(our_lifo()));
-      } else if (std::string(spec.name) == "clip") {
-        engine = std::make_unique<FlatFmPartitioner>(opt.apply(our_clip()));
-      } else if (std::string(spec.name) == "ml") {
-        engine = std::make_unique<MlPartitioner>(ml_config(our_lifo(), opt));
-      } else if (std::string(spec.name) == "nlevel") {
-        NlevelConfig config;
-        config.refine = opt.apply(our_lifo());
-        engine = std::make_unique<NlevelPartitioner>(config);
-      } else {
-        EvoConfig config;
-        config.ml = ml_config(our_lifo(), opt);
-        engine = std::make_unique<EvoPartitioner>(config);
-      }
-      const MultistartResult r =
-          run_multistart(problem, *engine, runs, opt.seed, opt.threads);
+      const MultistartResult r = run_engine(spec, h).multistart;
       min_row.push_back(std::to_string(r.min_cut()));
       avg_row.push_back(fmt_fixed(r.avg_cut(), 1));
       cpu_row.push_back(fmt_fixed(r.total_cpu_seconds, 2));

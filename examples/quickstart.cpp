@@ -8,9 +8,7 @@
 
 #include "src/gen/netlist_gen.h"
 #include "src/hypergraph/stats.h"
-#include "src/part/core/multistart.h"
-#include "src/part/core/partitioner.h"
-#include "src/part/ml/ml_partitioner.h"
+#include "src/part/engine.h"
 #include "src/util/cli.h"
 #include "src/util/table.h"
 
@@ -30,44 +28,38 @@ int main(int argc, char** argv) {
   const Hypergraph h = generate_netlist(config);
   std::printf("%s\n\n", compute_stats(h).to_string(h.name()).c_str());
 
-  // 2. Define the problem: 2-way, actual areas, the paper's balance
-  //    tolerance (2% -> parts in [49%, 51%] of total area).
-  PartitionProblem problem;
-  problem.graph = &h;
-  problem.balance = BalanceConstraint::from_tolerance(
-      h.total_vertex_weight(), tolerance);
-  std::printf("balance window: %s\n\n", problem.balance.to_string().c_str());
+  // 2. Define the run: 2-way, actual areas, the paper's balance
+  //    tolerance (2% -> parts in [49%, 51%] of total area), the same
+  //    multistart regime for every engine (vcycles = 0: no trailing
+  //    V-cycles on the ML winner).
+  std::printf("balance window: %s\n\n",
+              BalanceConstraint::from_tolerance(h.total_vertex_weight(),
+                                                tolerance)
+                  .to_string()
+                  .c_str());
+  EngineSpec spec;
+  spec.tolerance = tolerance;
+  spec.starts = starts;
+  spec.seed = seed;
+  spec.vcycles = 0;
 
-  // 3. Compare engines under an identical multistart regime.
+  // 3. Compare engines through the front door (src/part/engine.h).
+  //    Default FmConfig: LIFO insertion, Nonzero updates, Away bias; the
+  //    clip engine adds CLIP keys and the corking fix of Sec. 2.3.
   TextTable table({"engine", "min cut", "avg cut", "avg cpu (s)"});
-
-  auto report = [&](Bipartitioner& engine) {
-    const MultistartResult r =
-        run_multistart(problem, engine, starts, seed);
-    table.add_row({engine.name(), std::to_string(r.min_cut()),
+  auto report = [&](const char* label, const char* engine, bool ml_clip) {
+    spec.engine = engine;
+    spec.fm.clip = ml_clip;
+    spec.fm.exclude_oversized = ml_clip;
+    const MultistartResult r = run_engine(spec, h).multistart;
+    table.add_row({label, std::to_string(r.min_cut()),
                    fmt_fixed(r.avg_cut(), 1),
                    fmt_fixed(r.avg_cpu_seconds(), 3)});
   };
-
-  FmConfig lifo;  // defaults: LIFO insertion, Nonzero updates, Away bias
-  FlatFmPartitioner flat_lifo(lifo, "flat LIFO FM");
-  report(flat_lifo);
-
-  FmConfig clip = lifo;
-  clip.clip = true;
-  clip.exclude_oversized = true;  // the corking fix of Sec. 2.3
-  FlatFmPartitioner flat_clip(clip, "flat CLIP FM");
-  report(flat_clip);
-
-  MlConfig ml;
-  ml.refine = lifo;
-  MlPartitioner ml_lifo(ml, "ML LIFO FM");
-  report(ml_lifo);
-
-  MlConfig ml_clip_cfg;
-  ml_clip_cfg.refine = clip;
-  MlPartitioner ml_clip(ml_clip_cfg, "ML CLIP FM");
-  report(ml_clip);
+  report("flat LIFO FM", "flat", false);
+  report("flat CLIP FM", "clip", false);
+  report("ML LIFO FM", "ml", false);
+  report("ML CLIP FM", "ml", true);
 
   std::printf("%zu independent starts each, seed %llu:\n\n%s\n", starts,
               static_cast<unsigned long long>(seed),

@@ -45,12 +45,7 @@
 #include "src/io/hmetis_io.h"
 #include "src/io/ispd98_io.h"
 #include "src/io/partition_io.h"
-#include "src/part/core/multistart.h"
-#include "src/part/core/partitioner.h"
-#include "src/part/evo/evo_partitioner.h"
-#include "src/part/kway/recursive_bisection.h"
-#include "src/part/ml/ml_partitioner.h"
-#include "src/part/nlevel/nlevel_partitioner.h"
+#include "src/part/engine.h"
 #include "src/util/cli.h"
 #include "src/util/table.h"
 #include "src/util/timer.h"
@@ -59,32 +54,10 @@ using namespace vlsipart;
 
 namespace {
 
-/// Engine registry: the closed --engine vocabulary with the one-line
-/// descriptions --help prints.
-struct EngineInfo {
-  const char* name;
-  const char* blurb;
-};
-constexpr EngineInfo kEngines[] = {
-    {"ml", "multilevel FM (hMetis-like: coarsen, refine, V-cycle the best)"},
-    {"flat", "flat FM with LIFO gain buckets (the paper's baseline)"},
-    {"clip", "flat FM with CLIP gain keys and corking"},
-    {"nlevel",
-     "n-level: one contraction per level, localized FM per uncontraction"},
-    {"evo",
-     "memetic: population of ml starts evolved by recombination V-cycles"},
-};
-
-std::vector<std::string> engine_names() {
-  std::vector<std::string> names;
-  for (const EngineInfo& e : kEngines) names.push_back(e.name);
-  return names;
-}
-
 void print_help() {
   std::printf("usage: vpart --hgr FILE | --ispd98 PREFIX | --case NAME "
               "[options]\n\nengines (--engine NAME, default ml):\n");
-  for (const EngineInfo& e : kEngines) {
+  for (const EngineInfo& e : engine_registry()) {
     std::printf("  %-8s %s\n", e.name, e.blurb);
   }
   std::printf("\nsee the header comment of examples/vpart.cpp (or DESIGN.md "
@@ -109,9 +82,14 @@ Enum parse_choice(const CliArgs& args, const std::string& flag,
                            "): " + value);
 }
 
+/// Overwrite an integer knob with --flag when it is given.
+template <typename T>
+void int_flag(const CliArgs& args, const std::string& flag, T& field) {
+  field = static_cast<T>(args.get_int(flag, static_cast<std::int64_t>(field)));
+}
+
 /// The full FM policy surface from flags (defaults = FmConfig defaults).
-FmConfig fm_config_from_args(const CliArgs& args) {
-  FmConfig fm;
+void fm_config_from_args(const CliArgs& args, FmConfig& fm) {
   fm.tie_break = parse_choice(args, "tie-break",
                               {{"away", TieBreak::kAway},
                                {"part0", TieBreak::kPart0},
@@ -140,41 +118,50 @@ FmConfig fm_config_from_args(const CliArgs& args) {
                                        fm.exclude_oversized);
   fm.look_beyond_first = args.get_bool("look-beyond-first",
                                        fm.look_beyond_first);
-  fm.lookahead_depth = static_cast<int>(
-      args.get_int("lookahead", fm.lookahead_depth));
-  fm.lookahead_scan_limit = static_cast<std::size_t>(args.get_int(
-      "lookahead-scan", static_cast<std::int64_t>(fm.lookahead_scan_limit)));
-  fm.max_passes = static_cast<int>(args.get_int("max-passes",
-                                                fm.max_passes));
-  fm.max_moves_past_best = static_cast<std::size_t>(args.get_int(
-      "max-moves-past-best",
-      static_cast<std::int64_t>(fm.max_moves_past_best)));
+  int_flag(args, "lookahead", fm.lookahead_depth);
+  int_flag(args, "lookahead-scan", fm.lookahead_scan_limit);
+  int_flag(args, "max-passes", fm.max_passes);
+  int_flag(args, "max-moves-past-best", fm.max_moves_past_best);
   fm.audit.mode = parse_choice(args, "audit",
                                {{"off", AuditMode::kOff},
                                 {"pass", AuditMode::kPerPass},
                                 {"moves", AuditMode::kPerMoves}},
                                fm.audit.mode);
-  fm.audit.every_moves = static_cast<std::size_t>(args.get_int(
-      "audit-every", static_cast<std::int64_t>(fm.audit.every_moves)));
-  fm.refine_threads = static_cast<std::size_t>(args.get_int(
-      "refine-threads", static_cast<std::int64_t>(fm.refine_threads)));
-  return fm;
+  int_flag(args, "audit-every", fm.audit.every_moves);
+  int_flag(args, "refine-threads", fm.refine_threads);
 }
 
-/// The ml engine's knob surface (also nested inside the evo engine).
-MlConfig ml_config_from_args(const CliArgs& args, const FmConfig& fm) {
-  MlConfig config;
-  config.refine = fm;
-  config.initial_tries = static_cast<std::size_t>(args.get_int(
-      "initial-tries", static_cast<std::int64_t>(config.initial_tries)));
-  config.coarsen.coarsen_to = static_cast<std::size_t>(args.get_int(
-      "coarsen-to", static_cast<std::int64_t>(config.coarsen.coarsen_to)));
-  config.coarsen.min_reduction =
-      args.get_double("min-reduction", config.coarsen.min_reduction);
-  config.coarsen.coarsen_threads = static_cast<std::size_t>(args.get_int(
-      "coarsen-threads",
-      static_cast<std::int64_t>(config.coarsen.coarsen_threads)));
-  return config;
+/// The ml knob surface (shared by ml, ml recursive bisection and evo)
+/// and the n-level and memetic knobs.  run_engine stamps spec.fm into
+/// every engine's refine policy.
+void engine_configs_from_args(const CliArgs& args, EngineSpec& spec) {
+  MlConfig& ml = spec.ml;
+  int_flag(args, "initial-tries", ml.initial_tries);
+  int_flag(args, "coarsen-to", ml.coarsen.coarsen_to);
+  ml.coarsen.min_reduction =
+      args.get_double("min-reduction", ml.coarsen.min_reduction);
+  int_flag(args, "coarsen-threads", ml.coarsen.coarsen_threads);
+
+  NlevelConfig& nlevel = spec.nlevel;
+  int_flag(args, "coarsen-to", nlevel.coarsen_to);
+  int_flag(args, "max-cluster-weight", nlevel.max_cluster_weight);
+  int_flag(args, "max-rated-net-size", nlevel.max_rated_net_size);
+  int_flag(args, "initial-tries", nlevel.initial_tries);
+  nlevel.initial_scheme = parse_choice(args, "initial-scheme",
+                                       {{"random", InitialScheme::kRandom},
+                                        {"bfs", InitialScheme::kBfs},
+                                        {"mixed", InitialScheme::kMixed}},
+                                       nlevel.initial_scheme);
+  int_flag(args, "local-moves-past-best", nlevel.local_moves_past_best);
+  nlevel.final_refine = args.get_bool("final-refine", nlevel.final_refine);
+
+  EvoConfig& evo = spec.evo;
+  int_flag(args, "population", evo.population);
+  int_flag(args, "generations", evo.generations);
+  int_flag(args, "offspring", evo.offspring);
+  int_flag(args, "mutation-period", evo.mutation_period);
+  int_flag(args, "mutation-size", evo.mutation_size);
+  int_flag(args, "evo-threads", evo.evo_threads);
 }
 
 }  // namespace
@@ -215,134 +202,37 @@ int main(int argc, char** argv) {
     }
     std::printf("%s\n\n", compute_stats(h).to_string(h.name()).c_str());
 
-    const auto k = static_cast<std::size_t>(args.get_int("k", 2));
+    EngineSpec spec;  // each flag defaults to the spec's default
+    int_flag(args, "k", spec.k);
     // hMetis "UBfactor" parity: UBfactor b means parts within
     // (50 +- b)% of the total, i.e. tolerance = 2b/100.
-    double tolerance = args.get_double("tolerance", 0.02);
+    spec.tolerance = args.get_double("tolerance", spec.tolerance);
     if (args.has("ubfactor")) {
-      tolerance = 2.0 * args.get_double("ubfactor", 1.0) / 100.0;
+      spec.tolerance = 2.0 * args.get_double("ubfactor", 1.0) / 100.0;
     }
-    const std::string engine_name = CliArgs::check_known_value(
-        "engine", args.get("engine", "ml"), engine_names());
-    const auto starts = static_cast<std::size_t>(args.get_int("starts", 4));
-    const auto vcycles =
-        static_cast<std::size_t>(args.get_int("vcycles", 1));
-    const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+    spec.engine = CliArgs::check_known_value(
+        "engine", args.get("engine", spec.engine), engine_names());
+    const std::string unsupported = engine_spec_error(spec.engine, spec.k);
+    if (!unsupported.empty()) throw std::runtime_error(unsupported);
+    int_flag(args, "starts", spec.starts);
+    int_flag(args, "vcycles", spec.vcycles);
+    int_flag(args, "seed", spec.seed);
+    fm_config_from_args(args, spec.fm);
+    engine_configs_from_args(args, spec);
 
-    FmConfig fm = fm_config_from_args(args);
-    if (engine_name == "clip") {
-      fm.clip = true;
-      fm.exclude_oversized = true;
-    }
-
-    std::vector<PartId> parts;
-    Weight cut = 0;
     CpuTimer timer;
-    if (k == 2) {
-      PartitionProblem problem;
-      problem.graph = &h;
-      problem.balance = BalanceConstraint::from_tolerance(
-          h.total_vertex_weight(), tolerance);
-      if (engine_name == "ml") {
-        MlPartitioner engine(ml_config_from_args(args, fm));
-        const MultistartResult r =
-            run_hmetis_like(problem, engine, starts, vcycles, seed);
-        parts = r.best_parts;
-        cut = r.best_cut;
-      } else if (engine_name == "nlevel") {
-        NlevelConfig config;
-        config.refine = fm;
-        config.coarsen_to = static_cast<std::size_t>(args.get_int(
-            "coarsen-to", static_cast<std::int64_t>(config.coarsen_to)));
-        config.max_cluster_weight = args.get_int(
-            "max-cluster-weight", config.max_cluster_weight);
-        config.max_rated_net_size = static_cast<std::size_t>(args.get_int(
-            "max-rated-net-size",
-            static_cast<std::int64_t>(config.max_rated_net_size)));
-        config.initial_tries = static_cast<std::size_t>(args.get_int(
-            "initial-tries",
-            static_cast<std::int64_t>(config.initial_tries)));
-        config.initial_scheme = parse_choice(args, "initial-scheme",
-                                             {{"random", InitialScheme::kRandom},
-                                              {"bfs", InitialScheme::kBfs},
-                                              {"mixed", InitialScheme::kMixed}},
-                                             config.initial_scheme);
-        config.local_moves_past_best = static_cast<std::size_t>(args.get_int(
-            "local-moves-past-best",
-            static_cast<std::int64_t>(config.local_moves_past_best)));
-        config.final_refine = args.get_bool("final-refine",
-                                            config.final_refine);
-        NlevelPartitioner engine(config);
-        const MultistartResult r =
-            run_multistart(problem, engine, starts, seed);
-        parts = r.best_parts;
-        cut = r.best_cut;
-      } else if (engine_name == "evo") {
-        EvoConfig config;
-        config.ml = ml_config_from_args(args, fm);
-        config.population = static_cast<std::size_t>(args.get_int(
-            "population", static_cast<std::int64_t>(config.population)));
-        config.generations = static_cast<std::size_t>(args.get_int(
-            "generations", static_cast<std::int64_t>(config.generations)));
-        config.offspring = static_cast<std::size_t>(args.get_int(
-            "offspring", static_cast<std::int64_t>(config.offspring)));
-        config.mutation_period = static_cast<std::size_t>(args.get_int(
-            "mutation-period",
-            static_cast<std::int64_t>(config.mutation_period)));
-        config.mutation_size = static_cast<std::size_t>(args.get_int(
-            "mutation-size",
-            static_cast<std::int64_t>(config.mutation_size)));
-        config.evo_threads = static_cast<std::size_t>(args.get_int(
-            "evo-threads", static_cast<std::int64_t>(config.evo_threads)));
-        EvoPartitioner engine(config);
-        const MultistartResult r =
-            run_multistart(problem, engine, starts, seed);
-        parts = r.best_parts;
-        cut = r.best_cut;
-      } else {
-        FlatFmPartitioner engine(fm);
-        const MultistartResult r =
-            run_multistart(problem, engine, starts, seed);
-        parts = r.best_parts;
-        cut = r.best_cut;
-      }
-      if (parts.empty()) {
-        std::fprintf(stderr, "no feasible solution found\n");
-        return 1;
-      }
-      const std::string violation = check_solution(problem, parts);
-      if (!violation.empty()) {
-        std::fprintf(stderr, "solution audit failed: %s\n",
-                     violation.c_str());
-        return 1;
-      }
-    } else {
-      if (engine_name == "nlevel" || engine_name == "evo") {
-        throw std::runtime_error(
-            "--engine " + engine_name +
-            " is a bipartitioner; k > 2 (recursive bisection) supports "
-            "ml|flat|clip");
-      }
-      KwayConfig config;
-      config.k = k;
-      config.tolerance = tolerance;
-      config.use_ml = (engine_name == "ml");
-      config.fm = fm;
-      config.starts_per_level = starts;
-      config.seed = seed;
-      const KwayResult r = recursive_bisection(h, config);
-      parts = r.parts;
-      cut = r.cut;
-      const std::string violation = check_kway(h, parts, k, tolerance);
-      if (!violation.empty()) {
-        std::fprintf(stderr, "warning: %s\n", violation.c_str());
-      }
-    }
+    const EngineResult result = run_engine(spec, h);
     const double cpu = timer.elapsed();
+    if (!result.error.empty()) {
+      std::fprintf(stderr, "%s\n", result.error.c_str());
+      return 1;
+    }
+    const std::size_t k = spec.k;
+    const std::vector<PartId>& parts = result.parts;
 
     TextTable report({"metric", "value"});
     report.add_row({"parts", std::to_string(k)});
-    report.add_row({"cut", std::to_string(cut)});
+    report.add_row({"cut", std::to_string(result.cut)});
     if (k == 2) {
       report.add_row({"ratio cut", fmt_fixed(ratio_cut(h, parts) * 1e9, 3) +
                                        "e-9"});

@@ -29,6 +29,7 @@ namespace {
 const char* const kTargetStructs[] = {
     "FmConfig",    "MlConfig",    "CoarsenConfig", "PruneConfig",
     "AuditConfig", "ServiceConfig", "NlevelConfig", "EvoConfig",
+    "EngineSpec",
 };
 
 bool is_target_struct(const std::string& name) {

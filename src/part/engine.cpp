@@ -1,0 +1,140 @@
+#include "src/part/engine.h"
+
+#include <memory>
+#include <utility>
+
+#include "src/part/kway/recursive_bisection.h"
+
+namespace vlsipart {
+namespace {
+
+constexpr EngineInfo kEngines[] = {
+    {"ml", EngineKind::kMl,
+     "multilevel FM (hMetis-like: coarsen, refine, V-cycle the best)", false},
+    {"flat", EngineKind::kFlat,
+     "flat FM with LIFO gain buckets (the paper's baseline)", false},
+    {"clip", EngineKind::kClip, "flat FM with CLIP gain keys and corking",
+     false},
+    {"nlevel", EngineKind::kNlevel,
+     "n-level: one contraction per level, localized FM per uncontraction",
+     true},
+    {"evo", EngineKind::kEvo,
+     "memetic: population of ml starts evolved by recombination V-cycles",
+     true},
+};
+
+const EngineInfo* find_engine(const std::string& name) {
+  for (const EngineInfo& e : kEngines) {
+    if (name == e.name) return &e;
+  }
+  return nullptr;
+}
+
+std::string join_names(bool with_bisection_only) {
+  std::string out;
+  for (const EngineInfo& e : kEngines) {
+    if (e.bisection_only && !with_bisection_only) continue;
+    if (!out.empty()) out += '|';
+    out += e.name;
+  }
+  return out;
+}
+
+/// The k = 2 engines other than ml (which needs run_hmetis_like).
+std::unique_ptr<Bipartitioner> make_bipartitioner(const EngineSpec& spec,
+                                                  EngineKind kind,
+                                                  const FmConfig& fm) {
+  if (kind == EngineKind::kNlevel) {
+    NlevelConfig config = spec.nlevel;
+    config.refine = fm;
+    return std::make_unique<NlevelPartitioner>(config);
+  }
+  if (kind == EngineKind::kEvo) {
+    EvoConfig config = spec.evo;
+    config.ml = spec.ml;
+    config.ml.refine = fm;
+    return std::make_unique<EvoPartitioner>(config);
+  }
+  return std::make_unique<FlatFmPartitioner>(fm);
+}
+
+}  // namespace
+
+std::span<const EngineInfo> engine_registry() { return kEngines; }
+
+std::vector<std::string> engine_names() {
+  std::vector<std::string> names;
+  for (const EngineInfo& e : kEngines) names.emplace_back(e.name);
+  return names;
+}
+
+std::string engine_spec_error(const std::string& engine, std::size_t k) {
+  const EngineInfo* info = find_engine(engine);
+  if (info == nullptr) {
+    return "engine must be one of " + join_names(true) + ": " + engine;
+  }
+  if (k < 2 || k > 128) return "k must be in [2, 128]";
+  if (info->bisection_only && k != 2) {
+    return "engine " + engine +
+           " is a bipartitioner; k > 2 (recursive bisection) supports " +
+           join_names(false);
+  }
+  return {};
+}
+
+EngineResult run_engine(const EngineSpec& spec, const Hypergraph& h) {
+  EngineResult out;
+  out.error = engine_spec_error(spec.engine, spec.k);
+  if (!out.error.empty()) return out;
+  const EngineKind kind = find_engine(spec.engine)->kind;
+  FmConfig fm = spec.fm;
+  if (kind == EngineKind::kClip) {
+    fm.clip = true;
+    fm.exclude_oversized = true;
+  }
+
+  std::string violation;
+  if (spec.k > 2) {
+    KwayConfig config;
+    config.k = spec.k;
+    config.tolerance = spec.tolerance;
+    config.use_ml = kind == EngineKind::kMl;
+    config.fm = fm;
+    config.ml = spec.ml;
+    config.starts_per_level = spec.starts;
+    config.seed = spec.seed;
+    KwayResult r = recursive_bisection(h, config);
+    violation = check_kway(h, r.parts, spec.k, spec.tolerance);
+    out.cut = r.cut;
+    out.parts = std::move(r.parts);
+  } else {
+    PartitionProblem problem;
+    problem.graph = &h;
+    problem.balance = BalanceConstraint::from_tolerance(
+        h.total_vertex_weight(), spec.tolerance);
+    MultistartResult& r = out.multistart;
+    if (kind == EngineKind::kMl) {
+      MlConfig config = spec.ml;
+      config.refine = fm;
+      MlPartitioner engine(config);
+      r = run_hmetis_like(problem, engine, spec.starts, spec.vcycles,
+                          spec.seed, spec.threads);
+    } else {
+      r = run_multistart(problem, *make_bipartitioner(spec, kind, fm),
+                         spec.starts, spec.seed, spec.threads);
+    }
+    if (r.best_parts.empty()) {
+      out.error = "no feasible solution found";
+      return out;
+    }
+    violation = check_solution(problem, r.best_parts, r.best_cut);
+    out.cut = r.best_cut;
+    out.parts = r.best_parts;
+  }
+  if (!violation.empty()) {
+    out.error = "solution audit failed: " + violation;
+  }
+  return out;
+}
+
+}  // namespace vlsipart

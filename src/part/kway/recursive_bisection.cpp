@@ -1,5 +1,6 @@
 #include "src/part/kway/recursive_bisection.h"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -23,6 +24,11 @@ class KwayDriver {
     slack_fraction_ =
         config.tolerance / (2.0 * static_cast<double>(std::max<std::size_t>(
                                       1, levels)));
+    // check_kway's per-part band.
+    const double capacity = static_cast<double>(h.total_vertex_weight()) /
+                            static_cast<double>(config.k);
+    lo_ = capacity * (1.0 - config.tolerance / 2.0) - 1.0;
+    hi_ = capacity * (1.0 + config.tolerance / 2.0) + 1.0;
     result_.parts.assign(h.num_vertices(), 0);
   }
 
@@ -81,11 +87,26 @@ class KwayDriver {
     const double share = static_cast<double>(k0) / static_cast<double>(k);
     const double target0 = static_cast<double>(subtotal) * share;
     const auto slack = static_cast<Weight>(target0 * slack_fraction_) + 1;
+    // The per-level slack compounds over the levels, so clip the window
+    // to check_kway's band: part 0 becomes k0 parts and part 1 k1 parts.
+    const auto at_least = [&](std::size_t parts) {
+      return static_cast<Weight>(std::ceil(static_cast<double>(parts) * lo_));
+    };
+    const auto at_most = [&](std::size_t parts) {
+      return static_cast<Weight>(std::floor(static_cast<double>(parts) * hi_));
+    };
+    Weight min0 = std::max({static_cast<Weight>(target0) - slack,
+                            at_least(k0), subtotal - at_most(k1)});
+    Weight max0 = std::min({static_cast<Weight>(target0) + slack,
+                            at_most(k0), subtotal - at_least(k1)});
+    if (min0 > max0) {
+      // An ancestor fell back to lpt_initial; check_kway reports it.
+      min0 = static_cast<Weight>(target0) - slack;
+      max0 = static_cast<Weight>(target0) + slack;
+    }
     PartitionProblem problem;
     problem.graph = &sub;
-    problem.balance = BalanceConstraint::from_bounds(
-        subtotal, static_cast<Weight>(target0) - slack,
-        static_cast<Weight>(target0) + slack);
+    problem.balance = BalanceConstraint::from_bounds(subtotal, min0, max0);
 
     std::vector<PartId> parts;
     if (config_.use_ml) {
@@ -118,6 +139,8 @@ class KwayDriver {
   const Hypergraph& h_;
   KwayConfig config_;
   double slack_fraction_;
+  double lo_;
+  double hi_;
   KwayResult result_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "src/part/engine.h"
 #include "src/service/hash.h"
 
 namespace vlsipart::service {
@@ -117,17 +118,9 @@ bool parse_submit(const JsonValue& request, SubmitRequest& out,
   if (const JsonValue* v = request.find("engine")) {
     out.engine = v->as_string();
   }
-  if (out.engine != "ml" && out.engine != "flat" && out.engine != "clip" &&
-      out.engine != "nlevel" && out.engine != "evo") {
-    if (error != nullptr) {
-      *error = "engine must be one of ml|flat|clip|nlevel|evo";
-    }
-    return false;
-  }
-  if ((out.engine == "nlevel" || out.engine == "evo") && out.k != 2) {
-    if (error != nullptr) {
-      *error = "engine " + out.engine + " is a bipartitioner (k must be 2)";
-    }
+  if (const std::string why = engine_spec_error(out.engine, out.k);
+      !why.empty()) {
+    if (error != nullptr) *error = why;
     return false;
   }
   if (!get_size(request, "population", 6, 1, 64, out.population, error)) {
@@ -198,16 +191,19 @@ JsonValue submit_to_json(const SubmitRequest& request) {
 
 std::uint64_t result_cache_key(const SubmitRequest& request,
                                std::uint64_t instance_content_hash) {
-  std::uint64_t h = fnv1a64_value(instance_content_hash);
-  h = fnv1a64(request.engine, h);
-  h = fnv1a64_value<std::uint64_t>(request.k, h);
-  h = fnv1a64_value(request.tolerance, h);
-  h = fnv1a64_value<std::uint64_t>(request.starts, h);
-  h = fnv1a64_value<std::uint64_t>(request.vcycles, h);
-  h = fnv1a64_value<std::uint64_t>(request.population, h);
-  h = fnv1a64_value<std::uint64_t>(request.generations, h);
-  h = fnv1a64_value(request.seed, h);
-  return h;
+  // The canonical wire body minus the members that cannot change the
+  // answer: a field added to SubmitRequest (and so to submit_to_json)
+  // joins the key without anyone having to remember it.
+  const JsonValue wire = submit_to_json(request);
+  JsonValue body = JsonValue::object();
+  for (const auto& [name, value] : wire.members()) {
+    if (name == "instance" || name == "include_parts" ||
+        name == "deadline_ms" || name == "use_result_cache") {
+      continue;
+    }
+    body.set(name, value);
+  }
+  return fnv1a64(body.dump(), fnv1a64_value(instance_content_hash));
 }
 
 JsonValue make_error(const std::string& code, const std::string& message) {

@@ -13,7 +13,7 @@
 // and never of server load, worker count, batching or cache state.  The
 // engines guarantee this (bit-identical multistart, DESIGN.md
 // "Threading model"); the service preserves it by running every job on
-// exactly one worker.  Each worker's engines use the daemon-wide
+// exactly one worker.  Each job's engine uses the daemon-wide
 // refine_threads/coarsen_threads setting; the intra-run parallel engines
 // are bit-identical at any thread count > 1, but 1 (serial FM) and > 1
 // (synchronous-round engine) are different heuristics, so a deployment
@@ -61,7 +61,7 @@ struct SubmitRequest {
   InstanceSpec instance;
   std::size_t k = 2;
   double tolerance = 0.02;
-  std::string engine = "ml";  // ml | flat | clip | nlevel | evo
+  std::string engine = "ml";  // a name from engine_registry()
   std::size_t starts = 4;
   std::size_t vcycles = 1;    // k == 2, ml engine only
   /// Memetic knobs (evo engine only; ignored — but still part of the
@@ -86,9 +86,11 @@ bool parse_submit(const JsonValue& request, SubmitRequest& out,
 /// Client-side serializer (inverse of parse_submit).
 JsonValue submit_to_json(const SubmitRequest& request);
 
-/// Result-cache key: hash of every result-affecting request field plus
-/// the *content* hash of the resolved instance (so two descriptors that
-/// build identical hypergraphs share cached results).
+/// Result-cache key: hash of the canonical submit_to_json body without
+/// `instance`, `include_parts`, `deadline_ms` and `use_result_cache`,
+/// plus the *content* hash of the resolved instance (so two descriptors
+/// that build identical hypergraphs share cached results).  Every other
+/// member is in the key by construction.
 std::uint64_t result_cache_key(const SubmitRequest& request,
                                std::uint64_t instance_content_hash);
 

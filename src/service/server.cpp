@@ -3,19 +3,14 @@
 #include <poll.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <exception>
 #include <stdexcept>
 #include <utility>
 
-#include "src/part/core/multistart.h"
-#include "src/part/core/partitioner.h"
-#include "src/part/evo/evo_partitioner.h"
-#include "src/part/kway/recursive_bisection.h"
-#include "src/part/ml/ml_partitioner.h"
-#include "src/part/nlevel/nlevel_partitioner.h"
-#include "src/service/hash.h"
+#include "src/part/engine.h"
 #include "src/util/shutdown.h"
 #include "src/util/timer.h"
 
@@ -55,113 +50,23 @@ struct PartitionService::Connection {
 
 namespace {
 
-/// Resident per-worker engines.  A driver serves jobs one at a time, so
-/// these are single-threaded by construction; keeping them across jobs
-/// reuses the ML contraction scratch and flat-FM gain/move buffers.
-struct WorkerEngines {
-  std::size_t refine_threads = 1;
-  std::size_t coarsen_threads = 1;
-  MlPartitioner ml;
-  FlatFmPartitioner flat;
-  FlatFmPartitioner clip;
-  NlevelPartitioner nlevel;
-
-  WorkerEngines(std::size_t refine, std::size_t coarsen)
-      : refine_threads(refine == 0 ? 1 : refine),
-        coarsen_threads(coarsen == 0 ? 1 : coarsen),
-        ml(make_ml_config(refine_threads, coarsen_threads)),
-        flat(make_fm_config(/*clip_mode=*/false, refine_threads)),
-        clip(make_fm_config(/*clip_mode=*/true, refine_threads)),
-        nlevel(NlevelConfig{}) {}
-
-  static FmConfig make_fm_config(bool clip_mode, std::size_t threads) {
-    FmConfig fm;
-    fm.clip = clip_mode;
-    fm.exclude_oversized = clip_mode;
-    fm.refine_threads = threads;
-    return fm;
-  }
-  static FmConfig make_clip_config() {
-    return make_fm_config(/*clip_mode=*/true, 1);
-  }
-  static MlConfig make_ml_config(std::size_t refine, std::size_t coarsen) {
-    MlConfig config;
-    config.refine.refine_threads = refine;
-    config.coarsen.coarsen_threads = coarsen;
-    return config;
-  }
-};
-
-struct ExecOutcome {
-  bool ok = false;
-  std::string error;
-  Weight cut = 0;
-  std::vector<PartId> parts;
-};
-
-/// Run one request against a resolved hypergraph.  This mirrors the
-/// dispatch in examples/vpart.cpp exactly, which is what makes service
-/// results bit-identical to direct library calls (asserted by
-/// ServiceDeterminism tests).
-ExecOutcome execute_request(const SubmitRequest& req, const Hypergraph& h,
-                            WorkerEngines& engines) {
-  ExecOutcome out;
-  if (req.k == 2) {
-    PartitionProblem problem;
-    problem.graph = &h;
-    problem.balance = BalanceConstraint::from_tolerance(
-        h.total_vertex_weight(), req.tolerance);
-    MultistartResult r;
-    if (req.engine == "ml") {
-      r = run_hmetis_like(problem, engines.ml, req.starts, req.vcycles,
-                          req.seed);
-    } else if (req.engine == "nlevel") {
-      r = run_multistart(problem, engines.nlevel, req.starts, req.seed);
-    } else if (req.engine == "evo") {
-      // population/generations are per-request, so the evo engine is
-      // constructed per job (the resident ML engines it wraps are the
-      // expensive part, and those live inside the EvoPartitioner anyway;
-      // a run on a cold engine is bit-identical to a warm one).
-      EvoConfig config;
-      config.population = req.population;
-      config.generations = req.generations;
-      config.ml.refine.refine_threads = engines.refine_threads;
-      config.ml.coarsen.coarsen_threads = engines.coarsen_threads;
-      EvoPartitioner engine(config);
-      r = run_multistart(problem, engine, req.starts, req.seed);
-    } else {
-      FlatFmPartitioner& engine =
-          req.engine == "clip" ? engines.clip : engines.flat;
-      r = run_multistart(problem, engine, req.starts, req.seed);
-    }
-    if (r.best_parts.empty()) {
-      out.error = "no feasible solution found";
-      return out;
-    }
-    const std::string violation =
-        check_solution(problem, r.best_parts, r.best_cut);
-    if (!violation.empty()) {
-      out.error = "solution audit failed: " + violation;
-      return out;
-    }
-    out.cut = r.best_cut;
-    out.parts = std::move(r.best_parts);
-  } else {
-    KwayConfig config;
-    config.k = req.k;
-    config.tolerance = req.tolerance;
-    config.use_ml = (req.engine == "ml");
-    if (req.engine == "clip") config.fm = WorkerEngines::make_clip_config();
-    config.fm.refine_threads = engines.refine_threads;
-    config.ml.coarsen.coarsen_threads = engines.coarsen_threads;
-    config.starts_per_level = req.starts;
-    config.seed = req.seed;
-    KwayResult r = recursive_bisection(h, config);
-    out.cut = r.cut;
-    out.parts = std::move(r.parts);
-  }
-  out.ok = true;
-  return out;
+/// The run a job asks for, plus the daemon-wide intra-run threads.
+/// run_engine() builds the engine per job; the answer is a pure function
+/// of the request (ServiceDeterminism tests).
+EngineSpec job_spec(const SubmitRequest& req, const ServiceConfig& config) {
+  EngineSpec spec;
+  spec.engine = req.engine;
+  spec.k = req.k;
+  spec.tolerance = req.tolerance;
+  spec.starts = req.starts;
+  spec.vcycles = req.vcycles;
+  spec.seed = req.seed;
+  spec.evo.population = req.population;
+  spec.evo.generations = req.generations;
+  spec.fm.refine_threads = std::max<std::size_t>(1, config.refine_threads);
+  spec.ml.coarsen.coarsen_threads =
+      std::max<std::size_t>(1, config.coarsen_threads);
+  return spec;
 }
 
 std::int64_t elapsed_ms(ServiceClock::time_point since) {
@@ -576,7 +481,6 @@ void PartitionService::finish_job(const std::shared_ptr<Job>& job,
 
 void PartitionService::worker_driver(std::size_t slot) {
   (void)slot;
-  WorkerEngines engines(config_.refine_threads, config_.coarsen_threads);
   while (true) {
     std::shared_ptr<Job> job;
     {
@@ -612,9 +516,9 @@ void PartitionService::worker_driver(std::size_t slot) {
         job->parts = cached->parts;
         job->cache = "result";
       } else {
-        ExecOutcome outcome =
-            execute_request(job->request, instance->graph, engines);
-        if (!outcome.ok) {
+        EngineResult outcome =
+            run_engine(job_spec(job->request, config_), instance->graph);
+        if (!outcome.error.empty()) {
           job->error = outcome.error;
           job->run_seconds = run_timer.elapsed();
           finish_job(job, JobState::kFailed);

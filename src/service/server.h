@@ -7,11 +7,10 @@
 //                         status/result/stats, enforce idle timeouts and
 //                         payload caps;
 //   * worker drivers    — `workers` long-lived tasks on the shared
-//                         ThreadPool (one per pool slot).  Each driver
-//                         owns resident engines (ML contraction scratch,
-//                         flat/CLIP FM buffers) that are reused across
-//                         jobs — the per-request engine warm-up cost is
-//                         paid once per worker, not once per job;
+//                         ThreadPool (one per pool slot).  Each job runs
+//                         through run_engine() (src/part/engine.h), which
+//                         builds its engine per job and audits the answer
+//                         (check_solution for k = 2, check_kway for k > 2);
 //   * the caller's thread (serve_until_shutdown) — periodic stats log +
 //                         shutdown latch.
 //
@@ -58,7 +57,7 @@ struct ServiceConfig {
   std::size_t instance_cache_capacity = 8;  // resident hypergraphs
   std::size_t result_cache_capacity = 256;
   bool verbose = false;                     // per-event log lines
-  /// Intra-run threads of each resident engine (1 = the serial engines;
+  /// Intra-run threads of each job's engine (1 = the serial engines;
   /// > 1 = the deterministic synchronous-round refiner / two-phase
   /// coarsener).  Results stay a pure function of the request either
   /// way, so cached and recomputed answers agree at any setting — but

@@ -1,7 +1,10 @@
 // Tests for k-way partitioning via recursive bisection.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <ostream>
 #include <set>
+#include <string_view>
 
 #include "src/gen/netlist_gen.h"
 #include "src/part/kway/recursive_bisection.h"
@@ -32,15 +35,32 @@ TEST(KwayCut, MatchesTwoWayCutForK2) {
   EXPECT_EQ(kway_cut(h, parts), s.cut());
 }
 
-class KwaySweep : public ::testing::TestWithParam<std::size_t> {};
+struct KwayCase {
+  const char* preset;
+  double scale;
+  std::size_t k;
+  double tolerance;
+  std::size_t starts_per_level;
+  std::uint64_t seed;
+};
+
+// ctest names each case by this text: the sweep over "small" by k alone.
+void PrintTo(const KwayCase& c, std::ostream* os) {
+  if (std::string_view(c.preset) != "small") *os << c.preset << "_k";
+  *os << c.k;
+}
+
+class KwaySweep : public ::testing::TestWithParam<KwayCase> {};
 
 TEST_P(KwaySweep, ProducesValidKwayPartitions) {
-  const std::size_t k = GetParam();
-  const Hypergraph h = generate_netlist(preset("small"));
+  const KwayCase& c = GetParam();
+  const std::size_t k = c.k;
+  const Hypergraph h = generate_netlist(preset(c.preset).scaled(c.scale));
   KwayConfig config;
   config.k = k;
-  config.tolerance = 0.25;
-  config.seed = 3;
+  config.tolerance = c.tolerance;
+  config.starts_per_level = c.starts_per_level;
+  config.seed = c.seed;
   const KwayResult r = recursive_bisection(h, config);
   ASSERT_EQ(r.parts.size(), h.num_vertices());
   // Every part in range and populated.
@@ -59,8 +79,18 @@ TEST_P(KwaySweep, ProducesValidKwayPartitions) {
   EXPECT_EQ(r.bisections, k - 1);
 }
 
-INSTANTIATE_TEST_SUITE_P(PowersAndOddK, KwaySweep,
-                         ::testing::Values(2, 3, 4, 5, 7, 8));
+// The last case is a seed where the compounded per-level slack used to
+// put part 2 at weight 5600, just above check_kway's 5599.6 bound.
+INSTANTIATE_TEST_SUITE_P(
+    PowersAndOddK, KwaySweep,
+    ::testing::Values(KwayCase{"small", 1.0, 2, 0.25, 2, 3},
+                      KwayCase{"small", 1.0, 3, 0.25, 2, 3},
+                      KwayCase{"small", 1.0, 4, 0.25, 2, 3},
+                      KwayCase{"small", 1.0, 5, 0.25, 2, 3},
+                      KwayCase{"small", 1.0, 7, 0.25, 2, 3},
+                      KwayCase{"small", 1.0, 8, 0.25, 2, 3},
+                      KwayCase{"ibm03", 0.3, 4, 0.10, 1,
+                               5052232514859876ULL}));
 
 TEST(Kway, MoreCutWithMoreParts) {
   const Hypergraph h = generate_netlist(preset("small"));

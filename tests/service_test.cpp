@@ -16,7 +16,10 @@
 #include "src/gen/netlist_gen.h"
 #include "src/part/core/multistart.h"
 #include "src/part/core/partitioner.h"
+#include "src/part/evo/evo_partitioner.h"
+#include "src/part/kway/recursive_bisection.h"
 #include "src/part/ml/ml_partitioner.h"
+#include "src/part/nlevel/nlevel_partitioner.h"
 #include "src/service/client.h"
 #include "src/service/framing.h"
 #include "src/service/instance_cache.h"
@@ -54,34 +57,54 @@ SubmitRequest tiny_request(std::uint64_t seed = 1,
   return req;
 }
 
-/// Reference result computed with direct library calls (the vpart path).
+/// Reference result computed with direct library calls — deliberately
+/// not through run_engine(), so it stays an independent check of the
+/// service's engine wiring.
 void direct_reference(const SubmitRequest& req, Weight& cut,
                       std::vector<PartId>& parts) {
   const Hypergraph h = generate_netlist(
       preset(req.instance.preset).scaled(req.instance.scale));
+  FmConfig fm;
+  if (req.engine == "clip") {
+    fm.clip = true;
+    fm.exclude_oversized = true;
+  }
+  if (req.k != 2) {
+    KwayConfig config;
+    config.k = req.k;
+    config.tolerance = req.tolerance;
+    config.use_ml = req.engine == "ml";
+    config.fm = fm;
+    config.starts_per_level = req.starts;
+    config.seed = req.seed;
+    const KwayResult r = recursive_bisection(h, config);
+    cut = r.cut;
+    parts = r.parts;
+    return;
+  }
   PartitionProblem problem;
   problem.graph = &h;
   problem.balance = BalanceConstraint::from_tolerance(
       h.total_vertex_weight(), req.tolerance);
+  MultistartResult r;
   if (req.engine == "ml") {
-    MlConfig config;
-    MlPartitioner engine(config);
-    const MultistartResult r =
-        run_hmetis_like(problem, engine, req.starts, req.vcycles, req.seed);
-    cut = r.best_cut;
-    parts = r.best_parts;
+    MlPartitioner engine{MlConfig{}};
+    r = run_hmetis_like(problem, engine, req.starts, req.vcycles, req.seed);
+  } else if (req.engine == "nlevel") {
+    NlevelPartitioner engine{NlevelConfig{}};
+    r = run_multistart(problem, engine, req.starts, req.seed);
+  } else if (req.engine == "evo") {
+    EvoConfig config;
+    config.population = req.population;
+    config.generations = req.generations;
+    EvoPartitioner engine(config);
+    r = run_multistart(problem, engine, req.starts, req.seed);
   } else {
-    FmConfig fm;
-    if (req.engine == "clip") {
-      fm.clip = true;
-      fm.exclude_oversized = true;
-    }
     FlatFmPartitioner engine(fm);
-    const MultistartResult r =
-        run_multistart(problem, engine, req.starts, req.seed);
-    cut = r.best_cut;
-    parts = r.best_parts;
+    r = run_multistart(problem, engine, req.starts, req.seed);
   }
+  cut = r.best_cut;
+  parts = r.best_parts;
 }
 
 class ServiceFixture : public ::testing::Test {
@@ -112,6 +135,19 @@ TEST_F(ServiceFixture, ServiceDeterminismAcrossWorkerCounts) {
     requests.push_back(tiny_request(seed, "clip"));
   }
   requests.push_back(tiny_request(3, "ml"));
+  requests.push_back(tiny_request(2, "nlevel"));
+  SubmitRequest evo = tiny_request(4, "evo");
+  evo.starts = 1;
+  evo.population = 3;
+  evo.generations = 2;
+  requests.push_back(evo);
+  // k = 4 recursive bisection, with the ML and the CLIP bisector.
+  for (const char* engine : {"ml", "clip"}) {
+    SubmitRequest kway = tiny_request(5, engine);
+    kway.k = 4;
+    kway.tolerance = 0.10;
+    requests.push_back(kway);
+  }
 
   std::vector<Weight> want_cut(requests.size());
   std::vector<std::vector<PartId>> want_parts(requests.size());
@@ -465,18 +501,50 @@ TEST(ServiceProtocol, ResultCacheKeySensitivity) {
   const std::uint64_t h = 12345;
   const std::uint64_t key = result_cache_key(base, h);
   EXPECT_EQ(result_cache_key(base, h), key);
-  SubmitRequest changed = base;
-  changed.seed = 6;
-  EXPECT_NE(result_cache_key(changed, h), key);
-  changed = base;
-  changed.engine = "clip";
-  EXPECT_NE(result_cache_key(changed, h), key);
-  changed = base;
-  changed.starts = 3;
-  EXPECT_NE(result_cache_key(changed, h), key);
   EXPECT_NE(result_cache_key(base, h + 1), key);
-  // include_parts / deadlines / cache opts do NOT affect the key.
-  changed = base;
+
+  // Flip every member of the wire body except the four that cannot
+  // change the answer; each flip must change the key.  A member added to
+  // SubmitRequest later is covered without editing this test.
+  const JsonValue body = submit_to_json(base);
+  std::size_t flipped = 0;
+  for (std::size_t i = 0; i < body.members().size(); ++i) {
+    const std::string& name = body.members()[i].first;
+    if (name == "op" || name == "instance" || name == "include_parts" ||
+        name == "deadline_ms" || name == "use_result_cache") {
+      continue;
+    }
+    JsonValue mutated = JsonValue::object();
+    for (std::size_t j = 0; j < body.members().size(); ++j) {
+      const auto& [member, value] = body.members()[j];
+      if (j != i) {
+        mutated.set(member, value);
+      } else if (value.is_string()) {
+        mutated.set(member, JsonValue::string(value.as_string() == "clip"
+                                                  ? "flat"
+                                                  : "clip"));
+      } else if (value.is_bool()) {
+        mutated.set(member, JsonValue::boolean(!value.as_bool()));
+      } else if (value.as_number() == static_cast<double>(value.as_int())) {
+        mutated.set(member, JsonValue::integer(value.as_int() + 1));
+      } else {
+        mutated.set(member, JsonValue::number(value.as_number() / 2.0));
+      }
+    }
+    SubmitRequest changed;
+    std::string error;
+    ASSERT_TRUE(parse_submit(mutated, changed, &error))
+        << name << ": " << error;
+    EXPECT_NE(result_cache_key(changed, h), key) << name;
+    ++flipped;
+  }
+  EXPECT_GE(flipped, 8u);  // k tolerance engine starts vcycles population
+                           // generations seed
+
+  // instance / include_parts / deadlines / cache opts do NOT affect the
+  // key (the instance enters only through its content hash).
+  SubmitRequest changed = base;
+  changed.instance.preset = "small";
   changed.include_parts = !base.include_parts;
   changed.deadline_ms = 99;
   changed.use_result_cache = false;

@@ -23,6 +23,7 @@
 #include <cstdio>
 #include <exception>
 
+#include "src/part/engine.h"
 #include "src/service/client.h"
 #include "src/util/cli.h"
 
@@ -96,8 +97,12 @@ int main(int argc, char** argv) {
     request.k = static_cast<std::size_t>(args.get_int("k", 2));
     request.tolerance = args.get_double("tolerance", 0.02);
     request.engine = CliArgs::check_known_value(
-        "engine", args.get("engine", "ml"),
-        {"ml", "flat", "clip", "nlevel", "evo"});
+        "engine", args.get("engine", "ml"), engine_names());
+    if (const std::string why = engine_spec_error(request.engine, request.k);
+        !why.empty()) {
+      std::fprintf(stderr, "vpart_client: %s\n", why.c_str());
+      return 2;
+    }
     request.starts = static_cast<std::size_t>(args.get_int("starts", 4));
     request.vcycles = static_cast<std::size_t>(args.get_int("vcycles", 1));
     request.population =

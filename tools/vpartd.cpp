@@ -1,10 +1,10 @@
 // vpartd — long-running partitioning daemon.
 //
 // Serves the length-prefixed JSON protocol of src/service over a Unix
-// domain socket (default) or localhost TCP.  Reuses engines and built
-// instances across requests, load-sheds when the admission queue fills,
-// and drains gracefully on SIGTERM/SIGINT: in-flight requests finish,
-// new submits are refused, then the process exits 0.
+// domain socket (default) or localhost TCP.  Reuses built instances and
+// finished results across requests, load-sheds when the admission queue
+// fills, and drains gracefully on SIGTERM/SIGINT: in-flight requests
+// finish, new submits are refused, then the process exits 0.
 //
 // Usage:
 //   vpartd --socket unix:/tmp/vpartd.sock        (default)
