@@ -40,7 +40,8 @@ int main(int argc, char** argv) {
   const std::size_t hw = hw_raw == 0 ? 1 : static_cast<std::size_t>(hw_raw);
   std::string default_list = "1,2";
   for (std::size_t t = 4; t <= std::min<std::size_t>(hw, 64); t *= 2) {
-    default_list += "," + std::to_string(t);
+    default_list += ',';
+    default_list += std::to_string(t);
   }
   std::vector<std::size_t> thread_counts;
   for (const auto& s : args.get_list("threads-list", default_list)) {

@@ -1,8 +1,7 @@
 // vpart_lint analyzer: orchestration, suppressions, baseline.
 //
 // Three rule families (see DESIGN.md §12 for the catalog):
-//   * determinism — token-level port of the retired regex lint
-//     (tools/determinism_lint.py) plus new token-aware rules;
+//   * determinism — token-level rules for nondeterministic constructs;
 //   * knob completeness — cross-file check that every field of the
 //     partitioning/service config structs is reachable from CLI parsing
 //     and mentioned in the docs ("no implicit decisions");

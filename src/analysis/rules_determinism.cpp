@@ -1,5 +1,5 @@
 // Determinism rule family: token-level port of the 8 rules of the
-// retired regex lint (tools/determinism_lint.py) plus three new
+// retired regex lint plus three new
 // token-aware rules.  Matching against the token stream (never against
 // string literals, comments or preprocessor text) eliminates the false-
 // positive class the regex lint had, and token patterns make the new

@@ -6,23 +6,23 @@
 // Sec. 3.2.  Start i always uses base_rng.fork(i), so any individual
 // start is reproducible in isolation.
 //
-// All three regimes accept a `num_threads` knob (default 1 = the
-// historical serial path).  Starts are embarrassingly parallel — start i
-// is a pure function of (problem, engine config, base_rng.fork(i)) — so
-// the parallel paths return *bit-identical* results at any thread count:
+// run_multistart has one per-start body: start i is a pure function of
+// (problem, engine config, base_rng.fork(i), i), passed to
+// Bipartitioner::run_start with its index.  One worker runs that body
+// inline on the caller's engine; more workers run it on private clones
+// under dynamic scheduling.  Results are *bit-identical* at any thread
+// count:
 //   * records land in starts[i] by start index, never by completion order;
 //   * best-start selection is the feasible start with the lowest cut,
-//     ties broken by the lowest start index (exactly the serial rule);
-//   * the pruning threshold seen by start i is the best first-pass cut
-//     over starts 0..i-1 (a prefix min, enforced by publication order),
-//     not over "whatever happened to finish first";
-//   * the budgeted regime admits starts by accumulated per-start CPU in
-//     index order, so the admitted prefix does not depend on the thread
-//     count (the prefix length still depends on measured CPU times, as it
-//     always has in the serial path).
+//     ties broken by the lowest start index.
 // Per-start cpu_seconds uses the *thread* CPU clock; wall_seconds is the
 // harness wall-clock — the quantity parallelism improves.  See DESIGN.md
 // ("Threading model").
+//
+// A CPU budget tau needs no harness of its own: the budgeted answer is
+// the prefix of run_multistart's records whose accumulated CPU reaches
+// tau, which observed_bsf_curve reads off directly (expected_bsf_curve
+// gives the expected-cost version; both in src/eval/bsf.h).
 #pragma once
 
 #include <cstddef>
@@ -50,8 +50,8 @@ struct MultistartResult {
   double wall_seconds = 0.0;
   std::size_t threads_used = 1;
   /// Gain-update work summed over all starts (run_multistart only; the
-  /// pruned/budgeted regimes leave it zero).  Integer sums over a fixed
-  /// start set, so thread-count-invariant like everything else here.
+  /// pruned regime leaves it zero).  Integer sums over a fixed start set,
+  /// so thread-count-invariant like everything else here.
   UpdateWork update_work;
 
   Weight min_cut() const;
@@ -64,9 +64,9 @@ struct MultistartResult {
 
 /// Run `num_starts` independent starts on up to `num_threads` threads.
 /// Each start's feasibility is audited with check_solution(); infeasible
-/// results are recorded but never become best_parts.  num_threads <= 1
-/// runs the serial path; > 1 requires partitioner.clone() (engines that
-/// return nullptr fall back to serial).
+/// results are recorded but never become best_parts.  With one worker
+/// (min(num_threads, num_starts) <= 1) the starts run inline on
+/// `partitioner`; otherwise each worker runs them on its own clone().
 MultistartResult run_multistart(const PartitionProblem& problem,
                                 Bipartitioner& partitioner,
                                 std::size_t num_starts, std::uint64_t seed,
@@ -91,33 +91,12 @@ struct PrunedMultistartResult {
 /// Pruned multistart of the flat FM engine.  Pruned starts are recorded
 /// in result.starts with the cut they had when abandoned (marked
 /// infeasible so they never become best_parts), mirroring how a
-/// practical implementation would discard them.  In the parallel path
-/// the "previous starts" a start is judged against are exactly starts
-/// 0..i-1 (workers briefly wait for lower-index first passes to publish),
-/// so the pruned set is thread-count-invariant.
+/// practical implementation would discard them.  Starts run serially,
+/// and start i is judged against the first passes of starts 0..i-1.
 PrunedMultistartResult run_multistart_pruned(const PartitionProblem& problem,
                                              const FmConfig& config,
                                              std::size_t num_starts,
                                              std::uint64_t seed,
-                                             const PruneConfig& prune,
-                                             std::size_t num_threads = 1);
-
-/// Budgeted multistart — the paper's actual use model (Sec. 3.2): keep
-/// launching independent starts while the consumed CPU stays below
-/// `cpu_budget_seconds`; at least one start always runs.  This is the
-/// regime behind the BSF curve's tau axis ("the solution cost that the
-/// algorithm is expected to achieve in a multistart regime, versus the
-/// given CPU time budget tau").  A cap of `max_starts` bounds the run on
-/// very fast instances (0 = unbounded).  The parallel path runs starts
-/// speculatively and then admits the same prefix the serial rule would:
-/// the minimal prefix whose accumulated per-start CPU reaches the budget
-/// (or the max_starts cap); speculative starts past the cutoff are
-/// discarded and charged to neither the records nor total_cpu_seconds.
-MultistartResult run_multistart_budgeted(const PartitionProblem& problem,
-                                         Bipartitioner& partitioner,
-                                         double cpu_budget_seconds,
-                                         std::uint64_t seed,
-                                         std::size_t max_starts = 0,
-                                         std::size_t num_threads = 1);
+                                             const PruneConfig& prune);
 
 }  // namespace vlsipart

@@ -46,10 +46,8 @@ class Bipartitioner {
   }
 
   /// Fresh engine with identical configuration, for use as a private
-  /// per-worker instance in parallel multistart.  Returns nullptr when
-  /// the engine does not support cloning; parallel harnesses then fall
-  /// back to the serial path.
-  virtual std::unique_ptr<Bipartitioner> clone() const { return nullptr; }
+  /// per-worker instance in parallel multistart.
+  virtual std::unique_ptr<Bipartitioner> clone() const = 0;
 
   /// Cumulative gain-update work over every refine() this engine has
   /// performed (all starts, all levels).  Engines that do not track work

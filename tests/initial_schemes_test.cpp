@@ -1,7 +1,13 @@
 // Tests for BFS region-growing initial solutions, the InitialScheme
-// dispatch, coarsening-scheme options, and budgeted multistart.
+// dispatch, coarsening-scheme options, and budgeted multistart read off
+// run_multistart records.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <vector>
+
+#include "src/eval/bsf.h"
 #include "src/gen/netlist_gen.h"
 #include "src/part/core/initial.h"
 #include "src/part/core/multistart.h"
@@ -144,29 +150,54 @@ TEST(MlInitialScheme, BfsAtCoarsestLevelWorks) {
   EXPECT_EQ(check_solution(p, parts), "");
 }
 
+/// Starts a CPU budget tau affords on a multistart record: the shortest
+/// prefix whose accumulated CPU reaches tau, so at least one start and at
+/// most the whole record.
+std::size_t budget_prefix(const std::vector<BsfPoint>& curve, double tau) {
+  for (const BsfPoint& point : curve) {
+    if (point.cpu_seconds >= tau) return point.starts;
+  }
+  return curve.size();
+}
+
 TEST(BudgetedMultistart, RespectsBudgetAndRunsAtLeastOnce) {
   const Hypergraph h = generate_netlist(preset("small"));
   const PartitionProblem p = make_problem(h, 0.1);
   FlatFmPartitioner engine{FmConfig{}};
+  const MultistartResult r = run_multistart(p, engine, 8, 3);
+  const std::vector<BsfPoint> curve = observed_bsf_curve(r.starts);
+  ASSERT_EQ(curve.size(), 8u);
   // Tiny budget: exactly one start.
-  const MultistartResult one =
-      run_multistart_budgeted(p, engine, 0.0, 3);
-  EXPECT_EQ(one.starts.size(), 1u);
-  // Generous budget: several starts, total CPU only slightly above.
-  FlatFmPartitioner engine2{FmConfig{}};
-  const MultistartResult many =
-      run_multistart_budgeted(p, engine2, 0.05, 3);
-  EXPECT_GT(many.starts.size(), 1u);
-  EXPECT_EQ(check_solution(p, many.best_parts), "");
+  EXPECT_EQ(budget_prefix(curve, 0.0), 1u);
+  // A budget first reached by the fourth start affords exactly four, and
+  // their best is the feasible minimum of that prefix.
+  ASSERT_GT(r.starts[3].cpu_seconds, 0.0);
+  const double tau = curve[3].cpu_seconds;
+  const std::size_t k = budget_prefix(curve, tau);
+  ASSERT_EQ(k, 4u);
+  EXPECT_GE(curve[k - 1].cpu_seconds, tau);
+  double best = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < k; ++i) {
+    if (r.starts[i].feasible) {
+      best = std::min(best, static_cast<double>(r.starts[i].cut));
+    }
+  }
+  EXPECT_DOUBLE_EQ(curve[k - 1].expected_cost, best);
+  EXPECT_EQ(check_solution(p, r.best_parts), "");
 }
 
 TEST(BudgetedMultistart, MaxStartsCap) {
+  // A budget beyond all the work affords the whole record: the start
+  // count passed to run_multistart is the cap.
   const Hypergraph h = generate_netlist(preset("tiny"));
   const PartitionProblem p = make_problem(h, 0.1);
   FlatFmPartitioner engine{FmConfig{}};
-  const MultistartResult r =
-      run_multistart_budgeted(p, engine, 100.0, 3, /*max_starts=*/5);
-  EXPECT_EQ(r.starts.size(), 5u);
+  const MultistartResult r = run_multistart(p, engine, 5, 3);
+  const std::vector<BsfPoint> curve = observed_bsf_curve(r.starts);
+  EXPECT_EQ(budget_prefix(curve, 100.0), 5u);
+  EXPECT_DOUBLE_EQ(curve.back().expected_cost,
+                   static_cast<double>(r.best_cut));
+  EXPECT_NEAR(curve.back().cpu_seconds, r.total_cpu_seconds, 1e-9);
 }
 
 }  // namespace

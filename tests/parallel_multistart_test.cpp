@@ -1,9 +1,14 @@
-// Determinism tests for the parallel multistart engine: every regime must
+// Determinism tests for the multistart harness: run_multistart must
 // return bit-identical results at 1, 2 and 8 threads (the guarantee
 // documented in src/part/core/multistart.h), and the per-engine scratch
-// reuse must never leak state between starts.
+// reuse must never leak state between starts or calls.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "src/eval/bsf.h"
 #include "src/gen/netlist_gen.h"
 #include "src/part/core/multistart.h"
 #include "src/part/core/partitioner.h"
@@ -29,6 +34,40 @@ void expect_same_result(const MultistartResult& a, const MultistartResult& b,
   }
   EXPECT_EQ(a.best_cut, b.best_cut) << label;
   EXPECT_EQ(a.best_parts, b.best_parts) << label;
+}
+
+/// Flat FM engine that counts clone() calls, so a test can tell whether
+/// the harness ran on the caller's engine or on per-worker clones.
+class CloneCountingEngine final : public Bipartitioner {
+ public:
+  explicit CloneCountingEngine(std::size_t* clones) : clones_(clones) {}
+
+  std::string name() const override { return "clone-counting"; }
+  Weight run(const PartitionProblem& problem, Rng& rng,
+             std::vector<PartId>& parts) override {
+    return inner_.run(problem, rng, parts);
+  }
+  Weight run_start(const PartitionProblem& problem, Rng& rng,
+                   std::vector<PartId>& parts,
+                   std::size_t start_index) override {
+    return inner_.run_start(problem, rng, parts, start_index);
+  }
+  std::unique_ptr<Bipartitioner> clone() const override {
+    ++*clones_;  // the harness clones before its pool starts
+    return std::make_unique<CloneCountingEngine>(clones_);
+  }
+
+ private:
+  std::size_t* clones_;
+  FlatFmPartitioner inner_{FmConfig{}};
+};
+
+void expect_same_work(const UpdateWork& a, const UpdateWork& b,
+                      const char* label) {
+  EXPECT_EQ(a.nets_skipped_noncritical, b.nets_skipped_noncritical) << label;
+  EXPECT_EQ(a.nets_walked, b.nets_walked) << label;
+  EXPECT_EQ(a.nonzero_delta_updates, b.nonzero_delta_updates) << label;
+  EXPECT_EQ(a.zero_delta_updates, b.zero_delta_updates) << label;
 }
 
 TEST(ParallelMultistart, FlatEngineBitIdenticalAcrossThreadCounts) {
@@ -83,78 +122,91 @@ TEST(ParallelMultistart, MixedInitialSchemeKeyedByStartIndex) {
   FlatFmPartitioner engine{FmConfig{}, "", InitialScheme::kMixed};
   const MultistartResult r = run_multistart(p, engine, 8, 5, 4);
   expect_same_result(serial, r, "mixed");
+
+  // Reusing one engine across calls must not shift the alternation: with
+  // an odd start count, a per-engine call counter would leave the second
+  // call starting on the other generator.
+  FlatFmPartitioner parallel_engine{FmConfig{}, "", InitialScheme::kMixed};
+  const MultistartResult parallel =
+      run_multistart(p, parallel_engine, 3, 5, 2);
+  FlatFmPartitioner reused{FmConfig{}, "", InitialScheme::kMixed};
+  const MultistartResult first = run_multistart(p, reused, 3, 5, 1);
+  const MultistartResult second = run_multistart(p, reused, 3, 5, 1);
+  expect_same_result(parallel, first, "mixed reused, first call");
+  expect_same_result(parallel, second, "mixed reused, second call");
 }
 
-TEST(ParallelMultistart, PrunedBitIdenticalAcrossThreadCounts) {
+TEST(ParallelMultistart, OneWorkerRunsInlineWithoutClone) {
+  // One worker (one thread, or one start) runs on the caller's engine;
+  // only a multi-worker run clones, once per worker.
+  const Hypergraph h = generate_netlist(preset("tiny"));
+  const PartitionProblem p = make_problem(h, 0.1);
+  std::size_t clones = 0;
+  CloneCountingEngine engine(&clones);
+  const MultistartResult serial = run_multistart(p, engine, 4, 9, 1);
+  EXPECT_EQ(serial.threads_used, 1u);
+  EXPECT_EQ(clones, 0u);
+  const MultistartResult one_start = run_multistart(p, engine, 1, 9, 8);
+  EXPECT_EQ(one_start.threads_used, 1u);
+  EXPECT_EQ(clones, 0u);
+  const MultistartResult parallel = run_multistart(p, engine, 4, 9, 2);
+  EXPECT_EQ(parallel.threads_used, 2u);
+  EXPECT_EQ(clones, 2u);
+  expect_same_result(serial, parallel, "clone-counting");
+}
+
+TEST(ParallelMultistart, InlineUpdateWorkIsPerCallDelta) {
+  // The inline path reads work off the caller's engine, whose counters
+  // keep growing across calls; each call must report only its own
+  // starts, the same sums a parallel run collects from fresh clones.
   const Hypergraph h = generate_netlist(preset("small"));
   const PartitionProblem p = make_problem(h, 0.1);
-  PruneConfig prune;
-  prune.factor = 1.02;  // tight factor so pruning actually triggers
-  const PrunedMultistartResult serial =
-      run_multistart_pruned(p, FmConfig{}, 16, 3, prune, 1);
-  EXPECT_GT(serial.pruned_starts, 0u);
-  for (const std::size_t threads : {2u, 8u}) {
-    const PrunedMultistartResult r =
-        run_multistart_pruned(p, FmConfig{}, 16, 3, prune, threads);
-    expect_same_result(serial.result, r.result, "pruned");
-    EXPECT_EQ(serial.pruned_starts, r.pruned_starts);
-  }
+  FlatFmPartitioner parallel_engine{FmConfig{}};
+  const UpdateWork parallel =
+      run_multistart(p, parallel_engine, 6, 13, 2).update_work;
+  EXPECT_GT(parallel.nets_walked, 0u);
+  FlatFmPartitioner reused{FmConfig{}};
+  const UpdateWork first = run_multistart(p, reused, 6, 13, 1).update_work;
+  const UpdateWork second = run_multistart(p, reused, 6, 13, 1).update_work;
+  expect_same_work(parallel, first, "first inline call");
+  expect_same_work(parallel, second, "second inline call");
 }
 
-TEST(ParallelMultistart, BudgetedBitIdenticalWhenCapBinds) {
-  // With a budget far beyond the work, the admitted prefix is exactly the
-  // max_starts cap at any thread count, so full bit-identity must hold.
+TEST(ParallelMultistart, BsfCurveIdenticalAcrossThreadCounts) {
+  // A CPU budget is answered by a prefix of the record (multistart.h), so
+  // the best-so-far cut after each start count must not depend on the
+  // thread count; only the measured CPU column may differ.
   const Hypergraph h = generate_netlist(preset("small"));
   const PartitionProblem p = make_problem(h, 0.1);
   FlatFmPartitioner serial_engine{FmConfig{}};
-  const MultistartResult serial =
-      run_multistart_budgeted(p, serial_engine, 1e9, 21, 10, 1);
-  ASSERT_EQ(serial.starts.size(), 10u);
+  const MultistartResult serial = run_multistart(p, serial_engine, 12, 21, 1);
+  const std::vector<BsfPoint> ref = observed_bsf_curve(serial.starts);
+  ASSERT_EQ(ref.size(), 12u);
+  EXPECT_DOUBLE_EQ(ref.back().expected_cost,
+                   static_cast<double>(serial.best_cut));
   for (const std::size_t threads : {2u, 8u}) {
     FlatFmPartitioner engine{FmConfig{}};
-    const MultistartResult r =
-        run_multistart_budgeted(p, engine, 1e9, 21, 10, threads);
-    expect_same_result(serial, r, "budgeted");
+    const MultistartResult r = run_multistart(p, engine, 12, 21, threads);
+    const std::vector<BsfPoint> curve = observed_bsf_curve(r.starts);
+    ASSERT_EQ(curve.size(), ref.size()) << threads << " threads";
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      EXPECT_EQ(curve[i].starts, ref[i].starts) << threads << " threads";
+      EXPECT_DOUBLE_EQ(curve[i].expected_cost, ref[i].expected_cost)
+          << threads << " threads, start " << i;
+    }
   }
 }
 
-TEST(ParallelMultistart, BudgetedParallelAdmitsPrefixAndAuditsBest) {
-  // Timing decides the prefix length, so only invariants are checked:
-  // the admitted set is a prefix, the best is its feasible minimum, and
-  // best_parts reproduces best_cut.
+TEST(ParallelMultistart, ZeroStartsReturnsEmptyResult) {
   const Hypergraph h = generate_netlist(preset("tiny"));
   const PartitionProblem p = make_problem(h, 0.1);
   FlatFmPartitioner engine{FmConfig{}};
-  const MultistartResult r =
-      run_multistart_budgeted(p, engine, 1e-4, 9, 64, 4);
-  ASSERT_GE(r.starts.size(), 1u);
-  Weight best = std::numeric_limits<Weight>::max();
-  for (const auto& s : r.starts) {
-    if (s.feasible) best = std::min(best, s.cut);
-  }
-  EXPECT_EQ(r.best_cut, best);
-  ASSERT_FALSE(r.best_parts.empty());
-  EXPECT_EQ(compute_cut(h, r.best_parts), r.best_cut);
-  EXPECT_EQ(check_solution(p, r.best_parts), "");
-}
-
-TEST(ParallelMultistart, NonClonableEngineFallsBackToSerial) {
-  class NoCloneEngine : public Bipartitioner {
-   public:
-    std::string name() const override { return "noclone"; }
-    Weight run(const PartitionProblem& problem, Rng& rng,
-               std::vector<PartId>& parts) override {
-      (void)rng;
-      parts = lpt_initial(problem);
-      return compute_cut(*problem.graph, parts);
-    }
-  };
-  const Hypergraph h = generate_netlist(preset("tiny"));
-  const PartitionProblem p = make_problem(h, 0.1);
-  NoCloneEngine engine;
-  const MultistartResult r = run_multistart(p, engine, 4, 1, 8);
+  const MultistartResult r = run_multistart(p, engine, 0, 1, 4);
+  EXPECT_TRUE(r.starts.empty());
+  EXPECT_TRUE(r.best_parts.empty());
+  EXPECT_EQ(r.best_cut, 0);
   EXPECT_EQ(r.threads_used, 1u);
-  EXPECT_EQ(r.starts.size(), 4u);
+  EXPECT_EQ(r.total_cpu_seconds, 0.0);
 }
 
 TEST(ParallelMultistart, ScratchReuseMatchesFreshEngines) {

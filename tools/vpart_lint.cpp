@@ -1,7 +1,6 @@
 // vpart_lint: static analyzer for the repo's methodology contracts —
 // determinism, knob completeness, lock discipline, hot-path purity and
-// the parallel-round protocol.  Replaces the regex-based
-// tools/determinism_lint.py (which now execs this binary).
+// the parallel-round protocol.
 //
 // Usage:
 //   vpart_lint [options] [path ...]
