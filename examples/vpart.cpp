@@ -14,6 +14,8 @@
 //   --tolerance 0.02
 //   --engine ml|flat|clip|nlevel|evo   (default ml; --help lists them)
 //   --starts 4      independent starts (best kept)
+//   --threads 1     thread budget: starts, evo offspring or RB subtrees
+//                   (the answer is identical at every value)
 //   --vcycles 1     V-cycles applied to the best result (k = 2 only)
 //   --seed 1
 //   --out out.part  solution file (default <input>.part.<k>)
@@ -34,7 +36,7 @@
 //   --initial-scheme random|bfs|mixed
 // Memetic knobs (evo engine; nests the full ml surface):
 //   --population N  --generations N  --offspring N
-//   --mutation-period N  --mutation-size N  --evo-threads N
+//   --mutation-period N  --mutation-size N
 #include <cstdio>
 #include <stdexcept>
 #include <utility>
@@ -161,7 +163,6 @@ void engine_configs_from_args(const CliArgs& args, EngineSpec& spec) {
   int_flag(args, "offspring", evo.offspring);
   int_flag(args, "mutation-period", evo.mutation_period);
   int_flag(args, "mutation-size", evo.mutation_size);
-  int_flag(args, "evo-threads", evo.evo_threads);
 }
 
 }  // namespace
@@ -181,7 +182,7 @@ int main(int argc, char** argv) {
                       "local-moves-past-best", "final-refine",
                       "initial-scheme", "population", "generations",
                       "offspring", "mutation-period", "mutation-size",
-                      "evo-threads"});
+                      "threads"});
     if (args.get_bool("help")) {
       print_help();
       return 0;
@@ -215,6 +216,7 @@ int main(int argc, char** argv) {
     const std::string unsupported = engine_spec_error(spec.engine, spec.k);
     if (!unsupported.empty()) throw std::runtime_error(unsupported);
     int_flag(args, "starts", spec.starts);
+    int_flag(args, "threads", spec.threads);
     int_flag(args, "vcycles", spec.vcycles);
     int_flag(args, "seed", spec.seed);
     fm_config_from_args(args, spec.fm);

@@ -1,5 +1,6 @@
 #include "src/part/engine.h"
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 
@@ -40,6 +41,10 @@ std::string join_names(bool with_bisection_only) {
   return out;
 }
 
+std::size_t thread_budget(const EngineSpec& spec) {
+  return std::max<std::size_t>(1, spec.threads);
+}
+
 /// The k = 2 engines other than ml (which needs run_hmetis_like).
 std::unique_ptr<Bipartitioner> make_bipartitioner(const EngineSpec& spec,
                                                   EngineKind kind,
@@ -53,7 +58,9 @@ std::unique_ptr<Bipartitioner> make_bipartitioner(const EngineSpec& spec,
     EvoConfig config = spec.evo;
     config.ml = spec.ml;
     config.ml.refine = fm;
-    return std::make_unique<EvoPartitioner>(config);
+    // One start: the budget goes to the offspring; more: to the starts.
+    return std::make_unique<EvoPartitioner>(
+        config, spec.starts == 1 ? thread_budget(spec) : 1);
   }
   return std::make_unique<FlatFmPartitioner>(fm);
 }
@@ -103,6 +110,7 @@ EngineResult run_engine(const EngineSpec& spec, const Hypergraph& h) {
     config.ml = spec.ml;
     config.starts_per_level = spec.starts;
     config.seed = spec.seed;
+    config.threads = thread_budget(spec);
     KwayResult r = recursive_bisection(h, config);
     violation = check_kway(h, r.parts, spec.k, spec.tolerance);
     out.cut = r.cut;
@@ -113,15 +121,19 @@ EngineResult run_engine(const EngineSpec& spec, const Hypergraph& h) {
     problem.balance = BalanceConstraint::from_tolerance(
         h.total_vertex_weight(), spec.tolerance);
     MultistartResult& r = out.multistart;
+    // Across starts; run_multistart runs a single start inline, and an
+    // evo single start took the budget in make_bipartitioner.
+    const std::size_t start_threads =
+        spec.starts >= 2 ? thread_budget(spec) : 1;
     if (kind == EngineKind::kMl) {
       MlConfig config = spec.ml;
       config.refine = fm;
       MlPartitioner engine(config);
       r = run_hmetis_like(problem, engine, spec.starts, spec.vcycles,
-                          spec.seed, spec.threads);
+                          spec.seed, start_threads);
     } else {
       r = run_multistart(problem, *make_bipartitioner(spec, kind, fm),
-                         spec.starts, spec.seed, spec.threads);
+                         spec.starts, spec.seed, start_threads);
     }
     if (r.best_parts.empty()) {
       out.error = "no feasible solution found";

@@ -36,7 +36,15 @@ struct EngineSpec {
   std::size_t starts = 4;  ///< k > 2: per bisection
   std::size_t vcycles = 1;  ///< on the best start; k = 2, ml only
   std::uint64_t seed = 1;
-  std::size_t threads = 1;  ///< multistart workers (k = 2)
+  /// The run's thread budget, spent at exactly one level so fan-outs
+  /// never nest: across starts (k = 2, starts >= 2), across evo's
+  /// offspring (evo, one start), or across bisection starts and RB
+  /// subtrees (k > 2, KwayConfig::threads).  A single-start
+  /// ml/flat/clip/nlevel run stays serial.  The round engines'
+  /// fm.refine_threads and ml.coarsen.coarsen_threads sit outside the
+  /// budget: each budget thread may use that many more.  The answer is
+  /// bit-identical at every budget.
+  std::size_t threads = 1;
   FmConfig fm;  ///< every engine's refine policy (clip adds CLIP keys)
   MlConfig ml;  ///< ml, ml bisections and evo's nested ML
   NlevelConfig nlevel;
@@ -53,8 +61,9 @@ struct EngineResult {
 };
 
 /// Build the engine, run it under run_hmetis_like (ml), run_multistart
-/// (other bipartitioners) or recursive_bisection (k > 2), and audit the
-/// answer with check_solution (k = 2) or check_kway (k > 2).
+/// (other bipartitioners) or recursive_bisection (k > 2) with the thread
+/// budget placed as EngineSpec::threads says, and audit the answer with
+/// check_solution (k = 2) or check_kway (k > 2).
 EngineResult run_engine(const EngineSpec& spec, const Hypergraph& h);
 
 }  // namespace vlsipart

@@ -7,13 +7,14 @@
 
 namespace vlsipart {
 
-EvoPartitioner::EvoPartitioner(EvoConfig config, std::string name)
-    : config_(config), name_(std::move(name)) {
+EvoPartitioner::EvoPartitioner(EvoConfig config, std::size_t threads,
+                               std::string name)
+    : config_(config), threads_(threads), name_(std::move(name)) {
   if (name_.empty()) name_ = "evo";
 }
 
 std::unique_ptr<Bipartitioner> EvoPartitioner::clone() const {
-  return std::make_unique<EvoPartitioner>(config_, name_);
+  return std::make_unique<EvoPartitioner>(config_, threads_, name_);
 }
 
 UpdateWork EvoPartitioner::update_work() const {
@@ -33,8 +34,8 @@ MlPartitioner* EvoPartitioner::engine(std::size_t worker) {
 }
 
 ThreadPool* EvoPartitioner::acquire_pool() {
-  if (config_.evo_threads <= 1) return nullptr;
-  if (pool_ == nullptr) pool_ = std::make_unique<ThreadPool>(config_.evo_threads);
+  if (threads_ <= 1) return nullptr;
+  if (pool_ == nullptr) pool_ = std::make_unique<ThreadPool>(threads_);
   return pool_.get();
 }
 

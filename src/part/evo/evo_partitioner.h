@@ -46,16 +46,16 @@ struct EvoConfig {
   /// Free vertices flipped (uniformly, with replacement) before the
   /// mutation V-cycle.
   std::size_t mutation_size = 8;
-  /// Worker threads for seeding and per-generation offspring.  The
-  /// result is bit-identical for every value (see header comment).
-  std::size_t evo_threads = 1;
   /// Multilevel engine used for seeding and for every V-cycle.
   MlConfig ml;
 };
 
 class EvoPartitioner final : public Bipartitioner {
  public:
-  explicit EvoPartitioner(EvoConfig config, std::string name = {});
+  /// `threads` workers run the seeding and each generation's offspring.
+  /// The result is bit-identical for every value (see header comment).
+  explicit EvoPartitioner(EvoConfig config, std::size_t threads = 1,
+                          std::string name = {});
 
   std::string name() const override { return name_; }
   Weight run(const PartitionProblem& problem, Rng& rng,
@@ -90,6 +90,7 @@ class EvoPartitioner final : public Bipartitioner {
   void evaluate(const PartitionProblem& problem, Individual& ind) const;
 
   EvoConfig config_;
+  std::size_t threads_;
   std::string name_;
   std::vector<std::unique_ptr<MlPartitioner>> engines_;
   std::unique_ptr<ThreadPool> pool_;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <future>
+#include <memory>
 #include <sstream>
 
 #include "src/hypergraph/subgraph.h"
@@ -37,7 +39,9 @@ class KwayDriver {
     for (std::size_t v = 0; v < all.size(); ++v) {
       all[v] = static_cast<VertexId>(v);
     }
-    split(all, config_.k, /*first_part=*/0, config_.seed);
+    result_.bisections =
+        split(all, config_.k, /*first_part=*/0, config_.seed,
+              std::max<std::size_t>(1, config_.threads));
     if (config_.refine_passes > 0 && config_.k >= 2) {
       // Direct k-way FM polish (Sanchis-style first-order passes).
       KwayProblem problem =
@@ -65,13 +69,19 @@ class KwayDriver {
   }
 
  private:
-  void split(const std::vector<VertexId>& cells, std::size_t k,
-             std::size_t first_part, std::uint64_t seed) {
+  /// Assign parts [first_part, first_part + k) to `cells` with at most
+  /// `threads` threads and return the bisections performed; each subtree
+  /// counts its own, so concurrent subtrees share no counter.  A subtree
+  /// is a pure function of (cells, k, first_part, seed) and writes only
+  /// its own cells' parts entries, so the budget never changes the answer.
+  std::size_t split(const std::vector<VertexId>& cells, std::size_t k,
+                    std::size_t first_part, std::uint64_t seed,
+                    std::size_t threads) {
     if (k == 1) {
       for (const VertexId v : cells) {
         result_.parts[v] = static_cast<PartId>(first_part);
       }
-      return;
+      return 0;
     }
     const std::size_t k0 = k / 2;
     const std::size_t k1 = k - k0;
@@ -108,32 +118,43 @@ class KwayDriver {
     problem.graph = &sub;
     problem.balance = BalanceConstraint::from_bounds(subtotal, min0, max0);
 
-    std::vector<PartId> parts;
+    std::unique_ptr<Bipartitioner> engine;
     if (config_.use_ml) {
       MlConfig ml = config_.ml;
       ml.refine = config_.fm;
-      MlPartitioner engine(ml);
-      const MultistartResult r = run_multistart(
-          problem, engine, config_.starts_per_level, seed);
-      parts = r.best_parts;
+      engine = std::make_unique<MlPartitioner>(ml);
     } else {
-      FlatFmPartitioner engine(config_.fm);
-      const MultistartResult r = run_multistart(
-          problem, engine, config_.starts_per_level, seed);
-      parts = r.best_parts;
+      engine = std::make_unique<FlatFmPartitioner>(config_.fm);
     }
+    std::vector<PartId> parts =
+        run_multistart(problem, *engine, config_.starts_per_level, seed,
+                       threads)
+            .best_parts;
     if (parts.empty()) {
       parts = lpt_initial(problem);  // all starts infeasible: fall back
     }
-    ++result_.bisections;
 
     std::vector<VertexId> lo;
     std::vector<VertexId> hi;
     for (std::size_t i = 0; i < cells.size(); ++i) {
       (parts[i] == 0 ? lo : hi).push_back(cells[i]);
     }
-    split(lo, k0, first_part, seed * 6364136223846793005ULL + 1);
-    split(hi, k1, first_part + k0, seed * 6364136223846793005ULL + 2);
+
+    const std::uint64_t lo_seed = seed * 6364136223846793005ULL + 1;
+    const std::uint64_t hi_seed = seed * 6364136223846793005ULL + 2;
+    if (threads >= 2 && k0 > 1) {
+      // Both subtrees bisect further (k1 >= k0 > 1): run them at once,
+      // the low one on a helper thread, with the budget halved.
+      std::future<std::size_t> lo_branch =
+          std::async(std::launch::async, [&, threads] {
+            return split(lo, k0, first_part, lo_seed, threads / 2);
+          });
+      const std::size_t hi_bisections =
+          split(hi, k1, first_part + k0, hi_seed, threads - threads / 2);
+      return 1 + lo_branch.get() + hi_bisections;
+    }
+    return 1 + split(lo, k0, first_part, lo_seed, threads) +
+           split(hi, k1, first_part + k0, hi_seed, threads);
   }
 
   const Hypergraph& h_;

@@ -36,6 +36,12 @@ struct KwayConfig {
   /// top-down; direct k-way passes can move vertices between cousin
   /// blocks and typically recover a few percent of cut.
   int refine_passes = 2;
+  /// Thread budget.  Each bisection's run_multistart uses it, and a
+  /// split runs its two subtrees concurrently with the budget halved, so
+  /// at most `threads` threads work at once.  The answer is
+  /// bit-identical for every value: a subtree is a pure function of its
+  /// cells and seed, and subtrees write disjoint parts entries.
+  std::size_t threads = 1;
 };
 
 struct KwayResult {

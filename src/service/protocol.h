@@ -4,6 +4,9 @@
 //   submit   enqueue a partition request; returns a job id immediately.
 //   status   poll a job's state (queued/running/done/failed/expired).
 //   result   fetch a job's result, optionally blocking until terminal.
+//            Its run_s is the job's wall time on its worker, and run_cpu_s
+//            the worker thread's CPU only: the CPU of helper threads
+//            spending the job's thread budget is not counted.
 //   stats    service observability snapshot (queue depth, cache hit
 //            rates, latency percentiles).
 //   shutdown initiate graceful drain (finish in-flight, reject new).

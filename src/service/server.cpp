@@ -14,6 +14,10 @@
 #include "src/util/shutdown.h"
 #include "src/util/timer.h"
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 namespace vlsipart::service {
 
 // Wall-clock readings in this file (deadlines, idle timeouts, the stats
@@ -50,11 +54,14 @@ struct PartitionService::Connection {
 
 namespace {
 
-/// The run a job asks for, plus the daemon-wide intra-run threads.
-/// run_engine() builds the engine per job; the answer is a pure function
-/// of the request (ServiceDeterminism tests).
-EngineSpec job_spec(const SubmitRequest& req, const ServiceConfig& config) {
+/// The run a job asks for, plus the daemon-wide intra-run threads and
+/// the per-job thread budget.  run_engine() builds the engine per job;
+/// the answer is a pure function of the request at any budget
+/// (ServiceDeterminism tests), so the budget stays out of the cache key.
+EngineSpec job_spec(const SubmitRequest& req, const ServiceConfig& config,
+                    std::size_t job_threads) {
   EngineSpec spec;
+  spec.threads = job_threads;
   spec.engine = req.engine;
   spec.k = req.k;
   spec.tolerance = req.tolerance;
@@ -67,6 +74,16 @@ EngineSpec job_spec(const SubmitRequest& req, const ServiceConfig& config) {
   spec.ml.coarsen.coarsen_threads =
       std::max<std::size_t>(1, config.coarsen_threads);
   return spec;
+}
+
+/// Give the pages a finished run freed back to the OS.  Each helper
+/// thread of a job allocates from its own glibc malloc arena, and arenas
+/// keep freed pages, so without this the daemon's resident memory grows
+/// with the number of threads that have ever run a job.
+void release_free_memory() {
+#ifdef __GLIBC__
+  malloc_trim(0);
+#endif
 }
 
 std::int64_t elapsed_ms(ServiceClock::time_point since) {
@@ -92,14 +109,22 @@ void PartitionService::start() {
   bound_ = config_.endpoint;
   if (!bound_.is_unix()) bound_.tcp_port = bound_tcp_port(listener_);
 
+  // The CPUs left idle by `workers` one-job-at-a-time workers, shared out
+  // as one thread budget per job.  Each budget thread may run a round
+  // engine of up to round_threads threads, so they share the CPUs too.
+  const std::size_t round_threads = std::max<std::size_t>(
+      {1, config_.refine_threads, config_.coarsen_threads});
+  job_threads_ = std::max<std::size_t>(
+      1, usable_cpus() / (config_.workers * round_threads));
   pool_ = std::make_unique<ThreadPool>(config_.workers);
   for (std::size_t i = 0; i < config_.workers; ++i) {
     pool_->submit_with_slot([this](std::size_t slot) { worker_driver(slot); });
   }
   accept_thread_ = std::thread([this] { accept_loop(); });
   if (config_.verbose) {
-    std::fprintf(stderr, "vpartd: listening on %s (%zu workers)\n",
-                 bound_.describe().c_str(), config_.workers);
+    std::fprintf(stderr,
+                 "vpartd: listening on %s (%zu workers, %zu threads per job)\n",
+                 bound_.describe().c_str(), config_.workers, job_threads_);
   }
 }
 
@@ -441,6 +466,8 @@ JsonValue PartitionService::handle_stats() {
   out.set("ok", JsonValue::boolean(true));
   out.set("workers",
           JsonValue::integer(static_cast<std::int64_t>(config_.workers)));
+  out.set("job_threads",
+          JsonValue::integer(static_cast<std::int64_t>(job_threads_)));
   out.set("queue_depth",
           JsonValue::integer(static_cast<std::int64_t>(queue_depth())));
   out.set("in_flight",
@@ -455,15 +482,10 @@ JsonValue PartitionService::handle_stats() {
 
 void PartitionService::finish_job(const std::shared_ptr<Job>& job,
                                   JobState state) {
-  double latency = 0.0;
-  {
-    std::lock_guard<std::mutex> lock(jobs_mutex_);
-    job->state = state;
-    --admitted_;
-    latency =
-        static_cast<double>(elapsed_ms(job->admitted_at)) / 1000.0;
-  }
-  jobs_cv_.notify_all();
+  // Count the job before publishing its state: a client that sees the
+  // result and then asks for stats must find the job counted.
+  const double latency =
+      static_cast<double>(elapsed_ms(job->admitted_at)) / 1000.0;
   switch (state) {
     case JobState::kDone:
       metrics_.count_completed(job->queue_wait_seconds, latency);
@@ -477,6 +499,12 @@ void PartitionService::finish_job(const std::shared_ptr<Job>& job,
     default:
       break;
   }
+  {
+    std::lock_guard<std::mutex> lock(jobs_mutex_);
+    job->state = state;
+    --admitted_;
+  }
+  jobs_cv_.notify_all();
 }
 
 void PartitionService::worker_driver(std::size_t slot) {
@@ -516,8 +544,9 @@ void PartitionService::worker_driver(std::size_t slot) {
         job->parts = cached->parts;
         job->cache = "result";
       } else {
-        EngineResult outcome =
-            run_engine(job_spec(job->request, config_), instance->graph);
+        EngineResult outcome = run_engine(
+            job_spec(job->request, config_, job_threads_), instance->graph);
+        release_free_memory();
         if (!outcome.error.empty()) {
           job->error = outcome.error;
           job->run_seconds = run_timer.elapsed();

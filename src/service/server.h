@@ -10,7 +10,14 @@
 //                         ThreadPool (one per pool slot).  Each job runs
 //                         through run_engine() (src/part/engine.h), which
 //                         builds its engine per job and audits the answer
-//                         (check_solution for k = 2, check_kway for k > 2);
+//                         (check_solution for k = 2, check_kway for k > 2).
+//                         Each job gets the thread budget
+//                         max(1, usable_cpus() / (workers * round
+//                         threads)), round threads being the larger of
+//                         refine_threads and coarsen_threads (1 by
+//                         default); run_engine spends it on the job's
+//                         starts, evo offspring or RB subtrees, and
+//                         answers do not depend on it;
 //   * the caller's thread (serve_until_shutdown) — periodic stats log +
 //                         shutdown latch.
 //
@@ -92,6 +99,10 @@ class PartitionService {
   void stop();
 
   const ServiceMetrics& metrics() const { return metrics_; }
+  /// Thread budget of each job (EngineSpec::threads), fixed at start():
+  /// max(1, usable_cpus() / (workers * max(refine_threads,
+  /// coarsen_threads))).
+  std::size_t job_threads() const { return job_threads_; }
   std::size_t queue_depth() const;
   /// Jobs admitted but not yet terminal (queued + running).
   std::size_t in_flight() const;
@@ -139,6 +150,7 @@ class PartitionService {
   bool workers_stop_ = false;  // guarded_by(jobs_mutex_)
 
   std::unique_ptr<ThreadPool> pool_;
+  std::size_t job_threads_ = 1;  // set once in start(), before any worker
 
   mutable std::mutex conns_mutex_;
   std::list<std::unique_ptr<Connection>> conns_;  // guarded_by(conns_mutex_)

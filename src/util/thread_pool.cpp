@@ -1,12 +1,19 @@
 #include "src/util/thread_pool.h"
 
+#include <sched.h>
+
 #include <atomic>
 #include <exception>
 #include <utility>
 
 namespace vlsipart {
 
-std::size_t hardware_threads() {
+std::size_t usable_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0 && CPU_COUNT(&set) > 0) {
+    return static_cast<std::size_t>(CPU_COUNT(&set));
+  }
   const unsigned n = std::thread::hardware_concurrency();
   return n == 0 ? 1 : static_cast<std::size_t>(n);
 }

@@ -24,8 +24,9 @@
 
 namespace vlsipart {
 
-/// Best-effort hardware thread count; always >= 1.
-std::size_t hardware_threads();
+/// CPUs this process may run on: the sched_getaffinity mask, falling
+/// back to std::thread::hardware_concurrency(); always >= 1.
+std::size_t usable_cpus();
 
 class ThreadPool {
  public:

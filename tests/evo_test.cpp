@@ -1,5 +1,5 @@
 // Memetic engine tests.  The headline property (ISSUE 9): the
-// evolutionary loop is bit-identical at ANY evo_threads value and any
+// evolutionary loop is bit-identical at ANY offspring thread count and any
 // multistart thread count — offspring are pure functions of their fork
 // streams and a rank snapshot taken before the parallel section, so the
 // schedule can never reach the result.  Plus pinned golden digests, a
@@ -38,22 +38,21 @@ PartitionProblem make_problem(const Hypergraph& h, double tol) {
 
 /// Small-but-real config: every operator (seeding, recombination,
 /// mutation, elitist replacement) fires at least once.
-EvoConfig small_evo_config(std::size_t evo_threads = 1) {
+EvoConfig small_evo_config() {
   EvoConfig cfg;
   cfg.population = 3;
   cfg.generations = 2;
   cfg.offspring = 3;
   cfg.mutation_period = 3;  // offspring 2 of each generation mutates
   cfg.mutation_size = 6;
-  cfg.evo_threads = evo_threads;
   cfg.ml.initial_tries = 4;
   return cfg;
 }
 
 std::uint64_t single_run_digest(const PartitionProblem& p,
                                 const EvoConfig& cfg, std::uint64_t seed,
-                                Weight* cut_out) {
-  EvoPartitioner engine(cfg);
+                                Weight* cut_out, std::size_t threads = 1) {
+  EvoPartitioner engine(cfg, threads);
   Rng rng(seed);
   std::vector<PartId> parts;
   const Weight cut = engine.run(p, rng, parts);
@@ -72,11 +71,11 @@ TEST(EvoDeterminism, BitIdenticalAcrossEvoThreadCounts) {
     const PartitionProblem p = make_problem(h, 0.10);
     Weight ref_cut = 0;
     const std::uint64_t ref =
-        single_run_digest(p, small_evo_config(1), 31, &ref_cut);
+        single_run_digest(p, small_evo_config(), 31, &ref_cut);
     for (const std::size_t t : {std::size_t{2}, std::size_t{4},
                                 std::size_t{8}}) {
       Weight cut = 0;
-      EXPECT_EQ(single_run_digest(p, small_evo_config(t), 31, &cut), ref)
+      EXPECT_EQ(single_run_digest(p, small_evo_config(), 31, &cut, t), ref)
           << instance << " diverged at evo_threads=" << t;
       EXPECT_EQ(cut, ref_cut);
     }

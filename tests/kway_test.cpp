@@ -127,6 +127,28 @@ TEST(Kway, DeterministicForSeed) {
   EXPECT_EQ(a.cut, b.cut);
 }
 
+// The thread budget runs bisection starts and RB subtrees concurrently
+// (k = 3 has a leaf beside a subtree; k = 8 nests three levels), yet the
+// answer and the bisection count never move.
+TEST(Kway, IdenticalAcrossThreadBudgets) {
+  const Hypergraph h = generate_netlist(preset("small"));
+  for (const std::size_t k : {3, 8}) {
+    KwayConfig config;
+    config.k = k;
+    config.tolerance = 0.25;
+    config.seed = 4;
+    const KwayResult serial = recursive_bisection(h, config);
+    for (const std::size_t threads : {2, 3, 4}) {
+      config.threads = threads;
+      const KwayResult r = recursive_bisection(h, config);
+      EXPECT_EQ(r.parts, serial.parts) << "k=" << k << " threads=" << threads;
+      EXPECT_EQ(r.cut, serial.cut) << "k=" << k << " threads=" << threads;
+      EXPECT_EQ(r.bisections, serial.bisections) << "k=" << k;
+      EXPECT_EQ(r.bisections, k - 1) << "k=" << k;
+    }
+  }
+}
+
 TEST(Kway, RejectsBadK) {
   const Hypergraph h = generate_netlist(preset("tiny"));
   KwayConfig config;

@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -28,6 +29,7 @@
 #include "src/service/server.h"
 #include "src/util/histogram.h"
 #include "src/util/shutdown.h"
+#include "src/util/thread_pool.h"
 
 namespace vlsipart::service {
 namespace {
@@ -430,6 +432,38 @@ TEST_F(ServiceFixture, ServiceStatsReportActivity) {
   ASSERT_NE(latency, nullptr);
   EXPECT_EQ(latency->find("count")->as_int(), 2);
   EXPECT_GE(latency->find("p99_s")->as_number(), 0.0);
+}
+
+// Each job's thread budget splits the usable CPUs among the workers.
+// Above one thread it only exercises helper threads on multi-core hosts.
+TEST_F(ServiceFixture, ServiceStatsReportJobThreads) {
+  for (const std::size_t workers : {1u, 2u, 8u}) {
+    const Endpoint endpoint = start(test_config(workers));
+    const std::size_t want = std::max<std::size_t>(1, usable_cpus() / workers);
+    EXPECT_EQ(server_->job_threads(), want) << "workers=" << workers;
+    ServiceClient client;
+    ASSERT_TRUE(client.connect(endpoint));
+    JsonValue stats;
+    ASSERT_TRUE(client.stats(stats));
+    ASSERT_NE(stats.find("job_threads"), nullptr);
+    EXPECT_EQ(stats.find("job_threads")->as_int(),
+              static_cast<std::int64_t>(want))
+        << "workers=" << workers;
+    server_->stop();
+    server_.reset();
+    reset_shutdown_for_test();
+  }
+}
+
+// Round-engine threads run inside each budget thread, so they divide the
+// CPUs as well.
+TEST_F(ServiceFixture, JobThreadsLeaveRoomForRoundThreads) {
+  ServiceConfig config = test_config(1);
+  config.refine_threads = 2;
+  config.coarsen_threads = 3;
+  start(std::move(config));
+  EXPECT_EQ(server_->job_threads(),
+            std::max<std::size_t>(1, usable_cpus() / 3));
 }
 
 // ---------------------------------------------------------------------

@@ -1,8 +1,10 @@
 // Tests for the fixed-size worker pool behind parallel multistart.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "src/util/thread_pool.h"
@@ -10,8 +12,10 @@
 namespace vlsipart {
 namespace {
 
-TEST(ThreadPool, HardwareThreadsAtLeastOne) {
-  EXPECT_GE(hardware_threads(), 1u);
+TEST(ThreadPool, UsableCpusWithinHardware) {
+  const std::size_t n = usable_cpus();
+  EXPECT_GE(n, 1u);
+  EXPECT_LE(n, std::max(1u, std::thread::hardware_concurrency()));
 }
 
 TEST(ThreadPool, EmptyRangeRunsNothing) {

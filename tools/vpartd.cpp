@@ -10,7 +10,9 @@
 //   vpartd --socket unix:/tmp/vpartd.sock        (default)
 //   vpartd --socket tcp:7077                      (127.0.0.1 only)
 // Options:
-//   --workers 2            concurrent partitioning jobs
+//   --workers 2            concurrent partitioning jobs; each job gets
+//                          max(1, usable CPUs / (workers * the larger
+//                          of the two round-thread counts below)) threads
 //   --queue 64             admission queue capacity (beyond = shed)
 //   --max-payload-mb 4     per-frame payload cap
 //   --idle-timeout-ms 30000  silent connections are closed
@@ -70,8 +72,9 @@ int main(int argc, char** argv) {
     install_shutdown_handler();
     PartitionService server(std::move(config));
     server.start();
-    std::printf("vpartd: serving on %s\n",
-                server.bound_endpoint().describe().c_str());
+    std::printf("vpartd: serving on %s (%zu threads per job)\n",
+                server.bound_endpoint().describe().c_str(),
+                server.job_threads());
     std::fflush(stdout);
     server.serve_until_shutdown();
     std::printf("vpartd: drained, exiting\n");
