@@ -11,7 +11,7 @@
 using namespace vlsipart;
 using namespace vlsipart::bench;
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   const BenchOptions opt = parse_options(argc, argv, "ibm01,ibm02,ibm03",
                                          /*default_runs=*/30,
                                          /*default_scale=*/0.35);
@@ -57,4 +57,8 @@ int main(int argc, char** argv) {
     emit(table, opt, "BSF data (plot tau vs E[best cut] per engine)");
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return cli_main(argc, argv, run);
 }

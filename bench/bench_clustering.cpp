@@ -45,7 +45,7 @@ void sweep(const std::vector<Hypergraph>& graphs,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   const BenchOptions opt = parse_options(argc, argv, "ibm01,ibm02,ibm03",
                                          /*default_runs=*/10,
                                          /*default_scale=*/0.5);
@@ -123,4 +123,8 @@ int main(int argc, char** argv) {
           "Clustering scheme", configs);
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return cli_main(argc, argv, run);
 }

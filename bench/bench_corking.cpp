@@ -53,7 +53,7 @@ CorkStats measure(const PartitionProblem& problem, const FmConfig& cfg,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   const BenchOptions opt = parse_options(argc, argv, "ibm01,ibm02,ibm03",
                                          /*default_runs=*/20,
                                          /*default_scale=*/0.5);
@@ -94,4 +94,8 @@ int main(int argc, char** argv) {
               opt.runs, opt.scale);
   emit(table, opt.csv, "Corking incidence");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return cli_main(argc, argv, run);
 }

@@ -13,7 +13,7 @@
 using namespace vlsipart;
 using namespace vlsipart::bench;
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   const BenchOptions opt = parse_options(argc, argv, "ibm01,ibm02,ibm03",
                                          /*default_runs=*/20,
                                          /*default_scale=*/0.5);
@@ -50,4 +50,8 @@ int main(int argc, char** argv) {
       opt.runs, opt.scale);
   emit(table, opt.csv, "Gain-bucket insertion order");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return cli_main(argc, argv, run);
 }

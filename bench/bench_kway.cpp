@@ -15,7 +15,7 @@
 using namespace vlsipart;
 using namespace vlsipart::bench;
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   const BenchOptions opt = parse_options(argc, argv, "ibm01,ibm02,ibm03",
                                          /*default_runs=*/1,
                                          /*default_scale=*/0.5);
@@ -66,4 +66,8 @@ int main(int argc, char** argv) {
               opt.scale);
   emit(table, opt.csv, "k-way cut vs k");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return cli_main(argc, argv, run);
 }

@@ -17,6 +17,7 @@
 #include "src/part/ml/coarsen.h"
 #include "src/part/ml/parallel_coarsen.h"
 #include "src/part/nlevel/nlevel_graph.h"
+#include "src/part/nlevel/nlevel_partitioner.h"
 #include "src/util/prefetch.h"
 #include "src/util/thread_pool.h"
 
@@ -152,18 +153,17 @@ void BM_GainBucketSparseReset(benchmark::State& state) {
 BENCHMARK(BM_GainBucketSparseReset)->Arg(64)->Arg(1024);
 
 // CSR pin-walk gather with and without software prefetch, modelling the
-// refiner's delta-gain inner loop on an ibm18-class instance: for each
-// net, gather the three per-vertex metadata streams the refiner reads
-// per pin (bucket slot, lock byte, part id).  Arg(0) = plain walk,
-// Arg(1) = prefetched walk with the refiner's gating (distance 8, nets
-// >= 16 pins only).  The combined per-vertex footprint exceeds L1/L2 so
-// the gathers genuinely miss; on hardware where they do not (or with a
-// compiler that ignores the hint) the two variants simply track.
+// FM pass's delta-gain inner loop on an ibm18-class instance: for each
+// net, gather the one per-vertex stream the walk reads per pin, the
+// gain container's bucket slot (membership and side both derive from
+// it).  Arg(0) = plain walk, Arg(1) = prefetched walk with the
+// refiner's gating (distance 8, nets >= 16 pins only).  The slot array
+// exceeds L1/L2 on this instance so the gathers genuinely miss; on
+// hardware where they do not (or with a compiler that ignores the
+// hint) the two variants simply track.
 template <bool kPrefetch>
 std::int64_t pin_walk_sum(const Hypergraph& h,
-                          const std::vector<std::uint32_t>& bucket,
-                          const std::vector<std::uint8_t>& locked,
-                          const std::vector<PartId>& parts) {
+                          const std::vector<std::uint32_t>& bucket) {
   constexpr std::size_t kDistance = 8;
   constexpr std::size_t kMinPins = 16;
   std::int64_t sum = 0;
@@ -173,19 +173,11 @@ std::int64_t pin_walk_sum(const Hypergraph& h,
       const std::size_t prefetch_end =
           pins.size() >= kMinPins ? pins.size() - kDistance : 0;
       for (std::size_t j = 0; j < pins.size(); ++j) {
-        if (j < prefetch_end) {
-          const VertexId ahead = pins[j + kDistance];
-          VP_PREFETCH_READ(&bucket[ahead]);
-          VP_PREFETCH_READ(&locked[ahead]);
-          VP_PREFETCH_READ(&parts[ahead]);
-        }
-        const VertexId v = pins[j];
-        sum += bucket[v] + locked[v] + parts[v];
+        if (j < prefetch_end) VP_PREFETCH_READ(&bucket[pins[j + kDistance]]);
+        sum += bucket[pins[j]];
       }
     } else {
-      for (const VertexId v : pins) {
-        sum += bucket[v] + locked[v] + parts[v];
-      }
+      for (const VertexId v : pins) sum += bucket[v];
     }
   }
   return sum;
@@ -198,19 +190,14 @@ void BM_PinWalkPrefetch(benchmark::State& state) {
   static const Hypergraph h = generate_netlist(cfg);
   Rng rng(11);
   std::vector<std::uint32_t> bucket(h.num_vertices());
-  std::vector<std::uint8_t> locked(h.num_vertices());
-  std::vector<PartId> parts(h.num_vertices());
   for (std::size_t v = 0; v < h.num_vertices(); ++v) {
     bucket[v] = static_cast<std::uint32_t>(rng.below(1 << 16));
-    locked[v] = static_cast<std::uint8_t>(rng.below(2));
-    parts[v] = static_cast<PartId>(rng.below(2));
   }
   const bool prefetch = state.range(0) != 0;
   std::int64_t pins_walked = 0;
   for (auto _ : state) {
-    const std::int64_t sum = prefetch
-                                 ? pin_walk_sum<true>(h, bucket, locked, parts)
-                                 : pin_walk_sum<false>(h, bucket, locked, parts);
+    const std::int64_t sum = prefetch ? pin_walk_sum<true>(h, bucket)
+                                      : pin_walk_sum<false>(h, bucket);
     benchmark::DoNotOptimize(sum);
     pins_walked += static_cast<std::int64_t>(h.num_pins());
   }
@@ -305,6 +292,26 @@ void BM_NlevelUncontract(benchmark::State& state) {
                           static_cast<std::int64_t>(schedule.size()));
 }
 BENCHMARK(BM_NlevelUncontract)->Unit(benchmark::kMillisecond);
+
+// One full n-level start on the medium instance: heavy-edge contraction
+// down to 96 clusters, the coarsest FM solve, then one localized
+// delta-gain FM search per uncontraction and the final flat sweep.  The
+// local searches dominate; this is the per-start cost nlevel pays in
+// every multistart and vpartd request.
+void BM_NlevelRun(benchmark::State& state) {
+  const Hypergraph h = generate_netlist(preset("medium"));
+  PartitionProblem problem;
+  problem.graph = &h;
+  problem.balance =
+      BalanceConstraint::from_tolerance(h.total_vertex_weight(), 0.10);
+  NlevelPartitioner engine(NlevelConfig{});
+  std::vector<PartId> parts;
+  for (auto _ : state) {
+    Rng rng(1);  // same start every iteration: fixed work per iteration
+    benchmark::DoNotOptimize(engine.run(problem, rng, parts));
+  }
+}
+BENCHMARK(BM_NlevelRun)->Unit(benchmark::kMillisecond);
 
 // One memetic generation over a seeded population on the tiny instance:
 // the steady-state cost of the evolutionary loop (offspring V-cycles +

@@ -26,7 +26,7 @@
 using namespace vlsipart;
 using namespace vlsipart::bench;
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   const BenchOptions opt = parse_options(argc, argv, "ibm01",
                                          /*default_runs=*/64,
                                          /*default_scale=*/0.5,
@@ -115,4 +115,8 @@ int main(int argc, char** argv) {
     emit(table, opt, "Multistart scaling (serial-relative speedup)");
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return cli_main(argc, argv, run);
 }

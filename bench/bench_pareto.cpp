@@ -11,7 +11,7 @@
 using namespace vlsipart;
 using namespace vlsipart::bench;
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   const BenchOptions opt = parse_options(argc, argv, "ibm01",
                                          /*default_runs=*/20,
                                          /*default_scale=*/0.35);
@@ -86,4 +86,8 @@ int main(int argc, char** argv) {
     emit(rank, opt, "Speed-dependent ranking diagram");
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return cli_main(argc, argv, run);
 }

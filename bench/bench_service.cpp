@@ -44,7 +44,7 @@ SubmitRequest case_request(const std::string& name, const BenchOptions& opt,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   const BenchOptions opt = parse_options(argc, argv, "ibm01",
                                          /*default_runs=*/8,
                                          /*default_scale=*/0.3);
@@ -164,4 +164,8 @@ int main(int argc, char** argv) {
                    "resubmission (threads = server workers)");
   server.stop();
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return cli_main(argc, argv, run);
 }

@@ -11,7 +11,7 @@
 using namespace vlsipart;
 using namespace vlsipart::bench;
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   std::string all_cases;
   for (const auto& name : ibm_preset_names()) {
     if (!all_cases.empty()) all_cases += ",";
@@ -76,4 +76,8 @@ int main(int argc, char** argv) {
   }
   emit(gmeans, opt.csv, "Geometric-mean ratios (lower is better)");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return cli_main(argc, argv, run);
 }

@@ -1,7 +1,11 @@
 // Table 4: hMetis-1.5-like ML partitioner, configurations 1-6, 2% balance.
 #include "bench/bench_table45.h"
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   return vlsipart::bench::run_table45(argc, argv, 0.02,
                                       "Table 4 (2% balance)");
+}
+
+int main(int argc, char** argv) {
+  return vlsipart::cli_main(argc, argv, run);
 }

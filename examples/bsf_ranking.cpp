@@ -21,8 +21,9 @@
 
 using namespace vlsipart;
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   const CliArgs args(argc, argv);
+  args.check_known({"case", "runs", "scale", "seed", "tolerance"});
   const std::string case_name = args.get("case", "ibm01");
   const double scale = args.get_double("scale", 0.5);
   const auto runs = static_cast<std::size_t>(args.get_int("runs", 30));
@@ -87,4 +88,8 @@ int main(int argc, char** argv) {
                 e.winner.empty() ? "-" : e.winner.c_str(), e.winner_cost);
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return cli_main(argc, argv, run);
 }

@@ -16,8 +16,9 @@
 
 using namespace vlsipart;
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   const CliArgs args(argc, argv);
+  args.check_known({"baseline", "case", "runs", "scale", "seed", "tolerance"});
   const Hypergraph h = generate_netlist(
       preset(args.get("case", "ibm01"))
           .scaled(args.get_double("scale", 0.5)));
@@ -57,4 +58,8 @@ int main(int argc, char** argv) {
       config);
   std::printf("%s", report.to_string().c_str());
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return cli_main(argc, argv, run);
 }

@@ -18,8 +18,9 @@
 
 using namespace vlsipart;
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   const CliArgs args(argc, argv);
+  args.check_known({"cases", "dir", "format", "scale"});
   const std::string dir = args.get("dir", "benchmarks");
   const double scale = args.get_double("scale", 1.0);
   const std::string format = args.get("format", "hgr");
@@ -45,4 +46,8 @@ int main(int argc, char** argv) {
   std::printf("\nsuite written to %s/ (%s format, scale %.2f)\n",
               dir.c_str(), format.c_str(), scale);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return cli_main(argc, argv, run);
 }

@@ -31,8 +31,9 @@ Sample collect(const PartitionProblem& problem, const FmConfig& cfg,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   const CliArgs args(argc, argv);
+  args.check_known({"alpha", "case", "runs", "scale", "seed", "tolerance"});
   const std::string case_name = args.get("case", "ibm01");
   const double scale = args.get_double("scale", 0.5);
   const auto runs = static_cast<std::size_t>(args.get_int("runs", 30));
@@ -104,4 +105,8 @@ int main(int argc, char** argv) {
       "within run-to-run noise at this sample size — exactly the kind of "
       "difference the paper warns against reporting as an improvement.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return cli_main(argc, argv, run);
 }

@@ -61,8 +61,9 @@ void run_and_dump(const PartitionProblem& problem, const FmConfig& cfg,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   const CliArgs args(argc, argv);
+  args.check_known({"case", "max-points", "scale", "seed", "tolerance"});
   const std::string case_name = args.get("case", "ibm01");
   const double scale = args.get_double("scale", 0.25);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
@@ -89,4 +90,8 @@ int main(int argc, char** argv) {
   fixed.exclude_oversized = true;
   run_and_dump(problem, fixed, "CLIP-with-fix", seed, max_points);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return cli_main(argc, argv, run);
 }

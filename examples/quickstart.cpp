@@ -14,8 +14,9 @@
 
 using namespace vlsipart;
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   const CliArgs args(argc, argv);
+  args.check_known({"case", "scale", "seed", "starts", "tolerance"});
   const std::string case_name = args.get("case", "small");
   const double tolerance = args.get_double("tolerance", 0.02);
   const auto starts = static_cast<std::size_t>(args.get_int("starts", 4));
@@ -68,4 +69,8 @@ int main(int argc, char** argv) {
       "Expected shape (paper, Table 1): ML CLIP >= ML LIFO >= flat CLIP >= "
       "flat LIFO in solution quality; flat engines are fastest.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return cli_main(argc, argv, run);
 }

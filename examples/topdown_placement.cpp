@@ -22,8 +22,9 @@
 
 using namespace vlsipart;
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   const CliArgs args(argc, argv);
+  args.check_known({"case", "leaf", "scale", "seed", "starts", "tolerance"});
   const std::string case_name = args.get("case", "ibm01");
   const double scale = args.get_double("scale", 0.5);
 
@@ -76,4 +77,8 @@ int main(int argc, char** argv) {
       report.terminals_created > 0 ? report.regions_partitioned : 0,
       report.regions_partitioned);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return cli_main(argc, argv, run);
 }

@@ -1,6 +1,8 @@
 #include "src/part/core/fm_refiner.h"
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
 #include <limits>
 #include <numeric>
 
@@ -12,12 +14,40 @@ namespace vlsipart {
 
 namespace {
 /// Pin-walk prefetch distance, and the minimum net size that pays for
-/// the extra prefetch instructions.  Small nets (the 3-5 pin typical
+/// the extra prefetch instruction.  Small nets (the 3-5 pin typical
 /// case) fit the walk in flight anyway; the gather-heavy huge
-/// clock/reset-class nets are where the per-pin metadata loads
-/// (locked/part/bucket) miss cache and the hint overlaps them.
+/// clock/reset-class nets are where the per-pin bucket-slot loads miss
+/// cache and the hint overlaps them.
 constexpr std::size_t kPinPrefetchDistance = 8;
 constexpr std::size_t kPinPrefetchMinPins = 16;
+
+/// Stable ascending sort of `order` by key[v]: an LSD radix sort over
+/// key - min(key), one byte per pass, ping-ponging with the equally
+/// sized `scratch`.  Each pass is O(n + 256) and only
+/// the bytes the key spread occupies get a pass (at most eight, one for
+/// unit-weight gains), so the cost never scales with the size of the
+/// key range.  Same order as std::stable_sort with operator<.
+void stable_sort_by_key(std::vector<VertexId>& order,
+                        const std::vector<Gain>& key,
+                        std::vector<VertexId>& scratch) {
+  if (order.empty()) return;
+  const auto [lo, hi] = std::minmax_element(key.begin(), key.end());
+  const Gain min_key = *lo;
+  const auto spread = static_cast<std::uint64_t>(*hi - min_key);
+  VP_DCHECK(scratch.size() == order.size(), "radix scratch sized to order");
+  for (unsigned shift = 0; shift < 64 && (spread >> shift) != 0;
+       shift += 8) {
+    std::array<std::size_t, 257> start{};
+    const auto digit = [&](VertexId v) {
+      return static_cast<std::size_t>(
+          (static_cast<std::uint64_t>(key[v] - min_key) >> shift) & 0xff);
+    };
+    for (const VertexId v : order) ++start[digit(v) + 1];
+    for (std::size_t d = 1; d < start.size(); ++d) start[d] += start[d - 1];
+    for (const VertexId v : order) scratch[start[digit(v)]++] = v;
+    order.swap(scratch);
+  }
+}
 }  // namespace
 
 FmRefiner::FmRefiner(const PartitionProblem& problem, FmConfig config)
@@ -25,7 +55,8 @@ FmRefiner::FmRefiner(const PartitionProblem& problem, FmConfig config)
       config_(config),
       audit_(AuditConfig::resolve(config.audit)),
       container_(problem.graph->num_vertices(), config.insert_order),
-      locked_(problem.graph->num_vertices(), 0) {
+      locked_(problem.graph->num_vertices(), 0),
+      sort_scratch_(problem.graph->num_vertices()) {
   // Keys are bounded by the weighted degree for classic FM and by twice
   // the weighted degree for CLIP (cumulative delta gain = actual gain
   // minus initial gain).  Size the bucket range for the worst case.
@@ -200,6 +231,7 @@ FmRefiner::Candidate FmRefiner::select_move(const PartitionState& state,
 FmPassStats FmRefiner::run_pass(PartitionState& state, Rng& rng) {
   const Hypergraph& h = *problem_->graph;
   const std::size_t n = h.num_vertices();
+  VP_CHECK(n <= kInvalidVertex, "vertex count " << n << " fits VertexId");
   FmPassStats stats;
   stats.cut_before = state.cut();
 
@@ -212,8 +244,7 @@ FmPassStats FmRefiner::run_pass(PartitionState& state, Rng& rng) {
     locked_in_[1].assign(h.num_edges(), 0);  // hot-path: allow(per-pass reset of reused buffer)
     // Fixed and excluded vertices never move: treat them as locked so
     // binding numbers see them as immovable pins.
-    for (std::size_t v = 0; v < n; ++v) {
-      const auto vid = static_cast<VertexId>(v);
+    for (VertexId vid = 0; vid < n; ++vid) {
       const bool immovable =
           problem_->is_fixed(vid) ||
           (config_.exclude_oversized &&
@@ -233,17 +264,12 @@ FmPassStats FmRefiner::run_pass(PartitionState& state, Rng& rng) {
   std::iota(order.begin(), order.end(), 0);
   std::vector<Gain>& initial_gain = initial_gain_;
   initial_gain.assign(n, 0);  // hot-path: allow(per-pass reset of reused buffer)
-  for (std::size_t v = 0; v < n; ++v) {
-    initial_gain[v] = state.gain(static_cast<VertexId>(v));
-  }
+  for (VertexId v = 0; v < n; ++v) initial_gain[v] = state.gain(v);
   if (config_.clip) {
     // CLIP builds the zero-gain buckets with the highest-initial-gain
     // cells at the heads [15]: insert in ascending initial-gain order so
     // head-insertion leaves the largest at the front.
-    std::stable_sort(order.begin(), order.end(),  // hot-path: allow(CLIP bucket build, once per pass)
-                     [&](VertexId a, VertexId b) {
-                       return initial_gain[a] < initial_gain[b];
-                     });
+    stable_sort_by_key(order, initial_gain, sort_scratch_);
   }
   for (const VertexId v : order) {
     if (problem_->is_fixed(v)) continue;
@@ -284,7 +310,6 @@ FmPassStats FmRefiner::run_pass(PartitionState& state, Rng& rng) {
   // non-critical nets can be skipped wholesale.
   const bool can_skip_noncritical =
       config_.zero_gain_update != ZeroGainUpdate::kAll;
-  MoveNetCounts& moved = move_counts_;
 
   while (true) {
     const Candidate cand = select_move(state, last_from);
@@ -298,46 +323,30 @@ FmPassStats FmRefiner::run_pass(PartitionState& state, Rng& rng) {
     container_.remove(v);
     locked_[v] = 1;
 
-    // Apply the move — recording each incident net's pre-move pin counts
-    // in the same walk — then run the "four cut values" delta-gain
-    // update for every free vertex on every *critical* incident net
-    // (Sec. 2.2).
+    // Apply the move and, in the same walk over v's nets, run the
+    // "four cut values" delta-gain update for every free pin of every
+    // *critical* incident net (Sec. 2.2).
     const auto nets = h.incident_edges(v);
-    state.move(v, moved);
-    last_from = from;
-    move_order_.push_back(v);  // hot-path: allow(move log, geometric growth amortized over passes)
-    ++stats.moves_made;
     if (use_lookahead_) {
       // v is now locked on its destination side.
       for (const EdgeId e : nets) {
         ++locked_in_[from ^ 1][e];
       }
     }
-
-    for (std::size_t i = 0; i < nets.size(); ++i) {
-      const EdgeId e = nets[i];
-      const std::uint32_t old_pins[2] = {moved.old_in(i, 0),
-                                         moved.old_in(i, 1)};
+    state.move(v, [&](EdgeId e, std::uint32_t old_from,
+                      std::uint32_t old_to) {
       // Net-state filter: if the source side keeps >= 2 pins after the
       // move (old >= 3) and the destination side already had >= 2, the
-      // net is non-critical before AND after — every pin's "four cut
-      // values" delta is provably zero, so the O(pins) walk is pure
-      // overhead.  This turns huge clock/reset-class nets from O(pins)
-      // per move into O(1) for almost every move.
-      if (can_skip_noncritical && old_pins[from] >= 3 &&
-          old_pins[from ^ 1] >= 2) {
+      // net is non-critical before AND after — every pin's delta is
+      // provably zero, so the O(pins) walk is pure overhead.  This turns
+      // huge clock/reset-class nets from O(pins) per move into O(1) for
+      // almost every move.
+      if (can_skip_noncritical && old_from >= 3 && old_to >= 2) {
         ++stats.nets_skipped_noncritical;
-        continue;
+        return;
       }
       ++stats.nets_walked;
-      const Weight ew = h.edge_weight(e);
-      // Post-move counts derive from the recorded pre-move counts (the
-      // source side lost v, the destination gained it) — the scattered
-      // per-net counter re-reads the loop used to do are gone; the walk
-      // runs entirely off the dense MoveNetCounts stream.
-      std::uint32_t new_pins[2];
-      new_pins[from] = old_pins[from] - 1;
-      new_pins[from ^ 1] = old_pins[from ^ 1] + 1;
+      const NetGainDelta d = net_gain_delta(old_from, old_to, h.edge_weight(e));
       const auto pins = h.pins(e);
       const std::size_t prefetch_end =
           pins.size() >= kPinPrefetchMinPins
@@ -345,20 +354,14 @@ FmPassStats FmRefiner::run_pass(PartitionState& state, Rng& rng) {
               : 0;
       for (std::size_t j = 0; j < pins.size(); ++j) {
         if (j < prefetch_end) {
-          const VertexId ahead = pins[j + kPinPrefetchDistance];
-          container_.prefetch(ahead);
-          VP_PREFETCH_READ(&locked_[ahead]);
-          VP_PREFETCH_READ(&state.parts()[ahead]);
+          container_.prefetch(pins[j + kPinPrefetchDistance]);
         }
+        // The container holds exactly the free pins: v, locked, fixed
+        // and excluded vertices are absent, and a contained vertex's
+        // side is its part.
         const VertexId y = pins[j];
-        if (y == v || locked_[y] || !container_.contains(y)) continue;
-        const PartId py = state.part(y);
-        const PartId qy = py ^ 1;
-        const Gain old_contrib = (old_pins[py] == 1 ? ew : 0) -
-                                 (old_pins[qy] == 0 ? ew : 0);
-        const Gain new_contrib = (new_pins[py] == 1 ? ew : 0) -
-                                 (new_pins[qy] == 0 ? ew : 0);
-        const Gain delta = new_contrib - old_contrib;
+        if (!container_.contains(y)) continue;
+        const Gain delta = container_.side_of(y) == from ? d.on_from : d.on_to;
         if (delta != 0) {
           container_.update_key(y, delta, rng);
           ++stats.nonzero_delta_updates;
@@ -367,7 +370,10 @@ FmPassStats FmRefiner::run_pass(PartitionState& state, Rng& rng) {
           ++stats.zero_delta_updates;
         }
       }
-    }
+    });
+    last_from = from;
+    move_order_.push_back(v);  // hot-path: allow(move log, geometric growth amortized over passes)
+    ++stats.moves_made;
 
     // Best-prefix bookkeeping.
     const Weight cut = state.cut();

@@ -179,9 +179,8 @@ class FmRefiner {
   /// reuse the allocations instead of reconstructing them every pass.
   std::vector<VertexId> build_order_;
   std::vector<Gain> initial_gain_;
-  /// Pre-move pin counts of the moved vertex's nets, filled by
-  /// PartitionState::move() in the same walk that applies the move.
-  MoveNetCounts move_counts_;
+  /// Radix-sort scratch for CLIP's initial-gain bucket order.
+  std::vector<VertexId> sort_scratch_;
   /// Lookahead-selection scratch (lookahead_pick is called per selection;
   /// the vectors are members so the per-call allocation disappears).
   mutable std::vector<Gain> la_vec_;

@@ -3,15 +3,8 @@
 #include <sstream>
 
 #include "src/util/logging.h"
-#include "src/util/prefetch.h"
 
 namespace vlsipart {
-
-namespace {
-/// Net-walk prefetch distance: far enough to cover an L2 hit, near
-/// enough that the line is still resident when the walk arrives.
-constexpr std::size_t kNetPrefetchDistance = 4;
-}  // namespace
 
 PartitionState::PartitionState(const Hypergraph& h)
     : h_(&h),
@@ -38,56 +31,8 @@ void PartitionState::assign(std::span<const PartId> parts) {
   }
 }
 
-template <bool kRecord>
-void PartitionState::move_impl(VertexId v, MoveNetCounts* counts) {
-  const PartId from = parts_[v];
-  VP_DCHECK(from == 0 || from == 1, "vertex assigned before move");
-  const PartId to = from ^ 1;
-  const Weight w = h_->vertex_weight(v);
-  const auto nets = h_->incident_edges(v);
-  if constexpr (kRecord) {
-    counts->old_pins.resize(2 * nets.size());  // hot-path: allow(recording scratch, bounded by max net degree)
-  }
-  const std::size_t prefetch_end =
-      nets.size() > kNetPrefetchDistance ? nets.size() - kNetPrefetchDistance
-                                         : 0;
-  for (std::size_t i = 0; i < nets.size(); ++i) {
-    if (i < prefetch_end) {
-      // The interleaved pair (2e, 2e+1) shares an 8-byte-aligned chunk,
-      // so one prefetch covers both counters of the upcoming net.
-      VP_PREFETCH_WRITE(
-          &pins_in_[2 * static_cast<std::size_t>(
-                            nets[i + kNetPrefetchDistance])]);
-    }
-    const EdgeId e = nets[i];
-    const std::size_t base = 2 * static_cast<std::size_t>(e);
-    const std::uint32_t old_from = pins_in_[base + from];
-    const std::uint32_t old_to = pins_in_[base + to];
-    if constexpr (kRecord) {
-      counts->old_pins[2 * i + from] = old_from;
-      counts->old_pins[2 * i + to] = old_to;
-    }
-    pins_in_[base + from] = old_from - 1;
-    pins_in_[base + to] = old_to + 1;
-    // v itself is a from-side pin, so old_from >= 1 and the to side never
-    // empties: cut membership flips only through old_to == 0 (newly cut)
-    // or old_from == 1 (now uncut).
-    const bool was_cut = old_to > 0;
-    const bool now_cut = old_from > 1;
-    if (was_cut != now_cut) {
-      const Weight ew = h_->edge_weight(e);
-      cut_ += now_cut ? ew : -ew;
-    }
-  }
-  parts_[v] = to;
-  part_weight_[from] -= w;
-  part_weight_[to] += w;
-}
-
-void PartitionState::move(VertexId v) { move_impl<false>(v, nullptr); }
-
-void PartitionState::move(VertexId v, MoveNetCounts& counts) {
-  move_impl<true>(v, &counts);
+void PartitionState::move(VertexId v) {
+  move(v, [](EdgeId, std::uint32_t, std::uint32_t) {});
 }
 
 Gain PartitionState::gain(VertexId v) const {

@@ -14,6 +14,8 @@
 
 #include "src/hypergraph/hypergraph.h"
 #include "src/part/core/balance.h"
+#include "src/util/logging.h"
+#include "src/util/prefetch.h"
 
 namespace vlsipart {
 
@@ -30,24 +32,29 @@ struct PartitionProblem {
   }
 };
 
-/// Pre-move per-net pin counts of the nets incident to a moved vertex,
-/// filled by PartitionState::move(v, counts) in the same walk that
-/// applies the move (no separate snapshot pass).  Interleaved layout:
-/// old_pins[2*i + p] is the count of pins in part p of
-/// graph().incident_edges(v)[i] *before* the move — one sequential
-/// stream, both sides of a net on the same cache line.  The post-move
-/// counts need no storage: the moved vertex's source side lost exactly
-/// one pin and the destination side gained exactly one, so callers
-/// derive them (old-1 / old+1) instead of re-reading the state's
-/// scattered counters.  Callers own the struct so its buffer is reused
-/// across moves.
-struct MoveNetCounts {
-  std::vector<std::uint32_t> old_pins;
-
-  std::uint32_t old_in(std::size_t net_index, PartId p) const {
-    return old_pins[2 * net_index + p];
-  }
+/// The "four cut values" delta-gain update of one net (Sec. 2.2).  A
+/// vertex leaves a side holding `old_from` pins of a net of weight `w`
+/// for a side holding `old_to` pins (counts before the move).  Every
+/// other free pin of the net then changes its FM gain by `on_from` if it
+/// sits on the source side and by `on_to` if it sits on the destination
+/// side.  Both are zero on a net that has >= 2 pins on each side before
+/// and after the move.  The flat FM pass and the n-level local search
+/// both update their keys through this one formula.
+struct NetGainDelta {
+  Gain on_from = 0;
+  Gain on_to = 0;
 };
+
+inline NetGainDelta net_gain_delta(std::uint32_t old_from,
+                                   std::uint32_t old_to, Weight w) {
+  // A pin's gain term on one net: +w when it is the only pin of its
+  // side, -w when the other side has no pin.
+  const auto term = [w](std::uint32_t own, std::uint32_t other) -> Gain {
+    return (own == 1 ? w : 0) - (other == 0 ? w : 0);
+  };
+  return {term(old_from - 1, old_to + 1) - term(old_from, old_to),
+          term(old_to + 1, old_from - 1) - term(old_to, old_from)};
+}
 
 class PartitionState {
  public:
@@ -64,11 +71,14 @@ class PartitionState {
   /// counts, part weights and cut.
   void move(VertexId v);
 
-  /// Like move(v), but additionally records the pre-move pin counts of
-  /// every incident net into `counts` — the inputs of the FM
-  /// "four cut values" delta-gain update — without a second pass over
-  /// the incidence lists.
-  void move(VertexId v, MoveNetCounts& counts);
+  /// Like move(v), but calls `on_net(e, old_from, old_to)` once per
+  /// incident net, in incidence order, in the same walk that updates the
+  /// net: old_from/old_to are the net's pin counts on v's source and
+  /// destination sides before the move, the inputs of net_gain_delta().
+  /// The callback must not read this state: v's part and the part
+  /// weights change only after the last net.
+  template <class OnNet>
+  void move(VertexId v, OnNet&& on_net);
 
   PartId part(VertexId v) const { return parts_[v]; }
   const std::vector<PartId>& parts() const { return parts_; }
@@ -103,8 +113,10 @@ class PartitionState {
   void audit() const;
 
  private:
-  template <bool kRecord>
-  void move_impl(VertexId v, MoveNetCounts* counts);
+  /// Net-walk prefetch distance of move(): far enough to cover an L2
+  /// hit, near enough that the line is still resident when the walk
+  /// arrives.
+  static constexpr std::size_t kNetPrefetchDistance = 4;
 
   const Hypergraph* h_;
   std::vector<PartId> parts_;
@@ -113,6 +125,46 @@ class PartitionState {
   std::vector<std::uint32_t> pins_in_;
   Weight cut_ = 0;
 };
+
+template <class OnNet>
+void PartitionState::move(VertexId v, OnNet&& on_net) {
+  const PartId from = parts_[v];
+  VP_DCHECK(from == 0 || from == 1, "vertex assigned before move");
+  const PartId to = from ^ 1;
+  const auto nets = h_->incident_edges(v);
+  const std::size_t prefetch_end =
+      nets.size() > kNetPrefetchDistance ? nets.size() - kNetPrefetchDistance
+                                         : 0;
+  for (std::size_t i = 0; i < nets.size(); ++i) {
+    if (i < prefetch_end) {
+      // The interleaved pair (2e, 2e+1) shares an 8-byte-aligned chunk,
+      // so one prefetch covers both counters of the upcoming net.
+      VP_PREFETCH_WRITE(
+          &pins_in_[2 * static_cast<std::size_t>(
+                            nets[i + kNetPrefetchDistance])]);
+    }
+    const EdgeId e = nets[i];
+    const std::size_t base = 2 * static_cast<std::size_t>(e);
+    const std::uint32_t old_from = pins_in_[base + from];
+    const std::uint32_t old_to = pins_in_[base + to];
+    pins_in_[base + from] = old_from - 1;
+    pins_in_[base + to] = old_to + 1;
+    // v itself is a from-side pin, so old_from >= 1 and the to side never
+    // empties: cut membership flips only through old_to == 0 (newly cut)
+    // or old_from == 1 (now uncut).
+    const bool was_cut = old_to > 0;
+    const bool now_cut = old_from > 1;
+    if (was_cut != now_cut) {
+      const Weight ew = h_->edge_weight(e);
+      cut_ += now_cut ? ew : -ew;
+    }
+    on_net(e, old_from, old_to);
+  }
+  const Weight w = h_->vertex_weight(v);
+  parts_[v] = to;
+  part_weight_[from] -= w;
+  part_weight_[to] += w;
+}
 
 /// Recompute the cut of an assignment without building a state. O(pins).
 Weight compute_cut(const Hypergraph& h, std::span<const PartId> parts);

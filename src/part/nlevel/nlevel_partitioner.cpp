@@ -204,14 +204,27 @@ void NlevelPartitioner::flip(VertexId c) {
   side_[c] = to;
 }
 
+void NlevelPartitioner::audit_keys() const {
+  for (const VertexId c : activated_) {
+    if (!buckets_->contains(c)) continue;
+    VP_CHECK(buckets_->key(c) == cluster_gain(c),
+             "nlevel audit: cluster " << c << " keyed " << buckets_->key(c)
+                                      << " but its gain is "
+                                      << cluster_gain(c));
+  }
+}
+
 void NlevelPartitioner::local_search(const PartitionProblem& problem,
                                      VertexId u, VertexId v) {
   ++epoch_;
   buckets_->reset(graph_.max_weighted_degree());
+  activated_.clear();
 
   const auto activate = [&](VertexId c) {
     if (locked_epoch_[c] == epoch_ || buckets_->contains(c)) return;
     if (!movable(problem, c)) return;
+    activated_at_[c] = activated_.size();
+    activated_.push_back(c);
     buckets_->push_front(c, side_[c], cluster_gain(c));
   };
   activate(u);
@@ -278,18 +291,38 @@ void NlevelPartitioner::local_search(const PartitionProblem& problem,
     } else {
       ++since_best;
     }
+    // Delta-gain walk.  Every neighbour visit moves it to the head of
+    // its (new) bucket, exactly as a full recompute would: only the key
+    // passed along the way differs, so the bucket order, and with it
+    // the selection order, is the same.  A cluster activated earlier in
+    // this walk was keyed from the post-flip counts and takes no delta.
+    const PartId to = side_[c];
+    const PartId from = to ^ 1;
+    const std::size_t walk_begin = activated_.size();
     for (const EdgeId e : graph_.incident_edges(c)) {
+      ++work_.nets_walked;
+      const std::uint32_t* ps = &pins_side_[2 * static_cast<std::size_t>(e)];
+      const NetGainDelta d =
+          net_gain_delta(ps[from] + 1, ps[to] - 1, graph_.edge_weight(e));
       for (const VertexId x : graph_.pins(e)) {
         if (x == c || locked_epoch_[x] == epoch_) continue;
-        if (buckets_->contains(x)) {
-          work_.nets_walked += graph_.incident_edges(x).size();
-          ++work_.nonzero_delta_updates;
-          buckets_->move_to(x, cluster_gain(x), /*front=*/true);
-        } else {
+        if (!buckets_->contains(x)) {
           activate(x);
+          continue;
         }
+        Gain delta = 0;
+        if (activated_at_[x] < walk_begin) {
+          delta = side_[x] == from ? d.on_from : d.on_to;
+        }
+        if (delta != 0) {
+          ++work_.nonzero_delta_updates;
+        } else {
+          ++work_.zero_delta_updates;
+        }
+        buckets_->move_to(x, buckets_->key(x) + delta, /*front=*/true);
       }
     }
+    if (audit_.enabled()) audit_keys();
   }
   while (local_moves_.size() > best_prefix) {
     flip(local_moves_.back().c);
@@ -305,7 +338,7 @@ Weight NlevelPartitioner::run(const PartitionProblem& problem, Rng& rng,
   // 32-bit id contract: VertexId/EdgeId counters below cannot wrap.
   VP_CHECK(n <= kInvalidVertex, "vertex count " << n << " fits VertexId");
   VP_CHECK(m <= kInvalidEdge, "edge count " << m << " fits EdgeId");
-  const AuditConfig audit = AuditConfig::resolve(config_.refine.audit);
+  audit_ = AuditConfig::resolve(config_.refine.audit);
 
   graph_.bind(h);
   coarsen(problem, derived_max_cluster_weight(h, config_));
@@ -333,6 +366,7 @@ Weight NlevelPartitioner::run(const PartitionProblem& problem, Rng& rng,
   }
   locked_epoch_.assign(n, 0);
   epoch_ = 0;
+  activated_at_.resize(n);
 
   // Uncontract one vertex per level; localized FM after each split.
   while (graph_.num_contractions() > 0) {
@@ -343,7 +377,7 @@ Weight NlevelPartitioner::run(const PartitionProblem& problem, Rng& rng,
       ++pins_side_[2 * static_cast<std::size_t>(e) + side_[uc.u]];
     }
     local_search(problem, uc.u, uc.v);
-    if (audit.enabled()) {
+    if (audit_.enabled()) {
       // Cheap incremental audit: the maintained cut must match the pin
       // counts, and the part weights must match the active clusters.
       Weight cut = 0;
@@ -364,7 +398,7 @@ Weight NlevelPartitioner::run(const PartitionProblem& problem, Rng& rng,
   }
 
   parts.assign(side_.begin(), side_.end());
-  if (audit.enabled()) {
+  if (audit_.enabled()) {
     const Weight cut = compute_cut(h, parts);
     VP_CHECK(cut == cut_, "nlevel audit: final cut " << cut
                             << " != maintained cut " << cut_);

@@ -12,7 +12,9 @@
 // NlevelGraph undo log makes each uncontraction O(degree of the split
 // vertex), and the localized searches ride the same BucketArray kernel
 // as the flat refiner (sparse reset, so a search touching t vertices
-// costs O(t), not O(n)).
+// costs O(t), not O(n)).  After each flip the search updates neighbour
+// keys with the flat FM pass's per-net delta (net_gain_delta), O(1) per
+// visited pin, instead of recomputing each neighbour's whole gain.
 //
 // Determinism: a run is a pure function of (problem, config, rng state).
 // The contraction order comes from a lazily re-rated max-heap ordered by
@@ -74,6 +76,16 @@ class NlevelPartitioner final : public Bipartitioner {
   /// Reusable scratch only, no solution state: a clone is a fresh
   /// instance of the same configuration (enables parallel multistart).
   std::unique_ptr<Bipartitioner> clone() const override;
+  /// Gain-update work, in the flat FM pass's meaning: the FM solves of
+  /// the coarsest graph and the final sweep add their own counters, and
+  /// each local-search walk adds, per flipped cluster,
+  ///   nets_walked            one per incident net (every net's pins
+  ///                          are walked: each visit re-heads its pin);
+  ///   nonzero_delta_updates  visits whose per-net delta was nonzero;
+  ///   zero_delta_updates     visits whose delta was zero, including
+  ///                          clusters activated earlier in the walk.
+  /// nets_skipped_noncritical stays with the FM solves.  Deterministic:
+  /// identical across repeated runs and multistart thread counts.
   UpdateWork update_work() const override { return work_; }
 
   const NlevelConfig& config() const { return config_; }
@@ -99,6 +111,9 @@ class NlevelPartitioner final : public Bipartitioner {
   void flip(VertexId c);
   /// One localized FM search seeded from the freshly uncontracted pair.
   void local_search(const PartitionProblem& problem, VertexId u, VertexId v);
+  /// Audit oracle of the delta-gain walk: every cluster still in the
+  /// buckets must be keyed with its from-scratch cluster_gain().
+  void audit_keys() const;
 
   NlevelConfig config_;
   std::string name_;
@@ -119,6 +134,12 @@ class NlevelPartitioner final : public Bipartitioner {
   std::size_t bucket_n_ = 0;
   std::vector<std::uint32_t> locked_epoch_;
   std::uint32_t epoch_ = 0;
+  /// Clusters pushed into the buckets by the current search, in order;
+  /// activated_at_[c] is c's index there (valid while c is contained).
+  std::vector<VertexId> activated_;
+  std::vector<std::size_t> activated_at_;
+  /// config_.refine.audit resolved against VLSIPART_AUDIT per run().
+  AuditConfig audit_;
   std::vector<EdgeId> reactivated_;
   struct LocalMove {
     VertexId c = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -163,6 +164,16 @@ std::vector<std::string> CliArgs::get_list(const std::string& name,
     start = comma + 1;
   }
   return out;
+}
+
+int cli_main(int argc, char** argv, int (*body)(int, char**)) {
+  try {
+    return body(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s: error: %s\n", argc > 0 ? argv[0] : "?",
+                 e.what());
+    return 1;
+  }
 }
 
 }  // namespace vlsipart

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "src/gen/netlist_gen.h"
@@ -232,20 +233,63 @@ TEST(NlevelPartitionerTest, ProducesFeasibleSolutions) {
 }
 
 TEST(NlevelPartitionerTest, AuditedRunMatchesUnaudited) {
-  // Audits are pure observers: forcing per-pass audits plus the n-level
-  // engine's own per-uncontraction recount must not change the result.
-  const Hypergraph h = generate_netlist(preset("tiny"));
+  // Audits are pure observers: forcing per-pass audits, the n-level
+  // engine's own per-uncontraction recount and its per-walk key oracle
+  // (every bucketed cluster's delta-updated key must equal its
+  // from-scratch cluster_gain) must not change the result.  The small
+  // preset with fixed vertices runs the delta path past immovable pins.
+  for (const char* const instance : {"tiny", "small"}) {
+    const Hypergraph h = generate_netlist(preset(instance));
+    PartitionProblem p = make_problem(h, 0.10);
+    if (std::string(instance) == "small") {
+      std::vector<PartId> fixed(h.num_vertices(), kNoPart);
+      Rng pick(91);
+      for (int i = 0; i < 12; ++i) {
+        fixed[pick.below(h.num_vertices())] =
+            static_cast<PartId>(pick.below(2));
+      }
+      p.fixed = fixed;
+    }
+    NlevelConfig cfg = small_nlevel_config();
+    Rng rng1(11), rng2(11);
+    std::vector<PartId> plain_parts, audited_parts;
+    NlevelPartitioner plain(cfg);
+    const Weight plain_cut = plain.run(p, rng1, plain_parts);
+    cfg.refine.audit.mode = AuditMode::kPerPass;
+    NlevelPartitioner audited(cfg);
+    const Weight audited_cut = audited.run(p, rng2, audited_parts);
+    EXPECT_EQ(plain_cut, audited_cut) << instance;
+    EXPECT_EQ(plain_parts, audited_parts) << instance;
+    EXPECT_TRUE(check_solution(p, audited_parts).empty()) << instance;
+  }
+}
+
+TEST(NlevelPartitionerTest, UpdateWorkIsDeterministic) {
+  // The local-search counters follow the FM meaning (nets walked, visits
+  // split by delta value) and are pure functions of the run: identical
+  // across repeated runs and across multistart thread counts.
+  const NlevelConfig cfg = small_nlevel_config();
+  const Hypergraph h = generate_netlist(preset("small"));
   const PartitionProblem p = make_problem(h, 0.10);
-  NlevelConfig cfg = small_nlevel_config();
-  Rng rng1(11), rng2(11);
-  std::vector<PartId> plain_parts, audited_parts;
-  NlevelPartitioner plain(cfg);
-  const Weight plain_cut = plain.run(p, rng1, plain_parts);
-  cfg.refine.audit.mode = AuditMode::kPerPass;
-  NlevelPartitioner audited(cfg);
-  const Weight audited_cut = audited.run(p, rng2, audited_parts);
-  EXPECT_EQ(plain_cut, audited_cut);
-  EXPECT_EQ(plain_parts, audited_parts);
+  const auto work_at = [&](std::size_t threads) {
+    NlevelPartitioner engine(cfg);
+    return run_multistart(p, engine, /*starts=*/8, /*seed=*/5, threads)
+        .update_work;
+  };
+  const UpdateWork ref = work_at(1);
+  EXPECT_GT(ref.nets_walked, 0u);
+  EXPECT_GT(ref.nonzero_delta_updates, 0u);
+  EXPECT_GT(ref.zero_delta_updates, 0u);
+  for (const std::size_t t : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    const UpdateWork w = work_at(t);
+    EXPECT_EQ(w.nets_walked, ref.nets_walked) << t << " threads";
+    EXPECT_EQ(w.nets_skipped_noncritical, ref.nets_skipped_noncritical)
+        << t << " threads";
+    EXPECT_EQ(w.nonzero_delta_updates, ref.nonzero_delta_updates)
+        << t << " threads";
+    EXPECT_EQ(w.zero_delta_updates, ref.zero_delta_updates)
+        << t << " threads";
+  }
 }
 
 TEST(NlevelPartitionerTest, RespectsFixedVertices) {

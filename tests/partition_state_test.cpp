@@ -130,25 +130,29 @@ TEST(PartitionState, RandomMoveSequenceStaysConsistent) {
   EXPECT_EQ(s.cut(), compute_cut(h, s.parts()));
 }
 
-TEST(PartitionState, FuzzMoveRecordingAndAudit) {
+TEST(PartitionState, FuzzFusedMoveCallbackAndAudit) {
   // Seeded fuzz over three instance sizes: interleave plain moves,
-  // recording moves (the move(v, counts) overload the FM inner loop
-  // feeds on), and full re-assignments.  Every recording move's reported
-  // old pin counts must equal the pre-move pins_in of each incident net,
-  // and periodic audits pin the incremental bookkeeping to a
-  // from-scratch recomputation.
+  // callback moves (the move(v, on_net) overload the FM inner loop
+  // feeds on), and full re-assignments.  A callback move must report
+  // every incident net exactly once, in incidence order, with its
+  // pre-move counts on the source and destination sides, and must leave
+  // the same cut, weights and pin counts as move(v) on a twin state.
+  // Periodic audits pin the incremental bookkeeping to a from-scratch
+  // recomputation.
   for (const char* name : {"tiny", "small", "medium"}) {
     const Hypergraph h = generate_netlist(preset(name));
     const std::size_t n = h.num_vertices();
     PartitionState s(h);
+    PartitionState twin(h);
     Rng rng(0xf022eedULL ^ n);
 
     std::vector<PartId> parts(n);
     for (auto& p : parts) p = static_cast<PartId>(rng.below(2));
     s.assign(parts);
+    twin.assign(parts);
 
-    MoveNetCounts counts;
-    std::vector<std::uint32_t> expect0, expect1;
+    std::vector<EdgeId> seen;
+    std::vector<std::uint32_t> seen_from, seen_to;
     std::size_t since_audit = 0;
     for (int step = 0; step < 2000; ++step) {
       const auto op = rng.below(100);
@@ -156,36 +160,82 @@ TEST(PartitionState, FuzzMoveRecordingAndAudit) {
         // Occasional full re-assignment resets all incremental state.
         for (auto& p : parts) p = static_cast<PartId>(rng.below(2));
         s.assign(parts);
+        twin.assign(parts);
         continue;
       }
       const auto v = static_cast<VertexId>(rng.below(n));
       if (op < 50) {
         s.move(v);
       } else {
+        const PartId from = s.part(v);
         const auto edges = h.incident_edges(v);
-        expect0.clear();
-        expect1.clear();
+        std::vector<std::uint32_t> expect_from, expect_to;
         for (const EdgeId e : edges) {
-          expect0.push_back(s.pins_in(e, 0));
-          expect1.push_back(s.pins_in(e, 1));
+          expect_from.push_back(s.pins_in(e, from));
+          expect_to.push_back(s.pins_in(e, from ^ 1));
         }
-        s.move(v, counts);
-        ASSERT_EQ(counts.old_pins.size(), 2 * edges.size());
-        for (std::size_t i = 0; i < edges.size(); ++i) {
-          ASSERT_EQ(counts.old_in(i, 0), expect0[i])
-              << name << " v=" << v << " i=" << i;
-          ASSERT_EQ(counts.old_in(i, 1), expect1[i])
-              << name << " v=" << v << " i=" << i;
-        }
+        seen.clear();
+        seen_from.clear();
+        seen_to.clear();
+        s.move(v, [&](EdgeId e, std::uint32_t old_from, std::uint32_t old_to) {
+          seen.push_back(e);
+          seen_from.push_back(old_from);
+          seen_to.push_back(old_to);
+        });
+        ASSERT_EQ(seen, std::vector<EdgeId>(edges.begin(), edges.end()))
+            << name << " v=" << v;
+        ASSERT_EQ(seen_from, expect_from) << name << " v=" << v;
+        ASSERT_EQ(seen_to, expect_to) << name << " v=" << v;
       }
+      twin.move(v);
+      ASSERT_EQ(s.cut(), twin.cut()) << name << " step " << step;
+      ASSERT_EQ(s.part_weight(0), twin.part_weight(0));
+      ASSERT_EQ(s.part_weight(1), twin.part_weight(1));
+      ASSERT_EQ(s.part(v), twin.part(v));
       if (++since_audit >= 64) {
         s.audit();
         EXPECT_EQ(s.cut(), compute_cut(h, s.parts()));
+        EXPECT_EQ(s.parts(), twin.parts());
         since_audit = 0;
       }
     }
     s.audit();
     EXPECT_EQ(s.cut(), compute_cut(h, s.parts()));
+  }
+}
+
+TEST(PartitionState, NetGainDeltaMatchesGainRecompute) {
+  // net_gain_delta() is the one delta formula of the FM pass and the
+  // n-level search: after any move, every other pin's gain must equal
+  // its pre-move gain plus the per-net deltas of the nets it shares
+  // with the moved vertex.
+  const Hypergraph h = generate_netlist(preset("tiny"));
+  const std::size_t n = h.num_vertices();
+  PartitionState s(h);
+  Rng rng(4242);
+  std::vector<PartId> parts(n);
+  for (auto& p : parts) p = static_cast<PartId>(rng.below(2));
+  s.assign(parts);
+  std::vector<Gain> gain(n);
+  for (int step = 0; step < 300; ++step) {
+    for (std::size_t u = 0; u < n; ++u) {
+      gain[u] = s.gain(static_cast<VertexId>(u));
+    }
+    const auto v = static_cast<VertexId>(rng.below(n));
+    const PartId from = s.part(v);
+    std::vector<Gain> expect = gain;
+    s.move(v, [&](EdgeId e, std::uint32_t old_from, std::uint32_t old_to) {
+      const NetGainDelta d = net_gain_delta(old_from, old_to, h.edge_weight(e));
+      for (const VertexId y : h.pins(e)) {
+        if (y != v) expect[y] += parts[y] == from ? d.on_from : d.on_to;
+      }
+    });
+    parts[v] = from ^ 1;
+    for (std::size_t u = 0; u < n; ++u) {
+      if (u == v) continue;
+      ASSERT_EQ(s.gain(static_cast<VertexId>(u)), expect[u])
+          << "step " << step << " moved " << v << " pin " << u;
+    }
   }
 }
 
