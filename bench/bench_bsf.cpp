@@ -4,9 +4,11 @@
 //
 // Expected shape: the ML engine's curve lies below flat FM at every
 // budget beyond its first start; flat FM occupies the smallest budgets
-// (a single flat start is cheaper than a single ML start).
+// (a single flat start is cheaper than a single ML start).  Budgets
+// beyond --runs have no sample behind them and are not printed (--full
+// samples 100 starts and prints them all).
 #include "bench/bench_common.h"
-#include "src/eval/bsf.h"
+#include "src/eval/report.h"
 
 using namespace vlsipart;
 using namespace vlsipart::bench;
@@ -14,43 +16,28 @@ using namespace vlsipart::bench;
 static int run(int argc, char** argv) {
   const BenchOptions opt = parse_options(argc, argv, "ibm01,ibm02,ibm03",
                                          /*default_runs=*/30,
-                                         /*default_scale=*/0.35);
-  const std::vector<std::size_t> ks = {1, 2, 4, 8, 16, 30, 50, 100};
-
-  struct Engine {
-    const char* label;
-    bool ml;
-    FmConfig cfg;
+                                         /*default_scale=*/0.35,
+                                         {"threads"});
+  const double tolerance = 0.02;
+  const std::vector<LabeledSpec> engines = {
+      {"flat-LIFO-FM", multistart_spec(opt, "flat", our_lifo(), tolerance)},
+      {"flat-CLIP-FM", multistart_spec(opt, "clip", our_lifo(), tolerance)},
+      {"ML-LIFO-FM", multistart_spec(opt, "ml", our_lifo(), tolerance)},
+      {"ML-CLIP-FM", multistart_spec(opt, "ml", our_clip(), tolerance)},
   };
-  const Engine engines[] = {
-      {"flat-LIFO-FM", false, our_lifo()},
-      {"flat-CLIP-FM", false, our_clip()},
-      {"ML-LIFO-FM", true, our_lifo()},
-      {"ML-CLIP-FM", true, our_clip()},
-  };
+  ComparisonConfig config;
+  config.budgets = {1, 2, 4, 8, 16, 30, 50, 100};
 
   for (const auto& name : opt.cases) {
     const Hypergraph h = make_instance(name, opt.scale);
-    const PartitionProblem problem = make_problem(h, 0.02);
+    const ComparisonReport report = compare_engines(h, engines, config);
     std::printf("=== BSF curves, %s (2%% balance, %zu sampled starts)\n\n",
                 name.c_str(), opt.runs);
     TextTable table({"tau (cpu s)", "starts", "engine", "E[best cut]"});
-    for (const Engine& e : engines) {
-      MultistartResult r;
-      if (e.ml) {
-        MlPartitioner engine(ml_config(e.cfg));
-        r = run_multistart(problem, engine, opt.runs, opt.seed, opt.threads);
-      } else {
-        FlatFmPartitioner engine(e.cfg);
-        r = run_multistart(problem, engine, opt.runs, opt.seed, opt.threads);
-      }
-      const Sample cuts = r.cut_sample();
-      const auto curve = expected_bsf_curve(
-          cuts, r.avg_cpu_seconds(),
-          std::vector<std::size_t>(ks.begin(), ks.end()));
-      for (const BsfPoint& pt : curve) {
+    for (const EngineReport& e : report.engines) {
+      for (const BsfPoint& pt : e.bsf) {
         table.add_row({fmt_fixed(pt.cpu_seconds, 3),
-                       std::to_string(pt.starts), e.label,
+                       std::to_string(pt.starts), e.name,
                        fmt_fixed(pt.expected_cost, 1)});
       }
     }

@@ -18,12 +18,11 @@ using namespace vlsipart::bench;
 
 namespace {
 
-void sweep(const std::vector<Hypergraph>& graphs,
-           const std::vector<std::string>& names, std::size_t runs,
-           std::uint64_t seed, bool csv, const std::string& title,
+void sweep(const std::vector<Hypergraph>& graphs, const BenchOptions& opt,
+           const std::string& title,
            const std::vector<std::pair<std::string, MlConfig>>& configs) {
   std::vector<std::string> header = {"setting"};
-  for (const auto& n : names) {
+  for (const auto& n : opt.cases) {
     header.push_back(n + " cut");
     header.push_back(n + " cpu");
   }
@@ -34,13 +33,13 @@ void sweep(const std::vector<Hypergraph>& graphs,
       const PartitionProblem problem = make_problem(h, 0.02);
       MlPartitioner engine(config);
       const MultistartResult r =
-          run_multistart(problem, engine, runs, seed);
+          run_multistart(problem, engine, opt.runs, opt.seed);
       row.push_back(fmt_fixed(r.avg_cut(), 1));
       row.push_back(fmt_fixed(r.avg_cpu_seconds(), 4));
     }
     table.add_row(std::move(row));
   }
-  emit(table, csv, title);
+  emit(table, opt, title);
 }
 
 }  // namespace
@@ -66,8 +65,7 @@ static int run(int argc, char** argv) {
       c.coarsen.coarsen_to = target;
       configs.emplace_back("coarsen_to=" + std::to_string(target), c);
     }
-    sweep(graphs, opt.cases, opt.runs, opt.seed, opt.csv,
-          "Coarsest-level target size", configs);
+    sweep(graphs, opt, "Coarsest-level target size", configs);
   }
   {
     // Cluster-weight caps are instance-relative (total/divisor), so this
@@ -95,7 +93,7 @@ static int run(int argc, char** argv) {
       }
       table.add_row(std::move(row));
     }
-    emit(table, opt.csv, "Maximum cluster weight");
+    emit(table, opt, "Maximum cluster weight");
   }
   {
     std::vector<std::pair<std::string, MlConfig>> configs;
@@ -104,8 +102,7 @@ static int run(int argc, char** argv) {
       c.coarsen.max_rated_net_size = cap;
       configs.emplace_back("rate nets <= " + std::to_string(cap), c);
     }
-    sweep(graphs, opt.cases, opt.runs, opt.seed, opt.csv,
-          "Heavy-edge rating net-size cap", configs);
+    sweep(graphs, opt, "Heavy-edge rating net-size cap", configs);
   }
   {
     std::vector<std::pair<std::string, MlConfig>> configs;
@@ -119,8 +116,7 @@ static int run(int argc, char** argv) {
       c.coarsen.scheme = CoarsenScheme::kHeavyEdgeMatching;
       configs.emplace_back("heavy-edge matching (pairs)", c);
     }
-    sweep(graphs, opt.cases, opt.runs, opt.seed, opt.csv,
-          "Clustering scheme", configs);
+    sweep(graphs, opt, "Clustering scheme", configs);
   }
   return 0;
 }

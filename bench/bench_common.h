@@ -7,19 +7,17 @@
 //                             ISPD98 sizes; defaults < 1 keep default bench
 //                             runs to a few minutes)
 //   --seed S                  base RNG seed
-//   --threads T               worker threads for multistart harnesses
-//                             (default 1 = serial; results are bit-identical
-//                             at any T, see DESIGN.md "Threading model")
-//   --refine-threads N        intra-run refinement threads (default 1 =
-//                             serial FM; >1 = the synchronous-round
-//                             parallel engine, bit-identical at any N > 1)
-//   --coarsen-threads N       intra-run coarsening threads (default 1 =
-//                             serial; >1 = deterministic parallel rating)
 //   --full                    paper-faithful sizes and run counts
 //   --csv                     emit CSV instead of aligned text
 //   --json PATH               also append every emitted table to PATH as
 //                             JSON lines (per-row metrics + wall/CPU seconds
 //                             + thread count), for cross-PR perf tracking
+//
+// A bench whose harness can use threads also accepts, through `extra`:
+//   --threads T               its thread budget (default 1 = serial;
+//                             results are bit-identical at any T, see
+//                             DESIGN.md "Threading model")
+// Every other bench rejects --threads like any unknown flag.
 //
 // The "Reported ..." configurations of Tables 2 and 3 model a weak
 // independent implementation (Alpert [2]) as the same engine with the
@@ -38,6 +36,7 @@
 #include "src/part/core/fm_config.h"
 #include "src/part/core/multistart.h"
 #include "src/part/core/partitioner.h"
+#include "src/part/engine.h"
 #include "src/part/ml/ml_partitioner.h"
 #include "src/util/cli.h"
 #include "src/util/table.h"
@@ -50,9 +49,7 @@ struct BenchOptions {
   std::size_t runs = 10;
   double scale = 0.5;
   std::uint64_t seed = 1;
-  std::size_t threads = 1;
-  std::size_t refine_threads = 1;
-  std::size_t coarsen_threads = 1;
+  std::size_t threads = 1;  ///< 1 unless `extra` allows --threads
   bool csv = false;
   bool full = false;
   std::string json;  // empty = no JSON output
@@ -76,11 +73,8 @@ inline BenchOptions parse_options(int argc, char** argv,
   // Common vocabulary + the caller's bench-specific options; an
   // unrecognized spelling ("--thread 8") aborts with a suggestion
   // instead of silently running the default experiment.
-  std::vector<std::string> allowed = {"cases",          "runs",
-                                      "scale",          "seed",
-                                      "threads",        "refine-threads",
-                                      "coarsen-threads", "full",
-                                      "csv",            "json"};
+  std::vector<std::string> allowed = {"cases", "runs", "scale", "seed",
+                                      "full",  "csv",  "json"};
   allowed.insert(allowed.end(), extra.begin(), extra.end());
   args.check_known(allowed);
   BenchOptions opt;
@@ -91,10 +85,6 @@ inline BenchOptions parse_options(int argc, char** argv,
   opt.scale = args.get_double("scale", opt.full ? 1.0 : default_scale);
   opt.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   opt.threads = static_cast<std::size_t>(args.get_int("threads", 1));
-  opt.refine_threads =
-      static_cast<std::size_t>(args.get_int("refine-threads", 1));
-  opt.coarsen_threads =
-      static_cast<std::size_t>(args.get_int("coarsen-threads", 1));
   opt.csv = args.get_bool("csv");
   opt.json = args.get("json", "");
   return opt;
@@ -156,10 +146,20 @@ inline MlConfig ml_config(const FmConfig& refine) {
   return config;
 }
 
-inline void emit(const TextTable& table, bool csv, const std::string& title) {
-  std::printf("%s\n", title.c_str());
-  std::printf("%s\n", (csv ? table.to_csv() : table.to_string()).c_str());
-  std::fflush(stdout);
+/// The bench's Sec. 3.2 multistart regime for one engine: --runs starts
+/// from --seed on the --threads budget, k = 2, no V-cycles.
+inline EngineSpec multistart_spec(const BenchOptions& opt,
+                                  const std::string& engine,
+                                  const FmConfig& fm, double tolerance) {
+  EngineSpec spec;
+  spec.engine = engine;
+  spec.tolerance = tolerance;
+  spec.starts = opt.runs;
+  spec.vcycles = 0;
+  spec.seed = opt.seed;
+  spec.threads = opt.threads;
+  spec.fm = fm;
+  return spec;
 }
 
 inline std::string json_escape(const std::string& s) {
@@ -213,10 +213,14 @@ inline void emit_json(const TextTable& table, const BenchOptions& opt,
   std::fclose(f);
 }
 
-/// Preferred emitter: text/CSV to stdout plus optional --json sidecar.
+/// The one table emitter: text/CSV to stdout plus the optional --json
+/// sidecar.
 inline void emit(const TextTable& table, const BenchOptions& opt,
                  const std::string& title) {
-  emit(table, opt.csv, title);
+  std::printf("%s\n", title.c_str());
+  std::printf("%s\n",
+              (opt.csv ? table.to_csv() : table.to_string()).c_str());
+  std::fflush(stdout);
   emit_json(table, opt, title);
 }
 

@@ -92,7 +92,7 @@ static int run(int argc, char** argv) {
   std::printf("Corking traces: CLIP zero-move passes by area model and "
               "tolerance (%zu runs, scale %.2f)\n\n",
               opt.runs, opt.scale);
-  emit(table, opt.csv, "Corking incidence");
+  emit(table, opt, "Corking incidence");
   return 0;
 }
 

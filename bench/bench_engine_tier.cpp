@@ -11,6 +11,13 @@
 //
 // Default: ibm01-03 at scale 0.3, 20 runs.  EXPERIMENTS.md tables use
 // --cases ibm01,ibm02,ibm03 --scale 0.3 --runs 20 --csv.
+//
+// Beyond the common flags:
+//   --threads T          the run's thread budget (EngineSpec::threads)
+//   --refine-threads N   intra-run refinement threads (default 1 = serial
+//                        FM; >1 = the synchronous-round parallel engine)
+//   --coarsen-threads N  intra-run coarsening threads (default 1 =
+//                        serial; >1 = deterministic parallel rating)
 #include <algorithm>
 
 #include "bench/bench_common.h"
@@ -22,7 +29,10 @@ using namespace vlsipart::bench;
 static int run(int argc, char** argv) {
   const BenchOptions opt = parse_options(argc, argv, "ibm01,ibm02,ibm03",
                                          /*default_runs=*/20,
-                                         /*default_scale=*/0.3);
+                                         /*default_scale=*/0.3,
+                                         {"threads", "refine-threads",
+                                          "coarsen-threads"});
+  const CliArgs args(argc, argv);
 
   std::vector<Hypergraph> graphs;
   for (const auto& name : opt.cases) {
@@ -46,8 +56,10 @@ static int run(int argc, char** argv) {
   spec.seed = opt.seed;
   spec.threads = opt.threads;
   spec.fm = our_lifo();
-  spec.fm.refine_threads = opt.refine_threads;
-  spec.ml.coarsen.coarsen_threads = opt.coarsen_threads;
+  spec.fm.refine_threads =
+      static_cast<std::size_t>(args.get_int("refine-threads", 1));
+  spec.ml.coarsen.coarsen_threads =
+      static_cast<std::size_t>(args.get_int("coarsen-threads", 1));
   for (const EngineInfo& info : engine_registry()) {
     spec.engine = info.name;
     // evo amortizes many ML descents per start.

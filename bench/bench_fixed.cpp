@@ -63,7 +63,7 @@ static int run(int argc, char** argv) {
   std::printf("Fixed-terminal study [9]: flat LIFO FM, 2%% balance, %zu "
               "runs, scale %.2f\n\n",
               opt.runs, opt.scale);
-  emit(table, opt.csv,
+  emit(table, opt,
        "Effect of fixed vertices on solution quality and variance");
   return 0;
 }

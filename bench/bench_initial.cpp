@@ -68,7 +68,7 @@ static int run(int argc, char** argv) {
   std::printf("Initial-solution ablation [20]: 2%% balance, min/avg over "
               "%zu runs, scale %.2f\n\n",
               opt.runs, opt.scale);
-  emit(table, opt.csv, "Initial solution generator");
+  emit(table, opt, "Initial solution generator");
   return 0;
 }
 

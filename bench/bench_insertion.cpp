@@ -48,7 +48,7 @@ static int run(int argc, char** argv) {
       "Insertion-order ablation [21]: flat FM, 2%% balance, min/avg over "
       "%zu runs, scale %.2f\n\n",
       opt.runs, opt.scale);
-  emit(table, opt.csv, "Gain-bucket insertion order");
+  emit(table, opt, "Gain-bucket insertion order");
   return 0;
 }
 

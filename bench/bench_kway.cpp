@@ -64,7 +64,7 @@ static int run(int argc, char** argv) {
   std::printf("k-way partitioning: recursive bisection with/without direct "
               "k-way FM polish, 10%% tolerance, scale %.2f\n\n",
               opt.scale);
-  emit(table, opt.csv, "k-way cut vs k");
+  emit(table, opt, "k-way cut vs k");
   return 0;
 }
 

@@ -46,7 +46,7 @@ static int run(int argc, char** argv) {
   std::printf("Krishnamurthy lookahead ablation: flat FM, 2%% balance, "
               "min/avg over %zu runs, scale %.2f\n\n",
               opt.runs, opt.scale);
-  emit(table, opt.csv, "Lookahead depth sweep");
+  emit(table, opt, "Lookahead depth sweep");
   return 0;
 }
 

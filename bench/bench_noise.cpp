@@ -67,14 +67,14 @@ static int run(int argc, char** argv) {
     std::printf("Noise decomposition on %s twins (CLIP+fix engine, 2%%, "
                 "%zu starts x %zu instances, scale %.2f)\n\n",
                 name.c_str(), opt.runs, instances, opt.scale);
-    emit(table, opt.csv, "Per-instance multistart statistics");
+    emit(table, opt, "Per-instance multistart statistics");
 
     TextTable components({"component", "value"});
     components.add_row({"between-instance stddev of avg cut",
                         fmt_fixed(instance_means.stddev(), 1)});
     components.add_row({"mean within-instance stddev",
                         fmt_fixed(pooled_within.mean(), 1)});
-    emit(components, opt.csv, "Variance components");
+    emit(components, opt, "Variance components");
 
     std::printf("Effect check (pooled over all twins):\n  %s\n\n",
                 describe_comparison("CLIP+fix", all_ours,

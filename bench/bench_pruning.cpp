@@ -52,7 +52,7 @@ static int run(int argc, char** argv) {
   std::printf("Start-pruning ablation: flat LIFO FM, 2%% balance, %zu "
               "starts, scale %.2f\n\n",
               opt.runs, opt.scale);
-  emit(table, opt.csv, "Pruning quality/CPU tradeoff");
+  emit(table, opt, "Pruning quality/CPU tradeoff");
   return 0;
 }
 

@@ -47,7 +47,8 @@ SubmitRequest case_request(const std::string& name, const BenchOptions& opt,
 static int run(int argc, char** argv) {
   const BenchOptions opt = parse_options(argc, argv, "ibm01",
                                          /*default_runs=*/8,
-                                         /*default_scale=*/0.3);
+                                         /*default_scale=*/0.3,
+                                         {"threads"});
   ServiceConfig config;
   config.endpoint.tcp_port = 0;  // kernel-assigned loopback port
   config.workers = opt.threads;

@@ -67,14 +67,14 @@ static int run(int argc, char** argv) {
   std::printf("\nSuite summary: avg cut over %zu runs, 2%% balance, scale "
               "%.2f\n\n",
               opt.runs, opt.scale);
-  emit(table, opt.csv, "Per-instance average cuts");
+  emit(table, opt, "Per-instance average cuts");
 
   TextTable gmeans({"engine", "gmean cut ratio vs flat-LIFO"});
   for (std::size_t i = 0; i < 4; ++i) {
     gmeans.add_row({engines[i].label,
                     fmt_fixed(ratios[i].geometric_mean(), 3)});
   }
-  emit(gmeans, opt.csv, "Geometric-mean ratios (lower is better)");
+  emit(gmeans, opt, "Geometric-mean ratios (lower is better)");
   return 0;
 }
 

@@ -20,7 +20,8 @@ using namespace vlsipart::bench;
 static int run(int argc, char** argv) {
   const BenchOptions opt = parse_options(argc, argv, "ibm01,ibm02,ibm03",
                                          /*default_runs=*/20,
-                                         /*default_scale=*/0.5);
+                                         /*default_scale=*/0.5,
+                                         {"threads"});
 
   struct Block {
     const char* title;

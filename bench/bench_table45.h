@@ -20,7 +20,7 @@ inline int run_table45(int argc, char** argv, double tolerance,
   const BenchOptions opt = parse_options(
       argc, argv, "ibm01,ibm02,ibm03,ibm04,ibm05,ibm06,ibm10,ibm14,ibm18",
       /*default_runs=*/1, /*default_scale=*/0.2,
-      {"repeats", "configs", "vcycles"});
+      {"repeats", "configs", "vcycles", "threads"});
   const CliArgs args(argc, argv);
   const auto repeats = static_cast<std::size_t>(
       args.get_int("repeats", opt.full ? 50 : 2));

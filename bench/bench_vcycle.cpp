@@ -57,7 +57,7 @@ static int run(int argc, char** argv) {
   std::printf("V-cycling ablation: ML LIFO FM, 2%% balance, %zu starts, "
               "scale %.2f\n\n",
               opt.runs, opt.scale);
-  emit(table, opt.csv, "V-cycle protocol comparison");
+  emit(table, opt, "V-cycle protocol comparison");
   return 0;
 }
 

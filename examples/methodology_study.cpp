@@ -2,34 +2,21 @@
 // and which are merely due to chance?" (Brglez [7], cited in Sec. 3.2).
 //
 // Runs two FM configurations differing in ONE implicit decision on the
-// same instance ("Don't change two things at once" [19]), collects
-// per-start cut samples, and applies Welch and Mann-Whitney significance
-// tests — the statistical discipline the paper asks the community to
-// adopt before claiming an improvement.
+// same instance ("Don't change two things at once" [19]) as a two-engine
+// compare_engines report, and applies its Welch and Mann-Whitney
+// significance tests — the statistical discipline the paper asks the
+// community to adopt before claiming an improvement.
 //
 // Usage:
 //   methodology_study [--case ibm01] [--scale 0.5] [--runs 30]
 //                     [--tolerance 0.02] [--seed 1] [--alpha 0.05]
 #include <cstdio>
 
-#include "src/eval/significance.h"
+#include "src/eval/report.h"
 #include "src/gen/netlist_gen.h"
-#include "src/part/core/multistart.h"
-#include "src/part/core/partitioner.h"
 #include "src/util/cli.h"
-#include "src/util/table.h"
 
 using namespace vlsipart;
-
-namespace {
-
-Sample collect(const PartitionProblem& problem, const FmConfig& cfg,
-               std::size_t runs, std::uint64_t seed) {
-  FlatFmPartitioner engine(cfg);
-  return run_multistart(problem, engine, runs, seed).cut_sample();
-}
-
-}  // namespace
 
 static int run(int argc, char** argv) {
   const CliArgs args(argc, argv);
@@ -42,10 +29,6 @@ static int run(int argc, char** argv) {
   const double alpha = args.get_double("alpha", 0.05);
 
   const Hypergraph h = generate_netlist(preset(case_name).scaled(scale));
-  PartitionProblem problem;
-  problem.graph = &h;
-  problem.balance =
-      BalanceConstraint::from_tolerance(h.total_vertex_weight(), tolerance);
 
   std::printf(
       "Methodology study on %s (%zu vertices), %zu runs per config, "
@@ -86,18 +69,27 @@ static int run(int argc, char** argv) {
        "CLIP as published", clip_cork},
   };
 
-  TextTable table({"question", "verdict"});
-  int experiment_seed_offset = 0;
+  // Each experiment is a two-engine report on its own seed; with B as
+  // the baseline, A's verdict reads "A vs B".
+  ComparisonConfig config;
+  config.baseline = 1;
+  config.alpha = alpha;
+  std::uint64_t experiment_seed = seed;
   for (const Experiment& e : experiments) {
-    const Sample sample_a =
-        collect(problem, e.a, runs, seed + experiment_seed_offset);
-    const Sample sample_b =
-        collect(problem, e.b, runs, seed + experiment_seed_offset);
-    ++experiment_seed_offset;
+    EngineSpec spec;
+    spec.engine = "flat";
+    spec.tolerance = tolerance;
+    spec.starts = runs;
+    spec.vcycles = 0;
+    spec.seed = experiment_seed++;
+    EngineSpec a = spec;
+    a.fm = e.a;
+    EngineSpec b = spec;
+    b.fm = e.b;
+    const ComparisonReport report =
+        compare_engines(h, {{e.label_a, a}, {e.label_b, b}}, config);
     std::printf("* %s\n  %s\n\n", e.question,
-                describe_comparison(e.label_a, sample_a, e.label_b,
-                                    sample_b, alpha)
-                    .c_str());
+                report.engines[0].versus_baseline.c_str());
   }
 
   std::printf(

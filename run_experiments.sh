@@ -7,3 +7,5 @@ cmake -B build -G Ninja
 cmake --build build
 ctest --test-dir build 2>&1 | tee test_output.txt
 (for b in build/bench/bench_*; do echo "##### $b"; "$b"; echo; done) 2>&1 | tee bench_output.txt
+# The significance verdicts EXPERIMENTS.md cites (Sec. 3.2).
+(echo "##### build/examples/methodology_study"; build/examples/methodology_study) 2>&1 | tee -a bench_output.txt

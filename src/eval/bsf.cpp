@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <sstream>
 
 namespace vlsipart {
 
@@ -12,7 +11,7 @@ std::vector<BsfPoint> expected_bsf_curve(
   std::vector<BsfPoint> curve;
   curve.reserve(start_counts.size());
   for (const std::size_t k : start_counts) {
-    if (k == 0) continue;
+    if (k == 0 || k > cuts.size()) continue;
     BsfPoint p;
     p.starts = k;
     p.cpu_seconds = avg_start_seconds * static_cast<double>(k);
@@ -44,18 +43,6 @@ std::vector<BsfPoint> observed_bsf_curve(
 
 double prob_reach(const Sample& cuts, std::size_t k, double threshold) {
   return cuts.prob_min_leq(k, threshold);
-}
-
-std::string format_bsf(const std::vector<BsfPoint>& curve,
-                       const std::string& label) {
-  std::ostringstream out;
-  out << "# BSF curve: " << label << "\n";
-  out << "# tau_cpu_sec expected_best_cut starts\n";
-  for (const BsfPoint& p : curve) {
-    out << p.cpu_seconds << ' ' << p.expected_cost << ' ' << p.starts
-        << '\n';
-  }
-  return out.str();
 }
 
 }  // namespace vlsipart

@@ -7,7 +7,6 @@
 // computed here from the retained per-start samples of a multistart run.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "src/part/core/multistart.h"
@@ -26,7 +25,9 @@ struct BsfPoint {
 /// bound tau can be converted to a bound on the number of starts",
 /// Sec. 3.2 footnote 6), and the expected cost is E[min of k draws] from
 /// the empirical cut distribution.  Points are emitted for each k in
-/// `start_counts`.
+/// `start_counts` that the sample covers (0 < k <= cuts.size()): past
+/// the sample, E[min] would only repeat the sample minimum at a CPU cost
+/// no run measured.
 std::vector<BsfPoint> expected_bsf_curve(
     const Sample& cuts, double avg_start_seconds,
     const std::vector<std::size_t>& start_counts);
@@ -39,9 +40,5 @@ std::vector<BsfPoint> observed_bsf_curve(
 /// Probability that k starts reach cost <= threshold (used for the
 /// "P(c_tau = C0)"-style ranking diagnostics of [33][34]).
 double prob_reach(const Sample& cuts, std::size_t k, double threshold);
-
-/// Render a curve as "tau expected_cost starts" rows (CSV-friendly).
-std::string format_bsf(const std::vector<BsfPoint>& curve,
-                       const std::string& label);
 
 }  // namespace vlsipart

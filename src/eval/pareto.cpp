@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <sstream>
 
 namespace vlsipart {
 
@@ -64,15 +63,6 @@ std::vector<RankingEntry> ranking_diagram(
     ranking.push_back(entry);
   }
   return ranking;
-}
-
-std::string format_frontier(const std::vector<PerfPoint>& frontier) {
-  std::ostringstream out;
-  out << "# non-dominated frontier: cpu_sec cost label\n";
-  for (const PerfPoint& p : frontier) {
-    out << p.cpu_seconds << ' ' << p.cost << ' ' << p.label << '\n';
-  }
-  return out.str();
 }
 
 }  // namespace vlsipart

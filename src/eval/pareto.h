@@ -40,6 +40,4 @@ struct RankingEntry {
 std::vector<RankingEntry> ranking_diagram(
     const std::vector<PerfPoint>& points, const std::vector<double>& budgets);
 
-std::string format_frontier(const std::vector<PerfPoint>& frontier);
-
 }  // namespace vlsipart

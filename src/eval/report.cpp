@@ -1,29 +1,40 @@
 #include "src/eval/report.h"
 
-#include <sstream>
+#include <algorithm>
+#include <stdexcept>
 
 #include "src/util/logging.h"
-#include "src/util/table.h"
 
 namespace vlsipart {
 
-ComparisonReport compare_engines(
-    const PartitionProblem& problem,
-    const std::vector<std::pair<std::string, Bipartitioner*>>& engines,
-    const ComparisonConfig& config) {
+ComparisonReport compare_engines(const Hypergraph& h,
+                                 const std::vector<LabeledSpec>& engines,
+                                 const ComparisonConfig& config) {
   VP_CHECK(!engines.empty(), "at least one engine");
   VP_CHECK(config.baseline < engines.size(), "baseline index in range");
+  const EngineSpec& regime = engines.front().second;
+  for (const auto& [name, spec] : engines) {
+    VP_CHECK(spec.starts == regime.starts && spec.seed == regime.seed &&
+                 spec.tolerance == regime.tolerance,
+             name << ": every engine needs the same starts, seed and "
+                     "tolerance");
+    VP_CHECK(spec.k == 2 && spec.vcycles == 0,
+             name << ": a multistart comparison runs k = 2, vcycles = 0");
+  }
 
   ComparisonReport report;
   report.engines.reserve(engines.size());
-
-  for (const auto& [name, engine] : engines) {
+  for (const auto& [name, spec] : engines) {
+    EngineResult run = run_engine(spec, h);
+    if (!run.error.empty()) {
+      throw std::runtime_error("compare_engines: " + name + " (" +
+                               spec.engine + "): " + run.error);
+    }
     EngineReport er;
     er.name = name;
-    er.multistart =
-        run_multistart(problem, *engine, config.runs, config.seed);
-    const Sample cuts = er.multistart.cut_sample();
-    er.bsf = expected_bsf_curve(cuts, er.multistart.avg_cpu_seconds(),
+    er.multistart = std::move(run.multistart);
+    er.bsf = expected_bsf_curve(er.multistart.cut_sample(),
+                                er.multistart.avg_cpu_seconds(),
                                 config.budgets);
     for (const BsfPoint& p : er.bsf) {
       report.points.push_back(
@@ -33,48 +44,24 @@ ComparisonReport compare_engines(
     report.engines.push_back(std::move(er));
   }
 
-  const Sample baseline_cuts =
-      report.engines[config.baseline].multistart.cut_sample();
-  for (std::size_t i = 0; i < report.engines.size(); ++i) {
-    if (i == config.baseline) continue;
-    report.engines[i].versus_baseline = describe_comparison(
-        report.engines[i].name, report.engines[i].multistart.cut_sample(),
-        report.engines[config.baseline].name, baseline_cuts, config.alpha);
+  const EngineReport& baseline = report.engines[config.baseline];
+  const Sample baseline_cuts = baseline.multistart.cut_sample();
+  for (EngineReport& er : report.engines) {
+    if (&er == &baseline) continue;
+    er.versus_baseline =
+        describe_comparison(er.name, er.multistart.cut_sample(),
+                            baseline.name, baseline_cuts, config.alpha);
   }
 
   report.frontier = pareto_frontier(report.points);
+  double max_t = 0.0;
+  for (const PerfPoint& p : report.points) {
+    max_t = std::max(max_t, p.cpu_seconds);
+  }
+  std::vector<double> budgets;
+  for (double b = 0.001; b <= max_t * 2.0; b *= 2.0) budgets.push_back(b);
+  report.ranking = ranking_diagram(report.points, budgets);
   return report;
-}
-
-std::string ComparisonReport::to_string() const {
-  std::ostringstream out;
-
-  TextTable summary(
-      {"engine", "min cut", "avg cut", "stddev", "avg cpu (s)"});
-  for (const EngineReport& er : engines) {
-    const Sample cuts = er.multistart.cut_sample();
-    summary.add_row({er.name, std::to_string(er.multistart.min_cut()),
-                     fmt_fixed(er.multistart.avg_cut(), 1),
-                     fmt_fixed(cuts.stddev(), 1),
-                     fmt_fixed(er.multistart.avg_cpu_seconds(), 4)});
-  }
-  out << "== Multistart summary\n" << summary.to_string() << '\n';
-
-  out << "== Expected best-so-far curves\n";
-  for (const EngineReport& er : engines) {
-    out << format_bsf(er.bsf, er.name);
-  }
-  out << '\n';
-
-  out << "== Non-dominated (cost, runtime) frontier\n"
-      << format_frontier(frontier) << '\n';
-
-  out << "== Significance vs baseline\n";
-  for (const EngineReport& er : engines) {
-    if (er.versus_baseline.empty()) continue;
-    out << "  " << er.versus_baseline << '\n';
-  }
-  return out.str();
 }
 
 }  // namespace vlsipart

@@ -1,37 +1,40 @@
 // Structured multi-engine comparison reports.
 //
 // Bundles the paper's whole reporting prescription (Sec. 3.2) into one
-// call: run every engine under an identical multistart regime, then emit
-//   * a min/avg/stddev/CPU summary table,
+// call: run every engine through run_engine under an identical multistart
+// regime, then compute
+//   * the per-engine multistart record (min/avg/stddev/CPU),
 //   * expected best-so-far curves,
-//   * the non-dominated (cost, runtime) frontier,
+//   * the non-dominated (cost, runtime) frontier and the speed-dependent
+//     ranking diagram over log-spaced CPU budgets,
 //   * pairwise significance tests against a chosen baseline.
 // This is what a paper's "comparison section" should compute — wired up
 // so downstream users cannot accidentally compare on number-of-starts
 // instead of CPU time.
 #pragma once
 
-#include <functional>
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/eval/bsf.h"
 #include "src/eval/pareto.h"
 #include "src/eval/significance.h"
-#include "src/part/core/multistart.h"
+#include "src/part/engine.h"
 
 namespace vlsipart {
 
 struct ComparisonConfig {
-  std::size_t runs = 20;
-  std::uint64_t seed = 1;
-  /// Multistart budgets (in starts) for BSF/frontier points.
+  /// Multistart budgets (in starts) for BSF/frontier points; budgets
+  /// beyond the sampled starts are skipped.
   std::vector<std::size_t> budgets = {1, 2, 4, 8, 16};
   /// Index (into the engines vector) of the significance baseline.
   std::size_t baseline = 0;
   double alpha = 0.05;
 };
+
+/// A report row: its label and the run it stands for.
+using LabeledSpec = std::pair<std::string, EngineSpec>;
 
 struct EngineReport {
   std::string name;
@@ -44,18 +47,20 @@ struct EngineReport {
 
 struct ComparisonReport {
   std::vector<EngineReport> engines;
+  /// Every engine's BSF points, labelled "<name>@<starts>".
   std::vector<PerfPoint> points;
   std::vector<PerfPoint> frontier;
-
-  /// Aligned-text rendering of the whole report.
-  std::string to_string() const;
+  /// Best affordable point at CPU budgets 1 ms, 2 ms, 4 ms, ... up to
+  /// twice the slowest point.
+  std::vector<RankingEntry> ranking;
 };
 
-/// Run the full comparison.  Engines are owned by the caller and run
-/// sequentially (deterministic per engine given config.seed).
-ComparisonReport compare_engines(
-    const PartitionProblem& problem,
-    const std::vector<std::pair<std::string, Bipartitioner*>>& engines,
-    const ComparisonConfig& config);
+/// Run every engine on `h` through run_engine, in order.  All specs must
+/// share starts, seed and tolerance, with k = 2 and vcycles = 0 (the
+/// identical multistart regime); a run_engine error aborts the report
+/// with an error naming the engine.
+ComparisonReport compare_engines(const Hypergraph& h,
+                                 const std::vector<LabeledSpec>& engines,
+                                 const ComparisonConfig& config);
 
 }  // namespace vlsipart

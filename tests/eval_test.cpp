@@ -1,10 +1,18 @@
-// Tests for objectives, BSF curves and Pareto-frontier reporting.
+// Tests for objectives, BSF curves, Pareto-frontier reporting and the
+// compare_engines report path.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <stdexcept>
 
 #include "src/eval/bsf.h"
 #include "src/eval/objectives.h"
 #include "src/eval/pareto.h"
+#include "src/eval/report.h"
+#include "src/gen/netlist_gen.h"
 #include "src/hypergraph/hypergraph.h"
+#include "src/part/core/partitioner.h"
+#include "src/part/ml/ml_partitioner.h"
 
 namespace vlsipart {
 namespace {
@@ -112,12 +120,22 @@ TEST(Bsf, InfeasibleStartsIgnoredInObservedCurve) {
   EXPECT_DOUBLE_EQ(curve[1].expected_cost, 99);
 }
 
-TEST(Bsf, FormatContainsLabel) {
+TEST(Bsf, SkipsBudgetsBeyondTheSample) {
+  // 30 sampled starts say nothing about 50 or 100 starts: E[min of k]
+  // would repeat the sample minimum at a CPU cost no run measured.
   Sample cuts;
-  cuts.add(5.0);
-  const auto curve = expected_bsf_curve(cuts, 1.0, {1});
-  EXPECT_NE(format_bsf(curve, "flat-fm").find("flat-fm"),
-            std::string::npos);
+  for (int i = 0; i < 30; ++i) cuts.add(100.0 + i);
+  const auto curve = expected_bsf_curve(cuts, 0.1, {0, 1, 16, 30, 50, 100});
+  ASSERT_EQ(curve.size(), 3u);
+  EXPECT_EQ(curve[0].starts, 1u);
+  EXPECT_EQ(curve[1].starts, 16u);
+  EXPECT_EQ(curve[2].starts, 30u);
+  EXPECT_DOUBLE_EQ(curve[2].expected_cost, 100.0);
+  EXPECT_DOUBLE_EQ(curve[2].cpu_seconds, 3.0);
+
+  Sample full;
+  for (int i = 0; i < 100; ++i) full.add(100.0 + i);
+  EXPECT_EQ(expected_bsf_curve(full, 0.1, {1, 16, 30, 50, 100}).size(), 5u);
 }
 
 TEST(Pareto, DominanceIsStrict) {
@@ -166,10 +184,142 @@ TEST(Pareto, RankingDiagramPicksAffordableBest) {
   EXPECT_EQ(ranking[3].winner, "ml");
 }
 
-TEST(Pareto, FormatFrontier) {
-  const auto s = format_frontier({{10, 1, "x"}});
-  EXPECT_NE(s.find('x'), std::string::npos);
-  EXPECT_NE(s.find("frontier"), std::string::npos);
+EngineSpec report_spec(const std::string& engine, const FmConfig& fm) {
+  EngineSpec spec;
+  spec.engine = engine;
+  spec.tolerance = 0.1;
+  spec.starts = 6;
+  spec.vcycles = 0;
+  spec.seed = 3;
+  spec.threads = 2;
+  spec.fm = fm;
+  return spec;
+}
+
+/// "Reported LIFO": All-dgain updates, FIFO reinsertion, Part0 bias.
+FmConfig reported_lifo() {
+  FmConfig fm;
+  fm.zero_gain_update = ZeroGainUpdate::kAll;
+  fm.insert_order = InsertOrder::kFifo;
+  fm.tie_break = TieBreak::kPart0;
+  return fm;
+}
+
+std::vector<Weight> start_cuts(const MultistartResult& r) {
+  std::vector<Weight> cuts;
+  for (const StartRecord& s : r.starts) cuts.push_back(s.cut);
+  return cuts;
+}
+
+TEST(CompareEngines, SameStartsAsTheHandBuiltEngines) {
+  // The report runs registry engines through run_engine on a thread
+  // budget; each must reproduce, start for start, the engine the report
+  // benches used to build by hand and run serially.
+  FmConfig clip;
+  clip.clip = true;
+  clip.exclude_oversized = true;
+  for (const char* instance : {"tiny", "small"}) {
+    const Hypergraph h = generate_netlist(preset(instance));
+    const std::vector<LabeledSpec> engines = {
+        {"flat", report_spec("flat", FmConfig{})},
+        {"clip", report_spec("clip", FmConfig{})},
+        {"reported", report_spec("flat", reported_lifo())},
+        {"ml", report_spec("ml", FmConfig{})},
+        {"ml-clip", report_spec("ml", clip)},
+    };
+    const ComparisonReport report =
+        compare_engines(h, engines, ComparisonConfig{});
+
+    PartitionProblem problem;
+    problem.graph = &h;
+    problem.balance =
+        BalanceConstraint::from_tolerance(h.total_vertex_weight(), 0.1);
+    FlatFmPartitioner flat{FmConfig{}};
+    FlatFmPartitioner flat_clip{clip};
+    FlatFmPartitioner reported{reported_lifo()};
+    MlConfig ml_config;
+    MlPartitioner ml{ml_config};
+    ml_config.refine = clip;
+    MlPartitioner ml_clip{ml_config};
+    Bipartitioner* reference[] = {&flat, &flat_clip, &reported, &ml,
+                                  &ml_clip};
+    ASSERT_EQ(report.engines.size(), 5u);
+    for (std::size_t i = 0; i < 5; ++i) {
+      EXPECT_EQ(start_cuts(report.engines[i].multistart),
+                start_cuts(run_multistart(problem, *reference[i], 6, 3)))
+          << instance << " " << engines[i].first;
+    }
+  }
+}
+
+TEST(CompareEngines, ReportShapeAndContent) {
+  const Hypergraph h = generate_netlist(preset("tiny"));
+  std::vector<LabeledSpec> engines;
+  for (const std::string& name : engine_names()) {
+    engines.emplace_back(name, report_spec(name, FmConfig{}));
+  }
+  ComparisonConfig config;
+  config.budgets = {1, 2, 4, 8};  // 8 > 6 starts: skipped
+  const ComparisonReport report = compare_engines(h, engines, config);
+
+  ASSERT_EQ(report.engines.size(), 5u);
+  for (std::size_t i = 0; i < 5; ++i) {
+    const EngineReport& er = report.engines[i];
+    EXPECT_EQ(er.name, engines[i].first);
+    EXPECT_EQ(er.multistart.starts.size(), 6u);
+    EXPECT_EQ(er.bsf.size(), 3u);
+    EXPECT_EQ(er.versus_baseline.empty(), i == config.baseline);
+  }
+  EXPECT_EQ(report.points.size(), 15u);
+  EXPECT_EQ(report.points[0].label, report.engines[0].name + "@1");
+  EXPECT_FALSE(report.frontier.empty());
+  EXPECT_LE(report.frontier.size(), report.points.size());
+  ASSERT_FALSE(report.ranking.empty());
+  // The widest budget affords every point: its winner is the best one.
+  double best = report.points[0].cost;
+  for (const PerfPoint& p : report.points) best = std::min(best, p.cost);
+  EXPECT_DOUBLE_EQ(report.ranking.back().winner_cost, best);
+}
+
+TEST(CompareEngines, RejectsBadConfig) {
+  const Hypergraph h = generate_netlist(preset("tiny"));
+  const EngineSpec base = report_spec("flat", FmConfig{});
+  const auto check = [&](EngineSpec other) {
+    EXPECT_THROW(compare_engines(h, {{"a", base}, {"b", other}},
+                                 ComparisonConfig{}),
+                 std::logic_error);
+  };
+  EngineSpec starts = base;
+  starts.starts = 5;
+  check(starts);
+  EngineSpec seed = base;
+  seed.seed = 4;
+  check(seed);
+  EngineSpec tolerance = base;
+  tolerance.tolerance = 0.02;
+  check(tolerance);
+  EngineSpec kway = base;
+  kway.k = 4;
+  check(kway);
+  EngineSpec vcycles = base;
+  vcycles.vcycles = 1;
+  check(vcycles);
+
+  EXPECT_THROW(compare_engines(h, {}, ComparisonConfig{}), std::logic_error);
+  ComparisonConfig config;
+  config.baseline = 5;
+  EXPECT_THROW(compare_engines(h, {{"a", base}}, config), std::logic_error);
+}
+
+TEST(CompareEngines, RunErrorNamesTheEngine) {
+  const Hypergraph h = generate_netlist(preset("tiny"));
+  try {
+    compare_engines(h, {{"mystery", report_spec("nope", FmConfig{})}},
+                    ComparisonConfig{});
+    FAIL() << "expected a run_engine error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("mystery"), std::string::npos);
+  }
 }
 
 }  // namespace

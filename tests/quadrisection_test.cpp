@@ -1,13 +1,10 @@
-// Tests for the quadrisection placement flow [35] and the comparison-
-// report module.
+// Tests for the quadrisection placement flow [35].
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "src/eval/report.h"
 #include "src/flows/quadrisection.h"
 #include "src/gen/netlist_gen.h"
-#include "src/part/core/partitioner.h"
 #include "src/util/rng.h"
 
 namespace vlsipart {
@@ -72,56 +69,6 @@ TEST(Quadrisection, ComparableToBisectionFlow) {
   const PlacementReport bis = topdown_place(h, PlacerConfig{});
   EXPECT_LT(quad.hpwl, 2.0 * bis.hpwl);
   EXPECT_LT(bis.hpwl, 2.0 * quad.hpwl);
-}
-
-TEST(CompareEngines, ReportShapeAndContent) {
-  const Hypergraph h = generate_netlist(preset("tiny"));
-  PartitionProblem problem;
-  problem.graph = &h;
-  problem.balance =
-      BalanceConstraint::from_tolerance(h.total_vertex_weight(), 0.1);
-
-  FlatFmPartitioner a{FmConfig{}};
-  FmConfig clip_cfg;
-  clip_cfg.clip = true;
-  clip_cfg.exclude_oversized = true;
-  FlatFmPartitioner b{clip_cfg};
-
-  ComparisonConfig config;
-  config.runs = 8;
-  config.budgets = {1, 2, 4};
-  const ComparisonReport report =
-      compare_engines(problem, {{"fm", &a}, {"clip", &b}}, config);
-
-  ASSERT_EQ(report.engines.size(), 2u);
-  EXPECT_EQ(report.engines[0].name, "fm");
-  EXPECT_EQ(report.engines[0].multistart.starts.size(), 8u);
-  EXPECT_EQ(report.engines[0].bsf.size(), 3u);
-  EXPECT_TRUE(report.engines[0].versus_baseline.empty());
-  EXPECT_FALSE(report.engines[1].versus_baseline.empty());
-  EXPECT_EQ(report.points.size(), 6u);
-  EXPECT_FALSE(report.frontier.empty());
-  EXPECT_LE(report.frontier.size(), report.points.size());
-
-  const std::string text = report.to_string();
-  EXPECT_NE(text.find("Multistart summary"), std::string::npos);
-  EXPECT_NE(text.find("best-so-far"), std::string::npos);
-  EXPECT_NE(text.find("frontier"), std::string::npos);
-  EXPECT_NE(text.find("Significance"), std::string::npos);
-}
-
-TEST(CompareEngines, RejectsBadConfig) {
-  const Hypergraph h = generate_netlist(preset("tiny"));
-  PartitionProblem problem;
-  problem.graph = &h;
-  problem.balance =
-      BalanceConstraint::from_tolerance(h.total_vertex_weight(), 0.1);
-  ComparisonConfig config;
-  EXPECT_THROW(compare_engines(problem, {}, config), std::logic_error);
-  FlatFmPartitioner a{FmConfig{}};
-  config.baseline = 5;
-  EXPECT_THROW(compare_engines(problem, {{"fm", &a}}, config),
-               std::logic_error);
 }
 
 }  // namespace

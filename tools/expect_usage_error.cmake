@@ -1,14 +1,22 @@
-# ctest helper: runs `${BIN} --bogus-flag` and fails unless the binary
-# exits with status 1 and names the bad flag on stderr.
-#   cmake -DBIN=<path> -P tools/expect_usage_error.cmake
-execute_process(COMMAND "${BIN}" --bogus-flag
+# ctest helper: runs `${BIN} ${FLAG}` and fails unless the binary exits
+# with status 1 and names the rejected flag on stderr.  FLAG is the
+# command-line tail, split like a shell would (default: --bogus-flag);
+# its first word is the flag that must be named.
+#   cmake -DBIN=<path> [-DFLAG="--threads 2"] -P tools/expect_usage_error.cmake
+if(NOT DEFINED FLAG)
+  set(FLAG --bogus-flag)
+endif()
+separate_arguments(args UNIX_COMMAND "${FLAG}")
+list(GET args 0 flag)
+execute_process(COMMAND "${BIN}" ${args}
                 RESULT_VARIABLE rc
                 OUTPUT_QUIET
                 ERROR_VARIABLE err
                 TIMEOUT 60)
 if(NOT rc STREQUAL "1")
-  message(FATAL_ERROR "${BIN} --bogus-flag exited with '${rc}', expected 1\n${err}")
+  message(FATAL_ERROR "${BIN} ${FLAG} exited with '${rc}', expected 1\n${err}")
 endif()
-if(NOT err MATCHES "bogus-flag")
-  message(FATAL_ERROR "${BIN} --bogus-flag did not name the flag:\n${err}")
+string(FIND "${err}" "${flag}" at)
+if(at EQUAL -1)
+  message(FATAL_ERROR "${BIN} ${FLAG} did not name ${flag}:\n${err}")
 endif()
