@@ -23,14 +23,24 @@ bool path_under(const std::string& path, const std::string& prefix) {
          prefix.back() == '/';
 }
 
-namespace {
-
-namespace fs = std::filesystem;
-
 bool ends_with(const std::string& s, const std::string& suffix) {
   return s.size() >= suffix.size() &&
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
+
+std::size_t match_close(const std::vector<Token>& T, std::size_t open,
+                        const char* o, const char* c) {
+  int depth = 0;
+  for (std::size_t i = open; i < T.size(); ++i) {
+    if (T[i].is_punct(o)) ++depth;
+    if (T[i].is_punct(c) && --depth == 0) return i;
+  }
+  return T.size();
+}
+
+namespace {
+
+namespace fs = std::filesystem;
 
 bool is_cpp_source(const std::string& path) {
   return ends_with(path, ".h") || ends_with(path, ".hpp") ||
@@ -69,54 +79,6 @@ std::map<std::string, std::set<int>> collect_allows(const LexedFile& file) {
     }
   }
   return allows;
-}
-
-struct Baseline {
-  /// (rule, path) pairs silenced by the checked-in baseline file.
-  std::set<std::pair<std::string, std::string>> entries;
-};
-
-void load_baseline(const std::string& path, Baseline& baseline,
-                   std::vector<std::string>& errors) {
-  std::ifstream in(path);
-  if (!in) {
-    errors.push_back("cannot read baseline file: " + path);
-    return;
-  }
-  std::string line;
-  int lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    const std::size_t b = line.find_first_not_of(" \t");
-    if (b == std::string::npos || line[b] == '#') continue;
-    const std::size_t p1 = line.find('|');
-    const std::size_t p2 =
-        p1 == std::string::npos ? std::string::npos : line.find('|', p1 + 1);
-    if (p2 == std::string::npos) {
-      errors.push_back(path + ":" + std::to_string(lineno) +
-                       ": malformed baseline entry (want "
-                       "rule|path|justification): " +
-                       line);
-      continue;
-    }
-    const std::string rule = line.substr(0, p1);
-    const std::string file = line.substr(p1 + 1, p2 - p1 - 1);
-    std::string just = line.substr(p2 + 1);
-    const std::size_t jb = just.find_first_not_of(" \t");
-    if (jb == std::string::npos) {
-      errors.push_back(path + ":" + std::to_string(lineno) +
-                       ": baseline entry for " + rule + "|" + file +
-                       " has no justification — baselining without a "
-                       "written reason is not allowed");
-      continue;
-    }
-    if (find_rule(rule) == nullptr) {
-      errors.push_back(path + ":" + std::to_string(lineno) +
-                       ": unknown rule in baseline: " + rule);
-      continue;
-    }
-    baseline.entries.insert({rule, file});
-  }
 }
 
 std::string normalize_slashes(std::string s) {
@@ -179,11 +141,6 @@ AnalysisResult analyze_buffers(const std::vector<SourceBuffer>& files,
     }
     filter.only.insert(id);
   }
-
-  Baseline baseline;
-  if (!options.baseline_path.empty()) {
-    load_baseline(options.baseline_path, baseline, result.errors);
-  }
   if (!result.errors.empty()) return result;
 
   Corpus corpus;
@@ -220,7 +177,6 @@ AnalysisResult analyze_buffers(const std::vector<SourceBuffer>& files,
     if (unit.linted) allows[unit.lexed.path] = collect_allows(unit.lexed);
   }
 
-  std::set<std::pair<std::string, std::string>> used_baseline;
   for (Finding& f : raw) {
     const auto file_it = allows.find(f.path);
     if (file_it != allows.end()) {
@@ -231,30 +187,7 @@ AnalysisResult analyze_buffers(const std::vector<SourceBuffer>& files,
         continue;
       }
     }
-    if (baseline.entries.count({f.rule, f.path}) != 0) {
-      ++result.baselined;
-      used_baseline.insert({f.rule, f.path});
-      continue;
-    }
     result.findings.push_back(std::move(f));
-  }
-
-  // Stale-baseline detection: an entry whose rule ran and whose file was
-  // linted must have matched at least one finding, or it is dead weight
-  // that would silently mask a future regression.  Entries for files
-  // outside this invocation's lint set (or rules filtered out by
-  // --rules) are not judged — partial runs must not invalidate the
-  // shared baseline.
-  std::set<std::string> linted_paths;
-  for (const FileUnit& unit : corpus.units) {
-    if (unit.linted) linted_paths.insert(unit.lexed.path);
-  }
-  for (const auto& entry : baseline.entries) {
-    if (used_baseline.count(entry) != 0) continue;
-    if (!filter.enabled(entry.first.c_str())) continue;
-    if (linted_paths.count(entry.second) == 0) continue;
-    result.errors.push_back("stale baseline entry (matches no finding): " +
-                            entry.first + "|" + entry.second);
   }
 
   std::sort(result.findings.begin(), result.findings.end(),

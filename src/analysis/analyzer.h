@@ -1,18 +1,20 @@
-// vpart_lint analyzer: orchestration, suppressions, baseline.
+// vpart_lint analyzer: orchestration and suppressions.
 //
-// Three rule families (see DESIGN.md §12 for the catalog):
+// Eight rule families (see DESIGN.md §12 for the catalog):
 //   * determinism — token-level rules for nondeterministic constructs;
 //   * knob completeness — cross-file check that every field of the
 //     partitioning/service config structs is reachable from CLI parsing
 //     and mentioned in the docs ("no implicit decisions");
-//   * lock discipline — lockset-lite checking of // guarded_by(<mutex>)
-//     annotations in the concurrent service layer.
+//   * lock discipline — lockset checking of // guarded_by(<mutex>)
+//     annotations, with holds() facts propagated over the call graph;
+//   * hot-path purity and the parallel-round protocol — reachability
+//     passes over the call graph;
+//   * index-width, flow-determinism and dead-store — CFG + reaching-
+//     definitions passes (rules_dataflow.cpp).
 //
 // Suppressions: append "// det-lint: allow(<rule>[, <rule>...])" to the
 // offending line or the line directly above it, with a justification.
-// Baseline: a checked-in file of known findings (rule|path|justification
-// per line) silences whole-rule/file pairs during incremental adoption;
-// the repo ships an empty baseline and intends to keep it empty.
+// That annotation is the only way to silence a finding.
 #pragma once
 
 #include <cstddef>
@@ -37,19 +39,16 @@ struct AnalyzerOptions {
   /// knob rule loads its cross-file context (tools/examples/bench
   /// sources, DESIGN.md, README.md) from it.  Empty = current directory.
   std::string repo_root;
-  /// Restrict to these rule ids (empty = all rules).
+  /// Restrict to these rule ids or families (empty = all rules).
   std::vector<std::string> only_rules;
-  /// Baseline file path ("" = no baseline).
-  std::string baseline_path;
 };
 
 struct AnalysisResult {
   std::vector<Finding> findings;  ///< surviving findings, sorted
   std::size_t files_scanned = 0;  ///< linted files (context excluded)
   std::size_t suppressed = 0;     ///< silenced by allow() annotations
-  std::size_t baselined = 0;      ///< silenced by baseline entries
-  /// Fatal configuration problems (unknown rule, malformed baseline,
-  /// unreadable path).  Non-empty means "exit 2", not "findings".
+  /// Fatal configuration problems (unknown rule, unreadable path).
+  /// Non-empty means "exit 2", not "findings".
   std::vector<std::string> errors;
 
   bool clean() const { return findings.empty() && errors.empty(); }

@@ -26,16 +26,6 @@ bool decl_context_exempt(const std::string& s) {
          s == "do" || s == "co_yield" || s == "co_await" || s == "throw";
 }
 
-std::size_t match_close(const std::vector<Token>& T, std::size_t open,
-                        const char* o, const char* c) {
-  int depth = 0;
-  for (std::size_t i = open; i < T.size(); ++i) {
-    if (T[i].is_punct(o)) ++depth;
-    if (T[i].is_punct(c) && --depth == 0) return i;
-  }
-  return T.size();
-}
-
 /// After `name`, skip a balanced template argument list if one leads
 /// to a '(' within a short window.  Returns the index of the '(' or 0.
 std::size_t paren_after_optional_angles(const std::vector<Token>& T,

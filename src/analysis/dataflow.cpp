@@ -16,16 +16,6 @@ bool BitSet::merge_union(const BitSet& other) {
   return changed;
 }
 
-bool BitSet::merge_intersect(const BitSet& other) {
-  bool changed = false;
-  for (std::size_t i = 0; i < w_.size() && i < other.w_.size(); ++i) {
-    const std::uint64_t next = w_[i] & other.w_[i];
-    changed |= next != w_[i];
-    w_[i] = next;
-  }
-  return changed;
-}
-
 bool BitSet::transfer(const BitSet& in, const BitSet& gen,
                       const BitSet& kill) {
   bool changed = false;
@@ -38,16 +28,11 @@ bool BitSet::transfer(const BitSet& in, const BitSet& gen,
 }
 
 DataflowResult solve_forward(const Cfg& cfg, const GenKill& problem,
-                             std::size_t num_facts, MeetOp meet) {
+                             std::size_t num_facts) {
   const std::size_t n = cfg.blocks.size();
   DataflowResult r;
   r.in.assign(n, BitSet(num_facts));
   r.out.assign(n, BitSet(num_facts));
-  if (meet == MeetOp::kIntersect) {
-    for (std::size_t b = 0; b < n; ++b) {
-      if (static_cast<int>(b) != cfg.entry) r.in[b].set_all();
-    }
-  }
 
   // Reverse postorder so most facts flow in one sweep.
   std::vector<int> order;
@@ -75,18 +60,7 @@ DataflowResult solve_forward(const Cfg& cfg, const GenKill& problem,
     for (const int b : order) {
       if (b != cfg.entry) {
         BitSet in(num_facts);
-        if (meet == MeetOp::kIntersect) in.set_all();
-        bool first = true;
-        for (const int p : cfg.blocks[b].preds) {
-          if (meet == MeetOp::kUnion) {
-            in.merge_union(r.out[p]);
-          } else if (first) {
-            in = r.out[p];
-          } else {
-            in.merge_intersect(r.out[p]);
-          }
-          first = false;
-        }
+        for (const int p : cfg.blocks[b].preds) in.merge_union(r.out[p]);
         r.in[b] = std::move(in);
       }
       changed |= r.out[b].transfer(r.in[b], problem.gen[b], problem.kill[b]);
@@ -526,8 +500,7 @@ class ReachBuilder {
       }
     }
 
-    const DataflowResult flow =
-        solve_forward(cfg_, gk, nd, MeetOp::kUnion);
+    const DataflowResult flow = solve_forward(cfg_, gk, nd);
 
     // Statement-level IN: replay each block.
     r_.in_stmt.assign(cfg_.stmts.size(), BitSet(nd));

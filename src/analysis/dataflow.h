@@ -1,10 +1,10 @@
 // Generic forward dataflow over a Cfg, and its first client: reaching
 // definitions with def-use chains over the token stream.
 //
-// The solver is a classic iterative gen-kill fixed point: each basic
-// block carries a GEN and a KILL bit set over an abstract fact space,
-// IN[b] is the join of predecessors' OUT (union for may-analyses,
-// intersection for must-analyses), OUT[b] = GEN[b] | (IN[b] & ~KILL[b]).
+// The solver is a classic iterative gen-kill fixed point for may-
+// analyses: each basic block carries a GEN and a KILL bit set over an
+// abstract fact space, IN[b] is the union of predecessors' OUT, and
+// OUT[b] = GEN[b] | (IN[b] & ~KILL[b]).
 // Blocks are iterated in reverse postorder until no OUT changes, which
 // terminates because the transfer functions are monotone over a finite
 // lattice.
@@ -43,31 +43,18 @@ class BitSet {
   void reset(std::size_t i) {
     w_[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
   }
-  void set_all() {
-    for (auto& w : w_) w = ~std::uint64_t{0};
-    trim();
-  }
 
   /// this |= other.  Returns true when a bit changed.
   bool merge_union(const BitSet& other);
-  /// this &= other.  Returns true when a bit changed.
-  bool merge_intersect(const BitSet& other);
   /// this = gen | (in & ~kill).  Returns true when a bit changed.
   bool transfer(const BitSet& in, const BitSet& gen, const BitSet& kill);
 
   bool operator==(const BitSet& other) const { return w_ == other.w_; }
 
  private:
-  void trim() {
-    if (bits_ % 64 != 0 && !w_.empty()) {
-      w_.back() &= (std::uint64_t{1} << (bits_ % 64)) - 1;
-    }
-  }
   std::size_t bits_ = 0;
   std::vector<std::uint64_t> w_;
 };
-
-enum class MeetOp { kUnion, kIntersect };
 
 /// Per-block transfer functions for a forward problem.
 struct GenKill {
@@ -80,11 +67,10 @@ struct DataflowResult {
   std::vector<BitSet> out;  ///< facts at block exit
 };
 
-/// Solve the forward problem.  `num_facts` sizes every bit set; with
-/// kIntersect, unreached INs start at top (all ones) so the meet is
-/// well-defined.  The entry block's IN starts empty in both modes.
+/// Solve the forward union problem.  `num_facts` sizes every bit set;
+/// every IN, the entry block's included, starts empty.
 DataflowResult solve_forward(const Cfg& cfg, const GenKill& problem,
-                             std::size_t num_facts, MeetOp meet);
+                             std::size_t num_facts);
 
 // ---------------------------------------------------------------------
 // Reaching definitions

@@ -62,17 +62,10 @@ const std::vector<RuleInfo>& rule_catalog() {
       {"round-rng-in-shard", "round",
        "RNG draw inside a worker-shard lambda — per-shard draws make the "
        "stream depend on the shard count; draw before the round"},
-      {"narrowing-assign", "index-width",
-       "size-derived 64-bit value assigned to a narrower integer — "
-       "truncates silently past 2^32 pins; use vp::checked_narrow<T>() or "
-       "guard with VP_CHECK"},
       {"narrowing-cast", "index-width",
        "static_cast of a size-derived or explicitly widened expression to "
        "a narrower integer — use vp::checked_narrow<T>() or prove the "
        "range with a dominating VP_CHECK"},
-      {"narrow-loop-counter", "index-width",
-       "loop counter narrower than its .size()/num_*() bound — the "
-       "comparison promotes but the counter wraps on huge instances"},
       {"tainted-comparator", "flow-determinism",
        "pointer- or clock-derived value flows into a sort comparator — "
        "ordering becomes allocation- or time-dependent; compare by id or "

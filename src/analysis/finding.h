@@ -17,8 +17,8 @@ struct Finding {
 };
 
 /// One rule in the catalog (drives --list-rules and the SARIF rule
-/// table).  `family` is "determinism", "knob", "lock", "hotpath" or
-/// "round".
+/// table).  `family` is "determinism", "knob", "lock", "hotpath",
+/// "round", "index-width", "flow-determinism" or "dead-store".
 struct RuleInfo {
   const char* id;
   const char* family;

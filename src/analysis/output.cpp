@@ -60,31 +60,7 @@ std::string render_human(const AnalysisResult& result) {
   if (result.suppressed != 0) {
     out << ", " << result.suppressed << " suppressed";
   }
-  if (result.baselined != 0) {
-    out << ", " << result.baselined << " baselined";
-  }
   out << ")\n";
-  return out.str();
-}
-
-std::string render_json(const AnalysisResult& result) {
-  std::ostringstream out;
-  out << "{\n  \"findings\": [";
-  bool first = true;
-  for (const Finding& f : result.findings) {
-    out << (first ? "\n" : ",\n");
-    first = false;
-    out << "    {\"path\": \"" << json_escape(f.path)
-        << "\", \"line\": " << f.line << ", \"col\": " << f.col
-        << ", \"rule\": \"" << json_escape(f.rule) << "\", \"message\": \""
-        << json_escape(f.message) << "\"}";
-  }
-  if (!first) out << "\n  ";
-  out << "],\n";
-  out << "  \"files_scanned\": " << result.files_scanned << ",\n";
-  out << "  \"suppressed\": " << result.suppressed << ",\n";
-  out << "  \"baselined\": " << result.baselined << "\n";
-  out << "}\n";
   return out.str();
 }
 

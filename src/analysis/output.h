@@ -1,4 +1,4 @@
-// Output renderers for vpart_lint: human-readable, JSON, SARIF 2.1.0.
+// Output renderers for vpart_lint: human-readable and SARIF 2.1.0.
 #pragma once
 
 #include <string>
@@ -10,10 +10,6 @@ namespace vlsipart::analysis {
 /// One finding per line ("path:line:col: [rule] message") followed by a
 /// summary line.
 std::string render_human(const AnalysisResult& result);
-
-/// Machine-readable summary: {"findings": [...], "files_scanned": N,
-/// "suppressed": N, "baselined": N}.
-std::string render_json(const AnalysisResult& result);
 
 /// Minimal SARIF 2.1.0 log: one run, the rule catalog as
 /// reportingDescriptors, one result per finding.

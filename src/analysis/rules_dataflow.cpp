@@ -4,12 +4,13 @@
 //
 //   * index-width — the compact-CSR gate.  A value is "size-derived"
 //     when it comes from .size()/num_vertices()/... directly or through
-//     assignments; narrowing such a value into int/uint32_t (by
-//     assignment, static_cast, or an int loop counter bounded by a
-//     size) truncates silently past 2^32 pins.  Sites wrapped in
+//     assignments; a static_cast of such a value to int/uint32_t
+//     truncates silently past 2^32 pins.  Sites wrapped in
 //     vp::checked_narrow<T>() or dominated by a VP_CHECK that mentions
 //     the narrowed value are exempt: the dominance query is what the
-//     CFG exists for.
+//     CFG exists for.  Implicit narrowing assignments and narrow loop
+//     counters are not lint rules: src/part and src/hypergraph build
+//     with -Werror=conversion and -Werror=sign-compare.
 //   * flow-determinism — taint propagation of pointer values (T* decls,
 //     &x, .data(), reinterpret_cast) and clock reads (::now(),
 //     clock_gettime) through assignments into ordering decisions: sort
@@ -119,10 +120,7 @@ class DataflowPass {
   void run() {
     index_scope_ = in_dirs(path_, kIndexDirs);
     flow_scope_ = in_dirs(path_, kFlowDirs);
-    const bool any_index = index_scope_ &&
-                           (filter_.enabled("narrowing-assign") ||
-                            filter_.enabled("narrowing-cast") ||
-                            filter_.enabled("narrow-loop-counter"));
+    const bool any_index = index_scope_ && filter_.enabled("narrowing-cast");
     const bool any_flow = flow_scope_ &&
                           (filter_.enabled("tainted-comparator") ||
                            filter_.enabled("tainted-seed"));
@@ -155,9 +153,7 @@ class DataflowPass {
 
     if (any_index) {
       compute_size_taint();
-      check_narrowing_defs();
       check_narrowing_casts();
-      check_narrow_loop_counters();
     }
     if (any_flow) {
       compute_flow_taint();
@@ -349,47 +345,6 @@ class DataflowPass {
     }
   }
 
-  /// Definitions of narrow-typed variables fed by size-derived values
-  /// with no explicit cast: implicit truncation.
-  void check_narrowing_defs() {
-    for (const Def& d : rd_.defs) {
-      if (d.stmt < 0 || d.uninit || d.conservative) continue;
-      const VarInfo& var = rd_.vars[d.var];
-      if (!is_narrow_int(var.type_name) || var.is_reference ||
-          var.is_pointer) {
-        continue;
-      }
-      // A range-for element has the container's element type; taint in
-      // the range expression (an index, a bound) is not the element.
-      const CfgStmt& stmt = cfg_.stmts[d.stmt];
-      if (stmt.begin < T.size() && T[stmt.begin].is_ident("for")) continue;
-      const auto [b, e] = rhs_of(d);
-      bool explicit_cast = false;
-      for (std::size_t i = b; i < e && i < T.size(); ++i) {
-        if (T[i].is_ident("static_cast") || T[i].is_ident("checked_narrow") ||
-            T[i].is_ident("narrow_cast")) {
-          explicit_cast = true;
-          break;
-        }
-      }
-      if (explicit_cast) continue;  // narrowing-cast owns explicit casts
-      if (!range_has_size_call(b, e) &&
-          !range_has_taint(b, e, size_tainted_)) {
-        continue;
-      }
-      std::set<std::string> names = idents_in(b, e);
-      names.insert(var.name);
-      augment_with_sources(names);
-      if (guarded(d.stmt, names)) continue;
-      report(d.token, "narrowing-assign",
-             "size-derived value assigned to " + var.type_name + " '" +
-                 var.name +
-                 "' truncates silently past 32 bits — use "
-                 "vp::checked_narrow<" +
-                 var.type_name + ">() or guard with VP_CHECK");
-    }
-  }
-
   /// Type name and operand '(' index of `static_cast<...>(`, or {"",0}.
   std::pair<std::string, std::size_t> cast_type_at(std::size_t i) const {
     if (!T[i].is_ident("static_cast") || i + 1 >= T.size() ||
@@ -442,82 +397,6 @@ class DataflowPass {
                  "> of a size-derived 64-bit expression truncates "
                  "silently — use vp::checked_narrow<" +
                  type + ">() or prove the range with a dominating VP_CHECK");
-    }
-  }
-
-  void check_narrow_loop_counters() {
-    const FunctionDef& def = parsed_.functions[fn_];
-    for (std::size_t i = def.body_begin; i < def.body_end; ++i) {
-      if (!T[i].is_ident("for") || i + 1 >= T.size() ||
-          !T[i + 1].is_punct("(")) {
-        continue;
-      }
-      if (parsed_.enclosing(i, false) != fn_) continue;
-      const std::size_t close = match_paren(i + 1);
-      if (close >= T.size()) continue;
-      // Clause boundaries: two top-level ';' (a range-for has none).
-      std::size_t semi1 = 0, semi2 = 0;
-      int depth = 0;
-      for (std::size_t j = i + 2; j < close; ++j) {
-        if (T[j].is_punct("(") || T[j].is_punct("[") || T[j].is_punct("{")) {
-          ++depth;
-        } else if (T[j].is_punct(")") || T[j].is_punct("]") ||
-                   T[j].is_punct("}")) {
-          --depth;
-        } else if (depth == 0 && T[j].is_punct(";")) {
-          if (semi1 == 0) {
-            semi1 = j;
-          } else if (semi2 == 0) {
-            semi2 = j;
-          }
-        }
-      }
-      if (semi1 == 0 || semi2 == 0) continue;
-      // Init clause: `narrow-type name = ...`.
-      std::size_t p = i + 2;
-      while (p < semi1 && T[p].kind == TokenKind::kIdentifier &&
-             (T[p].is_ident("const") || T[p].is_ident("auto"))) {
-        if (T[p].is_ident("auto")) break;
-        ++p;
-      }
-      std::string type;
-      std::size_t type_tok = p;
-      while (p < semi1) {
-        if (T[p].kind == TokenKind::kIdentifier) {
-          type = T[p].text;
-          type_tok = p;
-          ++p;
-          if (p < semi1 && T[p].is_punct("::")) {
-            ++p;
-            continue;
-          }
-          break;
-        }
-        break;
-      }
-      if (!is_narrow_int(type)) continue;
-      if (p >= semi1 || T[p].kind != TokenKind::kIdentifier) continue;
-      const std::string counter = T[p].text;
-      // Condition clause mentions the counter against a size bound.
-      bool counter_in_cond = false;
-      for (std::size_t j = semi1 + 1; j < semi2; ++j) {
-        if (T[j].is_ident(counter.c_str())) counter_in_cond = true;
-      }
-      if (!counter_in_cond) continue;
-      if (!range_has_size_call(semi1 + 1, semi2) &&
-          !range_has_taint(semi1 + 1, semi2, size_tainted_)) {
-        continue;
-      }
-      const int s = stmt_of_token(semi1 + 1 < semi2 ? semi1 + 1 : i);
-      std::set<std::string> names = idents_in(semi1 + 1, semi2);
-      names.insert(counter);
-      augment_with_sources(names);
-      if (guarded(s, names)) continue;
-      report(type_tok, "narrow-loop-counter",
-             "loop counter '" + counter + "' is " + type +
-                 " but its bound is a 64-bit size — the counter wraps on "
-                 "huge instances; use std::size_t or checked_narrow the "
-                 "bound");
     }
   }
 

@@ -55,8 +55,9 @@ bool contains_seed_word(const std::string& s) {
 /// Index of the punct matching T[open] (one of () [] {} <>), or
 /// T.size() when unbalanced.  For <> any ; or { aborts the match (a
 /// comparison, not a template argument list).
-std::size_t match_close(const std::vector<Token>& T, std::size_t open,
-                        const char* open_p, const char* close_p) {
+std::size_t match_close_strict(const std::vector<Token>& T,
+                               std::size_t open, const char* open_p,
+                               const char* close_p) {
   const bool angles = open_p[0] == '<';
   int depth = 0;
   for (std::size_t i = open; i < T.size(); ++i) {
@@ -120,7 +121,7 @@ class DeterminismPass {
     for (std::size_t i = 0; i + 1 < T.size(); ++i) {
       if (T[i].kind != TokenKind::kIdentifier) continue;
       if (is_unordered_container(T[i].text) && T[i + 1].is_punct("<")) {
-        std::size_t close = match_close(T, i + 1, "<", ">");
+        std::size_t close = match_close_strict(T, i + 1, "<", ">");
         std::size_t j = close + 1;
         while (j < T.size() && (T[j].is_punct("&") || T[j].is_punct("*") ||
                                 T[j].is_punct("&&") ||
@@ -232,7 +233,7 @@ class DeterminismPass {
         !T[i + 1].is_punct("(")) {
       return;
     }
-    const std::size_t close = match_close(T, i + 1, "(", ")");
+    const std::size_t close = match_close_strict(T, i + 1, "(", ")");
     if (close >= T.size()) return;
     // The range expression begins after the last top-level ':'.
     std::size_t colon = T.size();
@@ -268,7 +269,7 @@ class DeterminismPass {
     if (begin >= T.size()) return;
     std::size_t end;
     if (T[begin].is_punct("{")) {
-      end = match_close(T, begin, "{", "}");
+      end = match_close_strict(T, begin, "{", "}");
     } else {  // single-statement body
       end = begin;
       while (end < T.size() && !T[end].is_punct(";")) ++end;
@@ -294,16 +295,17 @@ class DeterminismPass {
       return;
     }
     if (i + 1 >= T.size() || !T[i + 1].is_punct("(")) return;
-    const std::size_t close = match_close(T, i + 1, "(", ")");
+    const std::size_t close = match_close_strict(T, i + 1, "(", ")");
     // A lambda comparator with a pointer parameter: [...] ( ...*... )
     for (std::size_t j = i + 2; j < close && j < T.size(); ++j) {
       if (!T[j].is_punct("[")) continue;
-      const std::size_t cap_close = match_close(T, j, "[", "]");
+      const std::size_t cap_close = match_close_strict(T, j, "[", "]");
       if (cap_close >= T.size() || cap_close + 1 >= T.size() ||
           !T[cap_close + 1].is_punct("(")) {
         continue;
       }
-      const std::size_t par_close = match_close(T, cap_close + 1, "(", ")");
+      const std::size_t par_close =
+          match_close_strict(T, cap_close + 1, "(", ")");
       if (range_contains_star(T, cap_close + 2, par_close)) {
         report(T[i], "pointer-sort-key",
                "sort comparator takes pointer parameters; pointer order is "
@@ -360,7 +362,7 @@ class DeterminismPass {
     if (T[i + 2].is_punct("<")) return;  // operator<<
     const std::size_t open = i + 2;
     if (!T[open].is_punct("(")) return;
-    const std::size_t close = match_close(T, open, "(", ")");
+    const std::size_t close = match_close_strict(T, open, "(", ")");
     if (range_contains_star(T, open + 1, close)) {
       report(T[i], "pointer-compare",
              "operator< over pointer parameters in a result path orders by "

@@ -3,6 +3,7 @@
 // exercise individual passes.
 #pragma once
 
+#include <cstddef>
 #include <set>
 #include <string>
 #include <vector>
@@ -38,6 +39,13 @@ struct RuleFilter {
 
 /// True when `path` is `prefix` itself or lies underneath it.
 bool path_under(const std::string& path, const std::string& prefix);
+
+bool ends_with(const std::string& s, const std::string& suffix);
+
+/// Index of the punct `c` matching the punct `o` at T[open], or
+/// T.size() when unbalanced.
+std::size_t match_close(const std::vector<Token>& T, std::size_t open,
+                        const char* o, const char* c);
 
 /// Per-file token rules: the determinism family.
 void run_determinism_rules(const FileUnit& unit, const RuleFilter& filter,

@@ -46,11 +46,6 @@ bool is_dispatch_name(const std::string& s) {
          s == "submit_with_slot";
 }
 
-bool ends_with(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
 bool rng_object_name(const std::string& s) {
   std::string lower;
   for (char c : s) {
@@ -73,16 +68,6 @@ bool decl_prev_blocklist(const std::string& s) {
   return s == "return" || s == "else" || s == "case" || s == "do" ||
          s == "goto" || s == "break" || s == "continue" || s == "new" ||
          s == "delete" || s == "sizeof" || s == "co_return";
-}
-
-std::size_t match_close(const std::vector<Token>& T, std::size_t open,
-                        const char* o, const char* c) {
-  int depth = 0;
-  for (std::size_t i = open; i < T.size(); ++i) {
-    if (T[i].is_punct(o)) ++depth;
-    if (T[i].is_punct(c) && --depth == 0) return i;
-  }
-  return T.size();
 }
 
 bool is_assign_op(const Token& t) {

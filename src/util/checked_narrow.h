@@ -5,9 +5,10 @@
 // the id domain is a potential silent truncation once instances pass
 // 2^32 pins.  vp::checked_narrow<T>(v) is the sanctioned spelling of
 // that conversion: it asserts the value is representable in T and then
-// casts.  vpart_lint's index-width rules treat a checked_narrow-wrapped
-// expression as proven and flag bare narrowing assignments and
-// static_casts of size-derived values.
+// casts.  In src/part and src/hypergraph an implicit narrowing
+// assignment does not compile (-Werror=conversion), and vpart_lint's
+// narrowing-cast rule flags a bare static_cast of a size-derived value
+// while treating a checked_narrow-wrapped one as proven.
 //
 // The check is VP_CHECK (always on): it is one compare against a
 // constant with a never-taken branch, which is noise next to the memory

@@ -1,10 +1,8 @@
 // vpart_lint analyzer tests: lexer behavior, a fixture corpus with a
 // firing / suppressed / clean case for every rule, false-positive
 // regressions for the keyword-in-string/comment class the regex lint
-// had, baseline semantics, output renderers, and a self-test that lints
-// the repository's own sources (the acceptance gate: the repo is
-// clean).
-#include <fstream>
+// had, output renderers, and a self-test that lints the repository's
+// own sources (the acceptance gate: the repo is clean).
 #include <string>
 #include <vector>
 
@@ -13,6 +11,7 @@
 #include "src/analysis/finding.h"
 #include "src/analysis/lexer.h"
 #include "src/analysis/output.h"
+#include "src/analysis/rules_internal.h"
 
 namespace vlsipart::analysis {
 namespace {
@@ -857,56 +856,7 @@ TEST(RuleFilterFamily, UnknownFamilyIsAnError) {
 }
 
 // ---------------------------------------------------------------------
-// Baseline
-
-std::string write_temp(const std::string& name, const std::string& content) {
-  const std::string path = ::testing::TempDir() + name;
-  std::ofstream out(path);
-  out << content;
-  return path;
-}
-
-TEST(Baseline, SilencesRulePathPairs) {
-  AnalyzerOptions options;
-  options.baseline_path = write_temp(
-      "vpart_lint_baseline_ok.txt",
-      "# comment\n\nrand|src/part/f.cpp|fixture retained during port\n");
-  const AnalysisResult r = analyze_buffers(
-      {SourceBuffer{"src/part/f.cpp", "int x = rand();\n"}}, {}, options);
-  EXPECT_EQ(r.findings.size(), 0u) << dump(r);
-  EXPECT_EQ(r.baselined, 1u);
-}
-
-TEST(Baseline, OtherFilesStillFire) {
-  AnalyzerOptions options;
-  options.baseline_path =
-      write_temp("vpart_lint_baseline_other.txt",
-                 "rand|src/part/other.cpp|different file\n");
-  const AnalysisResult r = analyze_buffers(
-      {SourceBuffer{"src/part/f.cpp", "int x = rand();\n"}}, {}, options);
-  EXPECT_EQ(count_rule(r, "rand"), 1u) << dump(r);
-  EXPECT_EQ(r.baselined, 0u);
-}
-
-TEST(Baseline, EntryWithoutJustificationIsAnError) {
-  AnalyzerOptions options;
-  options.baseline_path = write_temp("vpart_lint_baseline_nojust.txt",
-                                     "rand|src/part/f.cpp|\n");
-  const AnalysisResult r = analyze_buffers(
-      {SourceBuffer{"src/part/f.cpp", "int x = 0;\n"}}, {}, options);
-  ASSERT_FALSE(r.errors.empty());
-  EXPECT_NE(r.errors[0].find("justification"), std::string::npos);
-}
-
-TEST(Baseline, MalformedEntryAndUnknownRuleAreErrors) {
-  AnalyzerOptions options;
-  options.baseline_path =
-      write_temp("vpart_lint_baseline_bad.txt",
-                 "just-one-field\nno-such-rule|a.cpp|because\n");
-  const AnalysisResult r = analyze_buffers(
-      {SourceBuffer{"src/part/f.cpp", "int x = 0;\n"}}, {}, options);
-  EXPECT_EQ(r.errors.size(), 2u) << dump(r);
-}
+// Options
 
 TEST(Options, UnknownRuleFilterIsAnError) {
   AnalyzerOptions options;
@@ -915,6 +865,20 @@ TEST(Options, UnknownRuleFilterIsAnError) {
       {SourceBuffer{"src/part/f.cpp", "int x = 0;\n"}}, {}, options);
   ASSERT_FALSE(r.errors.empty());
   EXPECT_NE(r.errors[0].find("bogus-rule"), std::string::npos);
+}
+
+TEST(Options, CompilerGatedRuleFilterIsAnError) {
+  // narrowing-assign and narrow-loop-counter are compiler errors now
+  // (-Werror=conversion / -Werror=sign-compare), so naming them in a
+  // filter is a configuration error rather than a silently empty run.
+  for (const char* gone : {"narrowing-assign", "narrow-loop-counter"}) {
+    AnalyzerOptions options;
+    options.only_rules = {gone};
+    const AnalysisResult r = analyze_buffers(
+        {SourceBuffer{"src/part/f.cpp", "int x = 0;\n"}}, {}, options);
+    ASSERT_FALSE(r.errors.empty()) << gone;
+    EXPECT_NE(r.errors[0].find(gone), std::string::npos) << r.errors[0];
+  }
 }
 
 TEST(Options, RuleFilterRestrictsFindings) {
@@ -939,7 +903,15 @@ TEST(Catalog, EveryRuleIsFindable) {
   EXPECT_EQ(find_rule("no-such-rule"), nullptr);
 }
 
-TEST(Renderers, HumanJsonSarif) {
+TEST(Catalog, CompilerGatedRulesAreGone) {
+  EXPECT_EQ(find_rule("narrowing-assign"), nullptr);
+  EXPECT_EQ(find_rule("narrow-loop-counter"), nullptr);
+  const RuleInfo* cast = find_rule("narrowing-cast");
+  ASSERT_NE(cast, nullptr);
+  EXPECT_STREQ(cast->family, "index-width");
+}
+
+TEST(Renderers, HumanAndSarif) {
   const AnalysisResult r =
       lint("src/part/f.cpp", "int x = rand();\nstd::mt19937 g(1);\n");
   ASSERT_EQ(r.findings.size(), 2u) << dump(r);
@@ -948,10 +920,6 @@ TEST(Renderers, HumanJsonSarif) {
   EXPECT_NE(human.find("src/part/f.cpp:1:9: [rand]"), std::string::npos)
       << human;
   EXPECT_NE(human.find("2 findings"), std::string::npos) << human;
-
-  const std::string json = render_json(r);
-  EXPECT_NE(json.find("\"rule\": \"rand\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"files_scanned\": 1"), std::string::npos) << json;
 
   const std::string sarif = render_sarif(r);
   EXPECT_NE(sarif.find("\"version\": \"2.1.0\""), std::string::npos);
@@ -994,6 +962,36 @@ TEST(RepoSelfTest, RepositoryLintsClean) {
   EXPECT_EQ(r.findings.size(), 0u) << dump(r);
   EXPECT_GT(r.files_scanned, 100u);  // really scanned the tree
   EXPECT_GT(r.suppressed, 0u);       // the annotated clock reads
+}
+
+// ---------------------------------------------------------------------
+// Helpers shared by the rule passes (rules_internal.h)
+
+TEST(SharedHelpers, EndsWith) {
+  EXPECT_TRUE(ends_with("src/part/fm.cpp", ".cpp"));
+  EXPECT_TRUE(ends_with("a.h", "a.h"));
+  EXPECT_TRUE(ends_with("x", ""));
+  EXPECT_FALSE(ends_with("fm.cpp", ".h"));
+  EXPECT_FALSE(ends_with(".h", "a.h"));
+}
+
+TEST(SharedHelpers, MatchCloseSkipsNestedPairs) {
+  const LexedFile f = lex("src/part/f.cpp", "f(a, g(b), (c)) + d;");
+  const std::vector<Token>& T = f.tokens;
+  ASSERT_GE(T.size(), 2u);
+  ASSERT_TRUE(T[1].is_punct("("));
+  const std::size_t close = match_close(T, 1, "(", ")");
+  ASSERT_LT(close, T.size());
+  EXPECT_TRUE(T[close].is_punct(")"));
+  ASSERT_LT(close + 1, T.size());
+  EXPECT_TRUE(T[close + 1].is_punct("+"));
+}
+
+TEST(SharedHelpers, MatchCloseUnbalancedReturnsEnd) {
+  const LexedFile f = lex("src/part/f.cpp", "{ if (x) { y(); }");
+  ASSERT_FALSE(f.tokens.empty());
+  ASSERT_TRUE(f.tokens[0].is_punct("{"));
+  EXPECT_EQ(match_close(f.tokens, 0, "{", "}"), f.tokens.size());
 }
 
 }  // namespace

@@ -3,10 +3,8 @@
 // def-use chains, and a firing / suppressed / clean fixture for every
 // dataflow rule family (index-width, flow-determinism, dead-store) —
 // including the one-hop pointer-to-comparator flow the token-level
-// determinism rules cannot see.  Ends with a golden SARIF shape check
-// and the stale-baseline semantics.
+// determinism rules cannot see.  Ends with a golden SARIF shape check.
 #include <algorithm>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -281,6 +279,39 @@ std::vector<int> def_lines_at_use(const Built& b, const ReachingDefs& rd,
   return lines;
 }
 
+// ---------------------------------------------------------------------
+// BitSet: the solver's fact container (union meet, gen/kill transfer)
+
+TEST(BitSetTest, MergeUnionReportsChange) {
+  BitSet a(130);
+  BitSet b(130);
+  a.set(3);
+  b.set(3);
+  EXPECT_FALSE(a.merge_union(b));  // nothing new
+  b.set(129);
+  EXPECT_TRUE(a.merge_union(b));
+  EXPECT_TRUE(a.test(3));
+  EXPECT_TRUE(a.test(129));
+  EXPECT_FALSE(a.test(64));
+  EXPECT_FALSE(a.merge_union(b));  // fixed point reached
+}
+
+TEST(BitSetTest, TransferIsGenOrInMinusKill) {
+  BitSet in(70), gen(70), kill(70), out(70);
+  in.set(1);
+  in.set(65);
+  kill.set(65);
+  gen.set(2);
+  EXPECT_TRUE(out.transfer(in, gen, kill));
+  EXPECT_TRUE(out.test(1));
+  EXPECT_TRUE(out.test(2));
+  EXPECT_FALSE(out.test(65));
+  EXPECT_FALSE(out.transfer(in, gen, kill));  // same inputs, no change
+  gen.set(65);  // gen wins over kill
+  EXPECT_TRUE(out.transfer(in, gen, kill));
+  EXPECT_TRUE(out.test(65));
+}
+
 TEST(ReachingDefsTest, LinearKillThenUse) {
   const Built b = build(
       "int f(int a) {\n"
@@ -377,16 +408,6 @@ TEST(ReachingDefsTest, ConservativeOutParamDefDoesNotKill) {
 // ---------------------------------------------------------------------
 // index-width rules
 
-TEST(IndexWidth, NarrowingAssignFires) {
-  const AnalysisResult r = lint("src/part/fix.cpp",
-                                "void f(const Hypergraph& h) {\n"
-                                "  const std::size_t n = h.num_vertices();\n"
-                                "  int small = n;\n"
-                                "  use(small);\n"
-                                "}\n");
-  EXPECT_EQ(count_rule(r, "narrowing-assign"), 1u) << dump(r);
-}
-
 TEST(IndexWidth, NarrowingCastFires) {
   const AnalysisResult r = lint("src/hypergraph/fix.cpp",
                                 "void f(const Hypergraph& h) {\n"
@@ -395,16 +416,6 @@ TEST(IndexWidth, NarrowingCastFires) {
                                 "  use(v);\n"
                                 "}\n");
   EXPECT_EQ(count_rule(r, "narrowing-cast"), 1u) << dump(r);
-}
-
-TEST(IndexWidth, NarrowLoopCounterFires) {
-  const AnalysisResult r = lint("src/part/fix.cpp",
-                                "void f(const Hypergraph& h) {\n"
-                                "  for (int i = 0; i < h.num_vertices(); ++i) {\n"
-                                "    use(i);\n"
-                                "  }\n"
-                                "}\n");
-  EXPECT_EQ(count_rule(r, "narrow-loop-counter"), 1u) << dump(r);
 }
 
 TEST(IndexWidth, DominatingGuardSuppressesCast) {
@@ -434,19 +445,6 @@ TEST(IndexWidth, NonDominatingGuardStillFires) {
   EXPECT_EQ(count_rule(r, "narrowing-cast"), 1u) << dump(r);
 }
 
-TEST(IndexWidth, DominatingGuardSuppressesLoopCounter) {
-  const AnalysisResult r =
-      lint("src/part/fix.cpp",
-           "void f(const Hypergraph& h) {\n"
-           "  const std::size_t n = h.num_vertices();\n"
-           "  VP_CHECK(n <= kInvalidVertex, \"fits\");\n"
-           "  for (unsigned i = 0; i < n; ++i) {\n"
-           "    use(i);\n"
-           "  }\n"
-           "}\n");
-  EXPECT_EQ(count_rule(r, "narrow-loop-counter"), 0u) << dump(r);
-}
-
 TEST(IndexWidth, CheckedNarrowIsClean) {
   const AnalysisResult r =
       lint("src/part/fix.cpp",
@@ -455,19 +453,19 @@ TEST(IndexWidth, CheckedNarrowIsClean) {
            "  const auto v = vp::checked_narrow<unsigned>(n);\n"
            "  use(v);\n"
            "}\n");
-  EXPECT_EQ(count_rule(r, "narrowing-assign"), 0u) << dump(r);
   EXPECT_EQ(count_rule(r, "narrowing-cast"), 0u) << dump(r);
 }
 
 TEST(IndexWidth, AllowCommentSuppresses) {
-  const AnalysisResult r = lint(
-      "src/part/fix.cpp",
-      "void f(const Hypergraph& h) {\n"
-      "  const std::size_t n = h.num_vertices();\n"
-      "  int small = n;  // det-lint: allow(narrowing-assign)\n"
-      "  use(small);\n"
-      "}\n");
-  EXPECT_EQ(count_rule(r, "narrowing-assign"), 0u) << dump(r);
+  const AnalysisResult r =
+      lint("src/part/fix.cpp",
+           "void f(const Hypergraph& h) {\n"
+           "  const std::size_t n = h.num_vertices();\n"
+           "  // det-lint: allow(narrowing-cast) n fits by construction\n"
+           "  const auto v = static_cast<unsigned>(n);\n"
+           "  use(v);\n"
+           "}\n");
+  EXPECT_EQ(count_rule(r, "narrowing-cast"), 0u) << dump(r);
   EXPECT_GE(r.suppressed, 1u);
 }
 
@@ -475,20 +473,10 @@ TEST(IndexWidth, OutsideCoreDirsIsOutOfScope) {
   const AnalysisResult r = lint("src/io/fix.cpp",
                                 "void f(const Hypergraph& h) {\n"
                                 "  const std::size_t n = h.num_vertices();\n"
-                                "  int small = n;\n"
-                                "  use(small);\n"
+                                "  const auto v = static_cast<unsigned>(n);\n"
+                                "  use(v);\n"
                                 "}\n");
-  EXPECT_EQ(count_rule(r, "narrowing-assign"), 0u) << dump(r);
-}
-
-TEST(IndexWidth, WideAssignIsClean) {
-  const AnalysisResult r = lint("src/part/fix.cpp",
-                                "void f(const Hypergraph& h) {\n"
-                                "  const std::size_t n = h.num_vertices();\n"
-                                "  std::size_t m = n;\n"
-                                "  use(m);\n"
-                                "}\n");
-  EXPECT_EQ(count_rule(r, "narrowing-assign"), 0u) << dump(r);
+  EXPECT_EQ(count_rule(r, "narrowing-cast"), 0u) << dump(r);
 }
 
 // ---------------------------------------------------------------------
@@ -664,14 +652,14 @@ TEST(RuleFilter, FamilyNameSelectsAllDataflowRules) {
   const std::string code =
       "void f(const Hypergraph& h) {\n"
       "  const std::size_t n = h.num_vertices();\n"
-      "  int small = n;\n"
-      "  use(small);\n"
+      "  const auto v = static_cast<unsigned>(n);\n"
+      "  use(v);\n"
       "}\n";
   const AnalysisResult fam = lint("src/part/fix.cpp", code, {"index-width"});
-  EXPECT_EQ(count_rule(fam, "narrowing-assign"), 1u) << dump(fam);
+  EXPECT_EQ(count_rule(fam, "narrowing-cast"), 1u) << dump(fam);
   // ...and a disjoint family filter turns them off.
   const AnalysisResult off = lint("src/part/fix.cpp", code, {"dead-store"});
-  EXPECT_EQ(count_rule(off, "narrowing-assign"), 0u) << dump(off);
+  EXPECT_EQ(count_rule(off, "narrowing-cast"), 0u) << dump(off);
 }
 
 TEST(SarifOutput, DataflowFindingGoldenShape) {
@@ -693,75 +681,6 @@ TEST(SarifOutput, DataflowFindingGoldenShape) {
   EXPECT_NE(s.find("\"family\": \"index-width\""), std::string::npos);
   EXPECT_NE(s.find("\"family\": \"flow-determinism\""), std::string::npos);
   EXPECT_NE(s.find("\"family\": \"dead-store\""), std::string::npos);
-}
-
-// ---------------------------------------------------------------------
-// Stale-baseline semantics
-
-std::string write_temp(const std::string& name, const std::string& content) {
-  const std::string path = ::testing::TempDir() + name;
-  std::ofstream out(path);
-  out << content;
-  return path;
-}
-
-TEST(StaleBaseline, EntryMatchingNoFindingIsAnError) {
-  AnalyzerOptions options;
-  options.baseline_path =
-      write_temp("cfg_stale_baseline.txt",
-                 "dead-store|src/part/clean.cpp|fixed long ago\n");
-  const AnalysisResult r = analyze_buffers(
-      {SourceBuffer{"src/part/clean.cpp", "int f() { return 0; }\n"}}, {},
-      options);
-  ASSERT_EQ(r.errors.size(), 1u) << dump(r);
-  EXPECT_NE(r.errors[0].find("stale"), std::string::npos);
-  EXPECT_NE(r.errors[0].find("dead-store|src/part/clean.cpp"),
-            std::string::npos);
-}
-
-TEST(StaleBaseline, ConsumedEntryIsNotStale) {
-  AnalyzerOptions options;
-  options.baseline_path =
-      write_temp("cfg_live_baseline.txt",
-                 "dead-store|src/part/live.cpp|pending refactor\n");
-  const AnalysisResult r =
-      analyze_buffers({SourceBuffer{"src/part/live.cpp",
-                                    "int f(int a) {\n"
-                                    "  int x = 0;\n"
-                                    "  x = a + 1;\n"
-                                    "  x = a + 2;\n"
-                                    "  return x;\n"
-                                    "}\n"}},
-                      {}, options);
-  EXPECT_TRUE(r.errors.empty()) << dump(r);
-  EXPECT_EQ(r.baselined, 1u);
-}
-
-TEST(StaleBaseline, EntryForUnlintedPathIsNotStale) {
-  // A baseline entry for a file outside this run's scope cannot be
-  // judged; partial-scope runs must not flag it.
-  AnalyzerOptions options;
-  options.baseline_path =
-      write_temp("cfg_offscope_baseline.txt",
-                 "dead-store|src/part/elsewhere.cpp|other file\n");
-  const AnalysisResult r = analyze_buffers(
-      {SourceBuffer{"src/part/clean.cpp", "int f() { return 0; }\n"}}, {},
-      options);
-  EXPECT_TRUE(r.errors.empty()) << dump(r);
-}
-
-TEST(StaleBaseline, EntryForFilteredOutRuleIsNotStale) {
-  // With --rules restricting to another family, the entry's rule never
-  // ran, so "no finding matched" proves nothing.
-  AnalyzerOptions options;
-  options.only_rules = {"index-width"};
-  options.baseline_path =
-      write_temp("cfg_filtered_baseline.txt",
-                 "dead-store|src/part/clean.cpp|not run today\n");
-  const AnalysisResult r = analyze_buffers(
-      {SourceBuffer{"src/part/clean.cpp", "int f() { return 0; }\n"}}, {},
-      options);
-  EXPECT_TRUE(r.errors.empty()) << dump(r);
 }
 
 }  // namespace

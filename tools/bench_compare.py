@@ -32,6 +32,11 @@ refuses (exit 2) when the two files carry different
 ``vlsipart_build_type`` context values.  The ``library_build_type``
 field emitted by google-benchmark describes how *libbenchmark* was
 compiled, not this repository's code, and is ignored.
+
+The ``BM_Parallel*`` families take a thread count as their argument, so
+their numbers depend on the core count: when the two captures'
+``num_cpus`` differ, those families are listed as not comparable
+instead of scored.  A missing one is still an error.
 """
 
 import argparse
@@ -47,8 +52,16 @@ def load_json(path):
         return json.load(fh)
 
 
+# Families whose benchmark argument is a thread count.
+THREAD_SCALED = re.compile(r"^BM_Parallel")
+
+
 def build_type(doc):
     return doc.get("context", {}).get("vlsipart_build_type")
+
+
+def num_cpus(doc):
+    return doc.get("context", {}).get("num_cpus")
 
 
 def throughput(entry):
@@ -141,6 +154,9 @@ def main():
 
     base = families(baseline_doc)
     cur = families(current_doc)
+    base_cpus = num_cpus(baseline_doc)
+    cur_cpus = num_cpus(current_doc)
+    cpus_differ = base_cpus != cur_cpus
 
     width = max((len(n) for n in set(base) | set(cur)), default=10)
     header = (
@@ -152,6 +168,7 @@ def main():
 
     regressions = []
     missing = []
+    not_comparable = []
     for name in sorted(set(base) | set(cur)):
         if name not in base:
             print(f"{name:<{width}}  {'-':>12}  {cur[name]:>12.4g}  "
@@ -161,6 +178,11 @@ def main():
             print(f"{name:<{width}}  {base[name]:>12.4g}  {'-':>12}  "
                   f"{'-':>7}  MISSING from current run")
             missing.append(name)
+            continue
+        if cpus_differ and THREAD_SCALED.match(name):
+            print(f"{name:<{width}}  {base[name]:>12.4g}  {cur[name]:>12.4g}  "
+                  f"{'-':>7}  not comparable (num_cpus)")
+            not_comparable.append(name)
             continue
         ratio = cur[name] / base[name] if base[name] > 0 else float("inf")
         if ratio < 1.0 - args.threshold:
@@ -175,6 +197,12 @@ def main():
             f"{ratio:>6.2f}x  {verdict}"
         )
 
+    if not_comparable:
+        print(
+            f"\nnot comparable: baseline has num_cpus={base_cpus}, current "
+            f"run has num_cpus={cur_cpus}; thread-count families not "
+            f"scored: {', '.join(not_comparable)}"
+        )
     if missing:
         # A baseline family absent from the current capture means the
         # benchmark was renamed or deleted without updating the

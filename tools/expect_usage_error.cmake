@@ -1,10 +1,14 @@
 # ctest helper: runs `${BIN} ${FLAG}` and fails unless the binary exits
-# with status 1 and names the rejected flag on stderr.  FLAG is the
-# command-line tail, split like a shell would (default: --bogus-flag);
-# its first word is the flag that must be named.
-#   cmake -DBIN=<path> [-DFLAG="--threads 2"] -P tools/expect_usage_error.cmake
+# with status ${STATUS} (default 1) and names the rejected flag on
+# stderr.  FLAG is the command-line tail, split like a shell would
+# (default: --bogus-flag); its first word is the flag that must be named.
+#   cmake -DBIN=<path> [-DFLAG="--threads 2"] [-DSTATUS=2]
+#         -P tools/expect_usage_error.cmake
 if(NOT DEFINED FLAG)
   set(FLAG --bogus-flag)
+endif()
+if(NOT DEFINED STATUS)
+  set(STATUS 1)
 endif()
 separate_arguments(args UNIX_COMMAND "${FLAG}")
 list(GET args 0 flag)
@@ -13,8 +17,9 @@ execute_process(COMMAND "${BIN}" ${args}
                 OUTPUT_QUIET
                 ERROR_VARIABLE err
                 TIMEOUT 60)
-if(NOT rc STREQUAL "1")
-  message(FATAL_ERROR "${BIN} ${FLAG} exited with '${rc}', expected 1\n${err}")
+if(NOT rc STREQUAL "${STATUS}")
+  message(FATAL_ERROR "${BIN} ${FLAG} exited with '${rc}', expected "
+                      "${STATUS}\n${err}")
 endif()
 string(FIND "${err}" "${flag}" at)
 if(at EQUAL -1)

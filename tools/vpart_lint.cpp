@@ -1,6 +1,7 @@
 // vpart_lint: static analyzer for the repo's methodology contracts —
-// determinism, knob completeness, lock discipline, hot-path purity and
-// the parallel-round protocol.
+// determinism, knob completeness, lock discipline, hot-path purity, the
+// parallel-round protocol, and the CFG/dataflow families index-width,
+// flow-determinism and dead-store.
 //
 // Usage:
 //   vpart_lint [options] [path ...]
@@ -8,10 +9,8 @@
 //                      tools, bench, examples, tests — those that exist)
 //   --repo-root DIR    repository root for context + relative paths
 //                      (default: current directory)
-//   --format FMT       human | json | sarif (default: human)
+//   --format FMT       human | sarif (default: human)
 //   --output FILE      write the report to FILE instead of stdout
-//   --baseline FILE    baseline file (default: tools/vpart_lint_baseline.txt
-//                      under the repo root, when present; "none" disables)
 //   --rules a,b,...    run only these rules or families
 //                      (e.g. --rules hotpath,lock,round)
 //   --list-rules       print the rule catalog and exit
@@ -48,17 +47,17 @@ int main(int argc, char** argv) {
 
   vlsipart::CliArgs args(argc, argv);
   try {
-    args.check_known({"repo-root", "format", "output", "baseline", "rules",
-                      "list-rules", "help"});
+    args.check_known(
+        {"repo-root", "format", "output", "rules", "list-rules", "help"});
   } catch (const std::exception& e) {
     std::cerr << "vpart_lint: " << e.what() << "\n";
     return 2;
   }
   if (args.get_bool("help")) {
-    std::cout << "usage: vpart_lint [--repo-root DIR] [--format "
-                 "human|json|sarif] [--output FILE]\n"
-                 "                  [--baseline FILE|none] [--rules a,b,...] "
-                 "[--list-rules] [path ...]\n";
+    std::cout << "usage: vpart_lint [--repo-root DIR] [--format human|sarif] "
+                 "[--output FILE]\n"
+                 "                  [--rules a,b,...] [--list-rules] "
+                 "[path ...]\n";
     return 0;
   }
   if (args.get_bool("list-rules")) return list_rules();
@@ -67,21 +66,6 @@ int main(int argc, char** argv) {
   options.repo_root = args.get("repo-root", ".");
   if (args.has("rules")) {
     options.only_rules = args.get_list("rules", "");
-  }
-
-  const std::string baseline = args.get("baseline", "");
-  if (baseline == "none") {
-    options.baseline_path.clear();
-  } else if (!baseline.empty()) {
-    options.baseline_path = baseline;
-  } else {
-    const std::filesystem::path default_baseline =
-        std::filesystem::path(options.repo_root) / "tools" /
-        "vpart_lint_baseline.txt";
-    std::error_code ec;
-    if (std::filesystem::is_regular_file(default_baseline, ec)) {
-      options.baseline_path = default_baseline.generic_string();
-    }
   }
 
   std::vector<std::string> paths = args.positional();
@@ -98,9 +82,9 @@ int main(int argc, char** argv) {
   }
 
   const std::string format = args.get("format", "human");
-  if (format != "human" && format != "json" && format != "sarif") {
+  if (format != "human" && format != "sarif") {
     std::cerr << "vpart_lint: unknown --format '" << format
-              << "' (want human, json or sarif)\n";
+              << "' (want human or sarif)\n";
     return 2;
   }
 
@@ -113,14 +97,9 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::string report;
-  if (format == "json") {
-    report = vlsipart::analysis::render_json(result);
-  } else if (format == "sarif") {
-    report = vlsipart::analysis::render_sarif(result);
-  } else {
-    report = vlsipart::analysis::render_human(result);
-  }
+  const std::string report = format == "sarif"
+                                 ? vlsipart::analysis::render_sarif(result)
+                                 : vlsipart::analysis::render_human(result);
 
   const std::string output = args.get("output", "");
   if (output.empty()) {
