@@ -1,6 +1,7 @@
-// Shared helpers for the table-regeneration bench binaries.
+// Shared helpers for bench_experiments and the table-regeneration bench
+// binaries.
 //
-// Every bench accepts:
+// Every bench, and every experiment of bench_experiments, accepts:
 //   --cases ibm01,ibm02,...   instance presets (default per bench)
 //   --runs N                  independent starts per cell (default per bench)
 //   --scale F                 instance size scale factor (1.0 = published
@@ -13,11 +14,12 @@
 //                             JSON lines (per-row metrics + wall/CPU seconds
 //                             + thread count), for cross-PR perf tracking
 //
-// A bench whose harness can use threads also accepts, through `extra`:
+// A bench or experiment whose harness can use threads also accepts,
+// through `extra`:
 //   --threads T               its thread budget (default 1 = serial;
 //                             results are bit-identical at any T, see
 //                             DESIGN.md "Threading model")
-// Every other bench rejects --threads like any unknown flag.
+// Every other one rejects --threads like any unknown flag.
 //
 // The "Reported ..." configurations of Tables 2 and 3 model a weak
 // independent implementation (Alpert [2]) as the same engine with the

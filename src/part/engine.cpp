@@ -99,6 +99,14 @@ EngineResult run_engine(const EngineSpec& spec, const Hypergraph& h) {
     fm.clip = true;
     fm.exclude_oversized = true;
   }
+  // The round refiner has no CLIP mode: flat, ml and evo would run LIFO
+  // keys under a CLIP label.  nlevel refines serially and keeps them.
+  if (fm.clip && fm.refine_threads > 1 && kind != EngineKind::kNlevel) {
+    out.error =
+        "CLIP needs serial refinement: refine_threads > 1 runs the round "
+        "refiner, which has no CLIP mode";
+    return out;
+  }
 
   std::string violation;
   if (spec.k > 2) {

@@ -54,8 +54,9 @@ struct EngineSpec {
 struct EngineResult {
   Weight cut = 0;
   std::vector<PartId> parts;
-  /// Non-empty: no answer (bad spec, nothing feasible, failed audit);
-  /// cut and parts are then only diagnostics.
+  /// Non-empty: no answer (bad spec, CLIP with fm.refine_threads > 1
+  /// on an engine that would run the round refiner, nothing feasible,
+  /// failed audit); cut and parts are then only diagnostics.
   std::string error;
   MultistartResult multistart;  ///< k = 2 per-start record
 };

@@ -2,7 +2,8 @@
 # with status ${STATUS} (default 1) and names the rejected flag on
 # stderr.  FLAG is the command-line tail, split like a shell would
 # (default: --bogus-flag); its first word is the flag that must be named.
-#   cmake -DBIN=<path> [-DFLAG="--threads 2"] [-DSTATUS=2]
+# With ${EXPECT} set, stdout or stderr must also contain that text.
+#   cmake -DBIN=<path> [-DFLAG="--threads 2"] [-DSTATUS=2] [-DEXPECT=text]
 #         -P tools/expect_usage_error.cmake
 if(NOT DEFINED FLAG)
   set(FLAG --bogus-flag)
@@ -14,7 +15,7 @@ separate_arguments(args UNIX_COMMAND "${FLAG}")
 list(GET args 0 flag)
 execute_process(COMMAND "${BIN}" ${args}
                 RESULT_VARIABLE rc
-                OUTPUT_QUIET
+                OUTPUT_VARIABLE out
                 ERROR_VARIABLE err
                 TIMEOUT 60)
 if(NOT rc STREQUAL "${STATUS}")
@@ -24,4 +25,10 @@ endif()
 string(FIND "${err}" "${flag}" at)
 if(at EQUAL -1)
   message(FATAL_ERROR "${BIN} ${FLAG} did not name ${flag}:\n${err}")
+endif()
+if(DEFINED EXPECT)
+  string(FIND "${out}${err}" "${EXPECT}" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "${BIN} ${FLAG} did not print ${EXPECT}:\n${out}${err}")
+  endif()
 endif()
