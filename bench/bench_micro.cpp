@@ -1,14 +1,17 @@
 // Google-benchmark microbenchmarks for the performance-critical kernels:
 // gain-container operations, incremental partition-state moves, one FM
-// pass, and one coarsening level.  These guard the "Do make it fast
-// enough / Do measure CPU time" maxims [19] — a slow testbed invalidates
-// runtime-regime conclusions.
+// pass, one coarsening level, and the .hgr reader and writer.  These
+// guard the "Do make it fast enough / Do measure CPU time" maxims [19] —
+// a slow testbed invalidates runtime-regime conclusions.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "src/gen/netlist_gen.h"
+#include "src/io/hmetis_io.h"
 #include "src/part/core/fm_refiner.h"
 #include "src/part/core/gain_container.h"
 #include "src/part/core/initial.h"
@@ -337,6 +340,40 @@ void BM_EvoGeneration(benchmark::State& state) {
                           static_cast<std::int64_t>(config.offspring));
 }
 BENCHMARK(BM_EvoGeneration)->Unit(benchmark::kMillisecond);
+
+// Instance set-up: the .hgr text of ibm18@0.3 (~1.1 MB, the multilevel
+// e2ebench instance) parsed from memory, and written back to memory.
+std::string ibm18_hgr_text() {
+  std::ostringstream out;
+  write_hmetis(generate_netlist(preset("ibm18").scaled(0.3)), out);
+  return out.str();
+}
+
+void BM_HmetisRead(benchmark::State& state) {
+  const std::string text = ibm18_hgr_text();
+  for (auto _ : state) {
+    std::istringstream in(text);
+    benchmark::DoNotOptimize(read_hmetis(in));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_HmetisRead)->Unit(benchmark::kMillisecond);
+
+void BM_HmetisWrite(benchmark::State& state) {
+  const std::string text = ibm18_hgr_text();
+  std::istringstream in(text);
+  const Hypergraph h = read_hmetis(in);
+  for (auto _ : state) {
+    std::ostringstream out;
+    write_hmetis(h, out);
+    benchmark::DoNotOptimize(&out);
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_HmetisWrite)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace vlsipart

@@ -1,6 +1,7 @@
 #include "src/hypergraph/hypergraph.h"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 
 #include "src/util/checked_narrow.h"
@@ -60,12 +61,14 @@ void Hypergraph::validate() const {
   }
 }
 
-HypergraphBuilder::HypergraphBuilder(std::size_t num_vertices)
-    : vertex_weights_(num_vertices, 1) {
+HypergraphBuilder::HypergraphBuilder(std::size_t num_vertices) {
   // Compact-CSR id contract: every vertex id must fit VertexId, with the
-  // all-ones value reserved as the kInvalidVertex sentinel.
+  // all-ones value reserved as the kInvalidVertex sentinel.  Checked
+  // before the weights are allocated, so a huge count fails here and not
+  // in the allocator.
   VP_CHECK(num_vertices <= kInvalidVertex,
            "vertex count " << num_vertices << " exceeds the 32-bit id space");
+  vertex_weights_.assign(num_vertices, 1);
 }
 
 void HypergraphBuilder::set_vertex_weight(VertexId v, Weight w) {
@@ -86,18 +89,24 @@ void HypergraphBuilder::set_vertex_name(VertexId v, std::string name) {
 EdgeId HypergraphBuilder::add_edge(std::span<const VertexId> pins,
                                    Weight weight) {
   VP_CHECK(weight > 0, "edge weight must be positive");
-  scratch_.assign(pins.begin(), pins.end());
-  std::sort(scratch_.begin(), scratch_.end());
-  scratch_.erase(std::unique(scratch_.begin(), scratch_.end()),
-                 scratch_.end());
-  for (const VertexId v : scratch_) {
-    VP_CHECK(v < vertex_weights_.size(), "edge pin in range");
+  // Pins that already ascend strictly (an edge copied from a Hypergraph,
+  // or read back from a written file) need no sorted, deduplicated copy.
+  if (std::adjacent_find(pins.begin(), pins.end(),
+                         std::greater_equal<>()) != pins.end()) {
+    scratch_.assign(pins.begin(), pins.end());
+    std::sort(scratch_.begin(), scratch_.end());
+    scratch_.erase(std::unique(scratch_.begin(), scratch_.end()),
+                   scratch_.end());
+    pins = scratch_;
   }
-  if (scratch_.size() < 2) return kInvalidEdge;
+  // Sorted, so the last pin is the largest.
+  VP_CHECK(pins.empty() || pins.back() < vertex_weights_.size(),
+           "edge pin in range");
+  if (pins.size() < 2) return kInvalidEdge;
   // The new edge's id is the current edge count; checked_narrow enforces
   // that it stays below the kInvalidEdge sentinel.
   const auto id = vp::checked_narrow<EdgeId>(edge_weights_.size());
-  edge_pins_.insert(edge_pins_.end(), scratch_.begin(), scratch_.end());
+  edge_pins_.insert(edge_pins_.end(), pins.begin(), pins.end());
   edge_offsets_.push_back(edge_pins_.size());
   edge_weights_.push_back(weight);
   return id;

@@ -1,82 +1,72 @@
 #include "src/io/hmetis_io.h"
 
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <vector>
 
-#include "src/util/logging.h"
+#include "src/io/text_io.h"
 
 namespace vlsipart {
-namespace {
-
-/// Read the next non-comment, non-blank line; false at EOF.
-bool next_content_line(std::istream& in, std::string& line) {
-  while (std::getline(in, line)) {
-    std::size_t i = 0;
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
-    if (i == line.size() || line[i] == '%') continue;
-    return true;
-  }
-  return false;
-}
-
-}  // namespace
 
 Hypergraph read_hmetis(std::istream& in, std::string name) {
-  std::string line;
-  if (!next_content_line(in, line)) {
+  LineScanner scan(in, "hmetis");
+  if (!scan.next_content_line()) {
     throw std::runtime_error("hmetis: empty input");
   }
-  std::istringstream header(line);
-  std::size_t num_edges = 0;
-  std::size_t num_vertices = 0;
-  int fmt = 0;
-  header >> num_edges >> num_vertices;
-  if (!header) throw std::runtime_error("hmetis: bad header line");
-  header >> fmt;  // optional
+  const auto num_edges = scan.next_number<std::size_t>("edge count");
+  const auto num_vertices = scan.next_number<std::size_t>("vertex count");
+  const int fmt = scan.at_end() ? 0 : scan.next_number<int>("fmt");
+  scan.expect_end("the header");
+  if (fmt != 0 && fmt != 1 && fmt != 10 && fmt != 11) {
+    scan.fail("unsupported fmt " + std::to_string(fmt));
+  }
+  // Checked before the builder allocates num_vertices weights.
+  if (num_vertices > kInvalidVertex) {
+    scan.fail("vertex count " + std::to_string(num_vertices) +
+              " exceeds the 32-bit id space");
+  }
+  if (num_edges > kInvalidEdge) {
+    scan.fail("edge count " + std::to_string(num_edges) +
+              " exceeds the 32-bit id space");
+  }
   const bool edge_weights = (fmt == 1 || fmt == 11);
   const bool vertex_weights = (fmt == 10 || fmt == 11);
-  if (fmt != 0 && fmt != 1 && fmt != 10 && fmt != 11) {
-    throw std::runtime_error("hmetis: unsupported fmt " + std::to_string(fmt));
-  }
 
   HypergraphBuilder builder(num_vertices);
   std::vector<VertexId> pins;
+  Weight total_edge_weight = 0;
   for (std::size_t e = 0; e < num_edges; ++e) {
-    if (!next_content_line(in, line)) {
-      throw std::runtime_error("hmetis: truncated edge list at edge " +
-                               std::to_string(e));
+    if (!scan.next_content_line()) {
+      scan.fail("truncated edge list at edge " + std::to_string(e + 1) +
+                " of " + std::to_string(num_edges));
     }
-    std::istringstream row(line);
     Weight w = 1;
     if (edge_weights) {
-      row >> w;
-      if (!row) throw std::runtime_error("hmetis: missing edge weight");
+      w = scan.next_number<Weight>("edge weight");
+      if (w <= 0) scan.fail("edge weight must be positive");
+      add_to_weight_total(total_edge_weight, w, scan, "total edge weight");
     }
     pins.clear();
-    std::size_t v1 = 0;
-    while (row >> v1) {
-      if (v1 < 1 || v1 > num_vertices) {
-        throw std::runtime_error("hmetis: pin out of range: " +
-                                 std::to_string(v1));
+    while (!scan.at_end()) {
+      const auto pin = scan.next_number<std::size_t>("pin");
+      if (pin < 1 || pin > num_vertices) {
+        scan.fail("pin out of range: " + std::to_string(pin));
       }
-      pins.push_back(static_cast<VertexId>(v1 - 1));
+      pins.push_back(static_cast<VertexId>(pin - 1));
     }
     builder.add_edge(pins, w);
   }
   if (vertex_weights) {
+    Weight total_vertex_weight = 0;
     for (std::size_t v = 0; v < num_vertices; ++v) {
-      if (!next_content_line(in, line)) {
-        throw std::runtime_error("hmetis: truncated vertex weights");
+      if (!scan.next_content_line()) {
+        scan.fail("truncated vertex weights at vertex " +
+                  std::to_string(v + 1));
       }
-      std::istringstream row(line);
-      Weight w = 0;
-      row >> w;
-      if (!row || w <= 0) {
-        throw std::runtime_error("hmetis: bad vertex weight at vertex " +
-                                 std::to_string(v + 1));
-      }
+      const auto w = scan.next_number<Weight>("vertex weight");
+      scan.expect_end("the vertex weight");
+      if (w <= 0) scan.fail("vertex weight must be positive");
+      add_to_weight_total(total_vertex_weight, w, scan, "total vertex weight");
       builder.set_vertex_weight(static_cast<VertexId>(v), w);
     }
   }
@@ -116,24 +106,35 @@ void write_hmetis(const Hypergraph& h, std::ostream& out) {
   if (any_edge_weight) fmt += 1;
   if (any_vertex_weight) fmt += 10;
 
-  out << h.num_edges() << ' ' << h.num_vertices();
-  if (fmt != 0) out << ' ' << fmt;
-  out << '\n';
+  BlockWriter w(out);
+  w.number(h.num_edges());
+  w.put(' ');
+  w.number(h.num_vertices());
+  if (fmt != 0) {
+    w.put(' ');
+    w.number(fmt);
+  }
+  w.put('\n');
   for (std::size_t e = 0; e < h.num_edges(); ++e) {
-    if (any_edge_weight) out << h.edge_weight(static_cast<EdgeId>(e)) << ' ';
+    if (any_edge_weight) {
+      w.number(h.edge_weight(static_cast<EdgeId>(e)));
+      w.put(' ');
+    }
     bool first = true;
     for (const VertexId v : h.pins(static_cast<EdgeId>(e))) {
-      if (!first) out << ' ';
-      out << (v + 1);
+      if (!first) w.put(' ');
+      w.number(v + 1);
       first = false;
     }
-    out << '\n';
+    w.put('\n');
   }
   if (any_vertex_weight) {
     for (std::size_t v = 0; v < h.num_vertices(); ++v) {
-      out << h.vertex_weight(static_cast<VertexId>(v)) << '\n';
+      w.number(h.vertex_weight(static_cast<VertexId>(v)));
+      w.put('\n');
     }
   }
+  w.flush();
 }
 
 void write_hmetis_file(const Hypergraph& h, const std::string& path) {

@@ -13,8 +13,23 @@
 //   <name>.are — one line per module: "<modname> <area>".
 //
 // We map modules to dense VertexIds with cells first (a0 -> 0, ...)
-// followed by pads (p1 -> C, ...).  Pin directions are parsed and ignored
-// (the partitioning formulation is undirected, as in the paper).
+// followed by pads (p1 -> C, ...).  Pin directions are checked and
+// ignored (the partitioning formulation is undirected, as in the paper).
+//
+// Grammar the reader enforces (lexical rules in src/io/text_io.h):
+//   - '%' comment lines, blank and whitespace-only lines are skipped in
+//     both files; CRLF line ends are accepted;
+//   - each header line holds exactly one whole decimal number; the module
+//     count must fit the 32-bit id space and the pad offset must be below
+//     it;
+//   - a module name is 'a' or 'p' followed by a whole decimal index
+//     ("a1junk", "ax" and "a+1" are errors) in range for its kind;
+//   - an area is a whole decimal token ("1x" is an error); areas <= 0
+//     read as 1; the area total must fit 64 bits;
+//   - a net count that differs from the nets read is a warning, a pin
+//     count that differs is an error.
+// Every malformed input throws std::runtime_error
+// "ispd98 .netD: line N: ..." or "ispd98 .are: line N: ...".
 #pragma once
 
 #include <iosfwd>

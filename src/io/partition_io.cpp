@@ -1,22 +1,19 @@
 #include "src/io/partition_io.h"
 
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
+
+#include "src/io/text_io.h"
 
 namespace vlsipart {
 
 std::vector<PartId> read_partition(std::istream& in) {
+  LineScanner scan(in, "partition");
   std::vector<PartId> parts;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::istringstream row(line);
-    int p = -1;
-    row >> p;
-    if (!row || p < 0 || p > 254) {
-      throw std::runtime_error("partition: bad part id line: " + line);
-    }
+  while (scan.next_content_line()) {
+    const auto p = scan.next_number<unsigned>("part id");
+    scan.expect_end("the part id");
+    if (p >= kNoPart) scan.fail("part id out of range: " + std::to_string(p));
     parts.push_back(static_cast<PartId>(p));
   }
   return parts;
@@ -29,9 +26,12 @@ std::vector<PartId> read_partition_file(const std::string& path) {
 }
 
 void write_partition(const std::vector<PartId>& parts, std::ostream& out) {
+  BlockWriter w(out);
   for (const PartId p : parts) {
-    out << static_cast<int>(p) << '\n';
+    w.number(static_cast<int>(p));
+    w.put('\n');
   }
+  w.flush();
 }
 
 void write_partition_file(const std::vector<PartId>& parts,

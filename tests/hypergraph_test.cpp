@@ -86,6 +86,12 @@ TEST(HypergraphBuilder, RejectsBadInput) {
   EXPECT_THROW(b.add_edge({0, 1}, 0), std::logic_error);
 }
 
+TEST(HypergraphBuilder, RejectsVertexCountBeyondIdSpaceBeforeAllocating) {
+  // 5e9 weights would be a 40 GB allocation: the id-space check must
+  // fire first, as a logic_error rather than std::bad_alloc.
+  EXPECT_THROW(HypergraphBuilder(std::size_t{5000000000}), std::logic_error);
+}
+
 TEST(InstanceStats, MatchesHandComputation) {
   Hypergraph h = make_triangleish();
   const InstanceStats s = compute_stats(h, 3);

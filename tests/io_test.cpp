@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "src/gen/netlist_gen.h"
 #include "src/io/hmetis_io.h"
@@ -10,6 +11,53 @@
 
 namespace vlsipart {
 namespace {
+
+/// Runs `read` and expects a std::runtime_error whose message contains
+/// `where` (the format and the line).
+template <class Read>
+void expect_read_error(Read read, const std::string& where) {
+  try {
+    read();
+    ADD_FAILURE() << "no error; expected one naming " << where;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(where), std::string::npos)
+        << "message '" << e.what() << "' does not name " << where;
+  }
+}
+
+void expect_hmetis_error(const std::string& text, const std::string& where) {
+  expect_read_error(
+      [&] {
+        std::istringstream in(text);
+        read_hmetis(in);
+      },
+      where);
+}
+
+void expect_ispd98_error(const std::string& net, const std::string& are,
+                         const std::string& where) {
+  expect_read_error(
+      [&] {
+        std::istringstream net_in(net);
+        std::istringstream are_in(are);
+        read_ispd98(net_in, are_in);
+      },
+      where);
+}
+
+void expect_partition_error(const std::string& text,
+                            const std::string& where) {
+  expect_read_error(
+      [&] {
+        std::istringstream in(text);
+        read_partition(in);
+      },
+      where);
+}
+
+// A 2-cell, 1-pad netlist header (4 pins, 2 nets, 3 modules, pad
+// offset 1): pin lines start at line 6.
+constexpr const char* kNetHeader = "0\n4\n2\n3\n1\n";
 
 TEST(HmetisIo, ReadsUnweighted) {
   std::istringstream in(
@@ -170,6 +218,134 @@ TEST(PartitionIo, RejectsGarbage) {
   EXPECT_THROW(read_partition(in), std::runtime_error);
   std::istringstream neg("-1\n");
   EXPECT_THROW(read_partition(neg), std::runtime_error);
+}
+
+TEST(HmetisIo, RejectsNonNumericPin) {
+  expect_hmetis_error("1 3\n1 2 x 3\n", "hmetis: line 2");
+}
+
+TEST(HmetisIo, RejectsFractionalPin) {
+  expect_hmetis_error("1 3\n1 2.5\n", "hmetis: line 2");
+}
+
+TEST(HmetisIo, RejectsNonNumericFmt) {
+  expect_hmetis_error("1 4 z\n1 2\n", "hmetis: line 1");
+}
+
+TEST(HmetisIo, RejectsTrailingHeaderToken) {
+  expect_hmetis_error("1 3 0 junk\n1 2\n", "hmetis: line 1");
+}
+
+TEST(HmetisIo, RejectsZeroEdgeWeight) {
+  expect_hmetis_error("1 3 1\n0 1 2\n", "hmetis: line 2");
+}
+
+TEST(HmetisIo, RejectsNegativeEdgeWeight) {
+  expect_hmetis_error("1 3 1\n-5 1 2\n", "hmetis: line 2");
+}
+
+TEST(HmetisIo, RejectsLeadingPlus) {
+  expect_hmetis_error("1 3\n1 +2\n", "hmetis: line 2");
+}
+
+TEST(HmetisIo, RejectsVertexCountBeyondIdSpace) {
+  // 17 bytes that would otherwise ask the builder for 40 GB of weights.
+  expect_hmetis_error("1 5000000000\n1 2\n", "hmetis: line 1");
+}
+
+TEST(HmetisIo, RejectsWeightTotalOverflow) {
+  expect_hmetis_error(
+      "2 3 1\n9000000000000000000 1 2\n9000000000000000000 2 3\n",
+      "hmetis: line 3");
+}
+
+TEST(HmetisIo, SkipsCommentsBlankAndCrlfLines) {
+  std::istringstream in(
+      "% header comment\r\n"
+      "2 3 1\r\n"
+      "\r\n"
+      "   \t\n"
+      "\r\n"
+      "  % indented comment\n"
+      "5 1 2\r\n"
+      "7\t2   3 \r\n");
+  const Hypergraph h = read_hmetis(in);
+  EXPECT_EQ(h.num_edges(), 2u);
+  EXPECT_EQ(h.edge_weight(0), 5);
+  EXPECT_EQ(h.edge_weight(1), 7);
+  EXPECT_EQ(h.num_pins(), 4u);
+  h.validate();
+}
+
+TEST(HmetisIo, RoundTripCrossesWriteBlocks) {
+  // ibm01@0.5 is ~100 KiB of .hgr text: more than one 64 KiB block.
+  const Hypergraph original = generate_netlist(preset("ibm01").scaled(0.5));
+  std::ostringstream out;
+  write_hmetis(original, out);
+  ASSERT_GT(out.str().size(), std::size_t{64} * 1024);
+  std::istringstream in(out.str());
+  const Hypergraph reread = read_hmetis(in);
+  std::ostringstream again;
+  write_hmetis(reread, again);
+  EXPECT_EQ(again.str(), out.str());
+}
+
+TEST(HmetisIo, ReadsLineLongerThanABlockAndNoFinalNewline) {
+  // One 30000-pin net (~170 KiB, beyond the scanner's 64 KiB block) and a
+  // last line without '\n'.
+  constexpr std::size_t kPins = 30000;
+  std::string text = "2 " + std::to_string(kPins) + "\n";
+  for (std::size_t v = 1; v <= kPins; ++v) text += std::to_string(v) + ' ';
+  text += "\n1 2";
+  std::istringstream in(text);
+  const Hypergraph h = read_hmetis(in);
+  ASSERT_EQ(h.num_edges(), 2u);
+  EXPECT_EQ(h.edge_size(0), kPins);
+  EXPECT_EQ(h.edge_size(1), 2u);
+  h.validate();
+}
+
+TEST(Ispd98Io, RejectsNonNumericModuleIndex) {
+  expect_ispd98_error(std::string(kNetHeader) + "ax s\n", "a0 1\n",
+                      "ispd98 .netD: line 6");
+}
+
+TEST(Ispd98Io, RejectsModuleIndexBeyondRange) {
+  expect_ispd98_error(std::string(kNetHeader) + "a99999999999999999999 s\n",
+                      "a0 1\n", "ispd98 .netD: line 6");
+}
+
+TEST(Ispd98Io, RejectsModuleNameSuffix) {
+  expect_ispd98_error(std::string(kNetHeader) + "a0 s\na1junk l\n",
+                      "a0 1\n", "ispd98 .netD: line 7");
+}
+
+TEST(Ispd98Io, RejectsBadPinDirection) {
+  expect_ispd98_error(std::string(kNetHeader) + "a0 s X\n", "a0 1\n",
+                      "ispd98 .netD: line 6");
+}
+
+TEST(Ispd98Io, RejectsAreaSuffix) {
+  expect_ispd98_error(std::string(kNetHeader) + "a0 s\na1 l\na1 s\np1 l\n",
+                      "a1 4\na0 1x\n", "ispd98 .are: line 2");
+}
+
+TEST(Ispd98Io, RejectsModuleCountBeyondIdSpace) {
+  expect_ispd98_error("0\n2\n1\n5000000000\n1\na0 s\na1 l\n", "",
+                      "ispd98 .netD: line 4");
+}
+
+TEST(PartitionIo, RejectsPartSuffix) {
+  expect_partition_error("0\n1x\n", "partition: line 2");
+}
+
+TEST(PartitionIo, RejectsFractionalPart) {
+  expect_partition_error("3.7\n", "partition: line 1");
+}
+
+TEST(PartitionIo, SkipsBareCarriageReturnLines) {
+  std::istringstream in("0\r\n\r\n1\r\n% comment\n1\n");
+  EXPECT_EQ(read_partition(in), (std::vector<PartId>{0, 1, 1}));
 }
 
 TEST(FileIo, HmetisFileRoundTrip) {
