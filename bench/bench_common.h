@@ -28,7 +28,10 @@
 // improvements of algorithm innovations".
 #pragma once
 
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -182,16 +185,19 @@ inline std::string json_escape(const std::string& s) {
 /// Append one JSON-lines object per table to `path`: title, thread count,
 /// process wall/CPU seconds at emission time, and every row keyed by its
 /// column header.  One line per emit keeps the file trivially appendable
-/// and diffable across PRs.
+/// and diffable across PRs.  A file that cannot be opened, written or
+/// closed makes the --json value unusable: std::invalid_argument, which
+/// cli_main turns into exit status 1.
 inline void emit_json(const TextTable& table, const BenchOptions& opt,
                       const std::string& title) {
   if (opt.json.empty()) return;
+  const auto fail = [&](const char* what) {
+    throw std::invalid_argument(std::string("cannot ") + what +
+                                " --json file " + opt.json + ": " +
+                                std::strerror(errno));
+  };
   std::FILE* f = std::fopen(opt.json.c_str(), "a");
-  if (!f) {
-    std::fprintf(stderr, "bench: cannot open --json file %s\n",
-                 opt.json.c_str());
-    return;
-  }
+  if (!f) fail("open");
   const auto [wall, cpu] = bench_elapsed();
   std::fprintf(f,
                "{\"title\":\"%s\",\"threads\":%zu,\"seed\":%llu,"
@@ -212,7 +218,8 @@ inline void emit_json(const TextTable& table, const BenchOptions& opt,
     std::fprintf(f, "}");
   }
   std::fprintf(f, "]}\n");
-  std::fclose(f);
+  const bool write_failed = std::ferror(f) != 0;
+  if (std::fclose(f) != 0 || write_failed) fail("write");
 }
 
 /// The one table emitter: text/CSV to stdout plus the optional --json

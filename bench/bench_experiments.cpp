@@ -1,54 +1,84 @@
 // One binary for every experiment that run_engine can express: the
-// paper's Tables 1, 2, 4 and 5, the Sec. 3.2 BSF and Pareto reports, the
-// suite summary, the engine tier and three ablations.
+// paper's Tables 1-5, the Sec. 3.2 BSF and Pareto reports, the suite
+// summary, the engine tier, the fixed-terminal and noise studies and four
+// ablations.
 //
 //   bench_experiments --experiment NAME|all [common flags] [its flags]
 //
 // Each experiment is one value of the registry below: a name, an intro
 // line, its default cases/runs/scale, the flags it reads beyond the
-// bench_common vocabulary, and its tables.  A table is a list of
+// bench_common vocabulary, its tables and, where its instances are not
+// the --cases presets as generated, the builder of its own cases (a
+// label, a graph and fixed vertices each).  A table is a list of
 // labelled rows times cases; a row is one EngineSpec, or one per repeat
-// (Tables 4/5) whose numbers the row's cells average.  Every cell is one
-// run_engine call per spec, so every answer is audited by
-// check_solution.  The bsf and pareto entries hand their rows to
-// compare_engines instead and render its report per case.
+// (Tables 4/5) whose numbers the row's cells average, and may adapt its
+// spec to each case's graph.  Every cell is one run_engine call per
+// spec, so every answer is audited by check_solution.  The bsf, pareto
+// and noise entries hand their rows and every case to a report instead.
 //
 // A flag the selected experiment does not read is a usage error; `all`
 // runs every entry at its defaults and accepts only the common
 // vocabulary.  A run_engine error prints the cell as n/a, names the row
 // and the reason on stderr, and makes the binary exit 1.
 //
-// The "Reported ..." rows of Table 2 model a weak independent
+// The "Reported ..." rows of Tables 2 and 3 model a weak independent
 // implementation as the same engine with the worst implicit decisions
 // (bench_common.h).
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 
 #include "bench/bench_common.h"
 #include "src/eval/report.h"
+#include "src/eval/significance.h"
 
 using namespace vlsipart;
 using namespace vlsipart::bench;
 
 namespace {
 
-enum class Cell : std::uint8_t { kBest, kMinAvg, kAvg, kCpu, kSkip };
+enum class Cell : std::uint8_t {
+  kBest,
+  kMin,
+  kMinAvg,
+  kAvg,
+  kStddev,
+  kCpu,
+  kSkip,
+  kCorked,
+  kStalled
+};
 
 const char* cell_name(Cell cell) {
   switch (cell) {
     case Cell::kBest: return "best";
+    case Cell::kMin: return "min";
     case Cell::kMinAvg: return "min/avg";
     case Cell::kAvg: return "avg";
+    case Cell::kStddev: return "stddev";
     case Cell::kCpu: return "CPU s";
     case Cell::kSkip: return "Skip%";
+    case Cell::kCorked: return "corked";
+    case Cell::kStalled: return "stalled passes";
   }
   return "?";
 }
+
+/// One instance of an experiment: a generated preset by default, or what
+/// the experiment's own builder makes (unit-area copies, twins, fixed
+/// terminals).
+struct Case {
+  std::string label;
+  Hypergraph graph;
+  std::vector<PartId> fixed = {};
+};
 
 struct Row {
   std::string label;
   /// One run, or one per repeat; the row's cells average over them.
   std::vector<EngineSpec> specs;
+  /// Set when a spec depends on the case: adapts it to the case's graph.
+  std::function<void(EngineSpec&, const Hypergraph&)> for_case = {};
 };
 
 struct Table {
@@ -59,9 +89,12 @@ struct Table {
   bool cases_down = false;  ///< print cases as rows, rows as columns
   /// Also emit each row's geometric-mean avg-cut ratio to the first row.
   bool gmean = false;
+  /// More views of the same runs, one line per (row, case): a title and
+  /// its cells each.
+  std::vector<std::pair<std::string, std::vector<Cell>>> listings = {};
 };
 
-using Report = void (*)(const Hypergraph&, const std::string& case_name,
+using Report = void (*)(const std::vector<Case>&,
                         const std::vector<LabeledSpec>&, const BenchOptions&);
 
 struct Experiment {
@@ -72,9 +105,12 @@ struct Experiment {
   double scale;
   std::vector<std::string> flags;  ///< read beyond the common vocabulary
   std::vector<Table> (*tables)(const BenchOptions&, const CliArgs&);
-  /// Set for the Sec. 3.2 reports: compare_engines over the first
-  /// table's rows, rendered per case.
+  /// Set for the reports: they get the first table's rows and every case.
   Report report = nullptr;
+  /// Set when the experiment builds its own cases; else one generated
+  /// instance per --cases preset.
+  std::vector<Case> (*build_cases)(const BenchOptions&,
+                                   const CliArgs&) = nullptr;
 };
 
 std::string over_starts(const BenchOptions& opt) {
@@ -263,22 +299,36 @@ std::vector<Table> bsf(const BenchOptions& opt, const CliArgs&) {
           {"ML-CLIP-FM", {multistart_spec(opt, "ml", our_clip(), 0.02)}}}}};
 }
 
-void bsf_report(const Hypergraph& h, const std::string& case_name,
+/// compare_engines on one case; its error names the case too.
+ComparisonReport compare_on(const Case& c,
+                            const std::vector<LabeledSpec>& engines,
+                            const ComparisonConfig& config) {
+  try {
+    return compare_engines(c.graph, engines, config);
+  } catch (const std::runtime_error& error) {
+    throw std::runtime_error(std::string(error.what()) + " on " + c.label);
+  }
+}
+
+void bsf_report(const std::vector<Case>& cases,
                 const std::vector<LabeledSpec>& engines,
                 const BenchOptions& opt) {
   ComparisonConfig config;
   config.budgets = {1, 2, 4, 8, 16, 30, 50, 100};
-  const ComparisonReport report = compare_engines(h, engines, config);
-  std::printf("=== BSF curves, %s (2%% balance, %zu sampled starts)\n\n",
-              case_name.c_str(), opt.runs);
-  TextTable table({"tau (cpu s)", "starts", "engine", "E[best cut]"});
-  for (const EngineReport& e : report.engines) {
-    for (const BsfPoint& pt : e.bsf) {
-      table.add_row({fmt_fixed(pt.cpu_seconds, 3), std::to_string(pt.starts),
-                     e.name, fmt_fixed(pt.expected_cost, 1)});
+  for (const Case& c : cases) {
+    const ComparisonReport report = compare_on(c, engines, config);
+    std::printf("=== BSF curves, %s (2%% balance, %zu sampled starts)\n\n",
+                c.label.c_str(), opt.runs);
+    TextTable table({"tau (cpu s)", "starts", "engine", "E[best cut]"});
+    for (const EngineReport& e : report.engines) {
+      for (const BsfPoint& pt : e.bsf) {
+        table.add_row({fmt_fixed(pt.cpu_seconds, 3),
+                       std::to_string(pt.starts), e.name,
+                       fmt_fixed(pt.expected_cost, 1)});
+      }
     }
+    emit(table, opt, "BSF data (plot tau vs E[best cut] per engine)");
   }
-  emit(table, opt, "BSF data (plot tau vs E[best cut] per engine)");
 }
 
 std::vector<Table> pareto(const BenchOptions& opt, const CliArgs&) {
@@ -294,52 +344,264 @@ std::vector<Table> pareto(const BenchOptions& opt, const CliArgs&) {
           {"evo", {multistart_spec(opt, "evo", our_lifo(), 0.02)}}}}};
 }
 
-void pareto_report(const Hypergraph& h, const std::string& case_name,
+void pareto_report(const std::vector<Case>& cases,
                    const std::vector<LabeledSpec>& engines,
                    const BenchOptions& opt) {
   const ComparisonConfig config;  // budgets 1..16 starts, baseline row 0
-  const ComparisonReport report = compare_engines(h, engines, config);
-  std::printf("=== Performance points, %s (2%% balance)\n\n",
-              case_name.c_str());
+  for (const Case& c : cases) {
+    const ComparisonReport report = compare_on(c, engines, config);
+    std::printf("=== Performance points, %s (2%% balance)\n\n",
+                c.label.c_str());
 
-  TextTable summary({"engine", "min cut", "avg cut", "stddev", "avg cpu (s)"});
-  for (const EngineReport& e : report.engines) {
-    summary.add_row({e.name, std::to_string(e.multistart.min_cut()),
-                     fmt_fixed(e.multistart.avg_cut(), 1),
-                     fmt_fixed(e.multistart.cut_sample().stddev(), 1),
-                     fmt_fixed(e.multistart.avg_cpu_seconds(), 4)});
-  }
-  emit(summary, opt, "Multistart summary");
-
-  const auto points = [](const char* head,
-                         const std::vector<PerfPoint>& pts) {
-    TextTable table({head, "cpu (s)", "E[best cut]"});
-    for (const PerfPoint& p : pts) {
-      table.add_row(
-          {p.label, fmt_fixed(p.cpu_seconds, 3), fmt_fixed(p.cost, 1)});
+    TextTable summary(
+        {"engine", "min cut", "avg cut", "stddev", "avg cpu (s)"});
+    for (const EngineReport& e : report.engines) {
+      summary.add_row({e.name, std::to_string(e.multistart.min_cut()),
+                       fmt_fixed(e.multistart.avg_cut(), 1),
+                       fmt_fixed(e.multistart.cut_sample().stddev(), 1),
+                       fmt_fixed(e.multistart.avg_cpu_seconds(), 4)});
     }
-    return table;
+    emit(summary, opt, "Multistart summary");
+
+    const auto points = [](const char* head,
+                           const std::vector<PerfPoint>& pts) {
+      TextTable table({head, "cpu (s)", "E[best cut]"});
+      for (const PerfPoint& p : pts) {
+        table.add_row(
+            {p.label, fmt_fixed(p.cpu_seconds, 3), fmt_fixed(p.cost, 1)});
+      }
+      return table;
+    };
+    emit(points("point", report.points), opt, "All (cost, runtime) points");
+    emit(points("frontier point", report.frontier), opt,
+         "Non-dominated (Pareto) frontier");
+
+    TextTable rank({"budget (cpu s)", "winner", "E[best cut]"});
+    for (const RankingEntry& e : report.ranking) {
+      rank.add_row({fmt_fixed(e.budget_cpu_seconds, 3),
+                    e.winner.empty() ? "-" : e.winner,
+                    e.winner.empty() ? "-" : fmt_fixed(e.winner_cost, 1)});
+    }
+    emit(rank, opt, "Speed-dependent ranking diagram");
+
+    TextTable significance({"engine", "versus baseline"});
+    for (const EngineReport& e : report.engines) {
+      if (!e.versus_baseline.empty()) {
+        significance.add_row({e.name, e.versus_baseline});
+      }
+    }
+    emit(significance, opt,
+         "Significance vs " + report.engines[config.baseline].name);
+  }
+}
+
+/// Table 3 (Sec. 2.3): CLIP as published vs CLIP with the corking fix,
+/// on actual areas and on unit-area copies of the same topology (the
+/// MCNC-style setting where corking stays hidden).
+std::vector<Table> table3(const BenchOptions& opt, const CliArgs&) {
+  Table table{.title = "CLIP FM comparison" + over_starts(opt),
+              .label_header = "Tolerance/Algorithm",
+              .cells = {Cell::kMinAvg},
+              .listings = {{"Corking incidence (starts with a zero-move "
+                            "pass) and stalled passes",
+                            {Cell::kCorked, Cell::kStalled, Cell::kAvg}}}};
+  for (const double tol : {0.02, 0.10}) {
+    const std::string pct = fmt_fixed(tol * 100.0, 0) + "% ";
+    table.rows.push_back(
+        {pct + "Reported CLIP",
+         {multistart_spec(opt, "flat", reported_clip(), tol)}});
+    table.rows.push_back(
+        {pct + "Our CLIP", {multistart_spec(opt, "flat", our_clip(), tol)}});
+  }
+  return {table};
+}
+
+Hypergraph unit_area_copy(const Hypergraph& h) {
+  HypergraphBuilder b(h.num_vertices());
+  std::vector<VertexId> pins;
+  for (std::size_t e = 0; e < h.num_edges(); ++e) {
+    const auto span = h.pins(static_cast<EdgeId>(e));
+    pins.assign(span.begin(), span.end());
+    b.add_edge(pins, h.edge_weight(static_cast<EdgeId>(e)));
+  }
+  return b.finalize(h.name() + ".unit");
+}
+
+/// The presets on actual areas, then their unit-area copies.
+std::vector<Case> table3_cases(const BenchOptions& opt, const CliArgs&) {
+  std::vector<Case> cases;
+  for (const auto& name : opt.cases) {
+    cases.push_back({name, make_instance(name, opt.scale)});
+  }
+  for (std::size_t c = 0, n = cases.size(); c < n; ++c) {
+    cases.push_back({cases[c].label + " unit", unit_area_copy(cases[c].graph)});
+  }
+  return cases;
+}
+
+/// Fixed terminals (Sec. 2.1, [9]): "the presence of fixed terminals
+/// fundamentally changes the nature of the partitioning problem".
+std::vector<Table> fixed_study(const BenchOptions& opt, const CliArgs&) {
+  return {Table{.title = "Effect of fixed vertices on solution quality and "
+                         "variance" + over_starts(opt),
+                .label_header = "Case fixed%",
+                .rows = {{"flat LIFO",
+                          {multistart_spec(opt, "flat", our_lifo(), 0.02)}}},
+                .cells = {Cell::kMin, Cell::kAvg, Cell::kStddev, Cell::kCpu},
+                .cases_down = true}};
+}
+
+/// Each preset with a fraction of its vertices fixed at the side an ml
+/// reference solution gives them.
+std::vector<Case> fixed_cases(const BenchOptions& opt, const CliArgs&) {
+  std::vector<Case> cases;
+  for (const auto& name : opt.cases) {
+    const Hypergraph h = make_instance(name, opt.scale);
+    EngineSpec reference = multistart_spec(opt, "ml", our_lifo(), 0.02);
+    reference.starts = 4;
+    reference.seed = opt.seed ^ 0xF15EDULL;
+    const EngineResult ref = run_engine(reference, h);
+    if (!ref.error.empty()) {
+      throw std::runtime_error("ml reference on " + name + ": " + ref.error);
+    }
+    for (const double fraction : {0.0, 0.05, 0.15, 0.30, 0.50}) {
+      std::vector<PartId> fixed(h.num_vertices(), kNoPart);
+      Rng pick(opt.seed + 99);
+      const auto target = static_cast<std::size_t>(
+          fraction * static_cast<double>(h.num_vertices()));
+      for (std::size_t count = 0; count < target;) {
+        const auto v = static_cast<VertexId>(pick.below(h.num_vertices()));
+        if (fixed[v] == kNoPart) {
+          fixed[v] = ref.parts[v];
+          ++count;
+        }
+      }
+      cases.push_back({name + " " + fmt_fixed(fraction * 100.0, 0), h,
+                       std::move(fixed)});
+    }
+  }
+  return cases;
+}
+
+/// Randomization noise (Brglez [7], Sec. 3.2): the first row's spread
+/// within an instance and across statistically identical twins, and the
+/// first row against the second pooled over every twin.
+std::vector<Table> noise(const BenchOptions& opt, const CliArgs&) {
+  return {Table{
+      .rows = {{"CLIP+fix", {multistart_spec(opt, "flat", our_clip(), 0.02)}},
+               {"CLIP as published",
+                {multistart_spec(opt, "flat", reported_clip(), 0.02)}}}}};
+}
+
+/// --instances twins per preset: the generator re-seeded, labelled by
+/// the seed.
+std::vector<Case> noise_cases(const BenchOptions& opt, const CliArgs& args) {
+  const auto instances = static_cast<std::size_t>(args.get_int("instances", 5));
+  std::vector<Case> cases;
+  for (const auto& name : opt.cases) {
+    for (std::size_t i = 0; i < instances; ++i) {
+      GenConfig config = preset(name).scaled(opt.scale);
+      config.seed = config.seed * 131 + i;
+      cases.push_back({std::to_string(config.seed), generate_netlist(config)});
+    }
+  }
+  return cases;
+}
+
+void noise_report(const std::vector<Case>& cases,
+                  const std::vector<LabeledSpec>& engines,
+                  const BenchOptions& opt) {
+  const std::size_t twins = cases.size() / opt.cases.size();
+  for (std::size_t p = 0; p < opt.cases.size(); ++p) {
+    std::vector<std::string> header = {"instance seed"};
+    for (const auto& [label, spec] : engines) {
+      header.push_back(label + " avg");
+      header.push_back(label + " stddev");
+    }
+    TextTable table(std::move(header));
+    std::vector<Sample> pooled(engines.size());
+    Sample instance_means;
+    RunningStats within;
+    for (std::size_t t = 0; t < twins; ++t) {
+      const Case& c = cases[p * twins + t];
+      std::vector<std::string> line = {c.label};
+      for (std::size_t e = 0; e < engines.size(); ++e) {
+        const EngineResult r = run_engine(engines[e].second, c.graph);
+        if (!r.error.empty()) {
+          throw std::runtime_error(engines[e].first + " on " + c.label +
+                                   ": " + r.error);
+        }
+        const Sample cuts = r.multistart.cut_sample();
+        for (const double cut : cuts.values()) pooled[e].add(cut);
+        if (e == 0) {
+          instance_means.add(cuts.mean());
+          within.add(cuts.stddev());
+        }
+        line.push_back(fmt_fixed(cuts.mean(), 1));
+        line.push_back(fmt_fixed(cuts.stddev(), 1));
+      }
+      table.add_row(std::move(line));
+    }
+    std::printf("=== Noise decomposition on %s twins (2%% balance, %zu starts "
+                "x %zu instances)\n\n",
+                opt.cases[p].c_str(), opt.runs, twins);
+    emit(table, opt, "Per-instance multistart statistics");
+
+    TextTable components({"component", "value"});
+    components.add_row({"between-instance stddev of avg cut",
+                        fmt_fixed(instance_means.stddev(), 1)});
+    components.add_row({"mean within-instance stddev",
+                        fmt_fixed(within.mean(), 1)});
+    emit(components, opt, "Variance components");
+
+    std::printf("Effect check (pooled over all twins):\n  %s\n\n",
+                describe_comparison(engines[0].first, pooled[0],
+                                    engines[1].first, pooled[1])
+                    .c_str());
+  }
+}
+
+/// Clustering (Sec. 4: "the effects of clustering in multilevel FM" are
+/// a named gap): the coarsening knobs of the ml engine, one sweep each.
+std::vector<Table> clustering(const BenchOptions& opt, const CliArgs&) {
+  const auto sweep = [&](const std::string& title) {
+    return Table{.title = title + over_starts(opt),
+                 .label_header = "Setting",
+                 .cells = {Cell::kAvg, Cell::kCpu}};
   };
-  emit(points("point", report.points), opt, "All (cost, runtime) points");
-  emit(points("frontier point", report.frontier), opt,
-       "Non-dominated (Pareto) frontier");
-
-  TextTable rank({"budget (cpu s)", "winner", "E[best cut]"});
-  for (const RankingEntry& e : report.ranking) {
-    rank.add_row({fmt_fixed(e.budget_cpu_seconds, 3),
-                  e.winner.empty() ? "-" : e.winner,
-                  e.winner.empty() ? "-" : fmt_fixed(e.winner_cost, 1)});
+  const EngineSpec base = multistart_spec(opt, "ml", our_lifo(), 0.02);
+  std::vector<Table> tables = {sweep("Coarsest-level target size"),
+                               sweep("Maximum cluster weight"),
+                               sweep("Heavy-edge rating net-size cap"),
+                               sweep("Clustering scheme")};
+  for (const std::size_t target : {40, 120, 400, 1200}) {
+    EngineSpec spec = base;
+    spec.ml.coarsen.coarsen_to = target;
+    tables[0].rows.push_back({"coarsen_to=" + std::to_string(target), {spec}});
   }
-  emit(rank, opt, "Speed-dependent ranking diagram");
-
-  TextTable significance({"engine", "versus baseline"});
-  for (const EngineReport& e : report.engines) {
-    if (!e.versus_baseline.empty()) {
-      significance.add_row({e.name, e.versus_baseline});
-    }
+  // The cap is instance-relative: total weight / divisor, at least the
+  // heaviest vertex.
+  for (const Weight divisor : {400, 120, 30, 8}) {
+    tables[1].rows.push_back(
+        {"cap=total/" + std::to_string(divisor),
+         {base},
+         [divisor](EngineSpec& spec, const Hypergraph& h) {
+           spec.ml.coarsen.max_cluster_weight = std::max<Weight>(
+               h.max_vertex_weight(), h.total_vertex_weight() / divisor);
+         }});
   }
-  emit(significance, opt,
-       "Significance vs " + report.engines[config.baseline].name);
+  for (const std::size_t cap : {8, 64, 512}) {
+    EngineSpec spec = base;
+    spec.ml.coarsen.max_rated_net_size = cap;
+    tables[2].rows.push_back({"rate nets <= " + std::to_string(cap), {spec}});
+  }
+  EngineSpec first_choice = base;
+  first_choice.ml.coarsen.scheme = CoarsenScheme::kFirstChoice;
+  EngineSpec matching = base;
+  matching.ml.coarsen.scheme = CoarsenScheme::kHeavyEdgeMatching;
+  tables[3].rows = {{"first-choice clustering", {first_choice}},
+                    {"heavy-edge matching (pairs)", {matching}}};
+  return tables;
 }
 
 const std::vector<Experiment>& experiments() {
@@ -361,6 +623,10 @@ const std::vector<Experiment>& experiments() {
         {"table2",
          "Table 2: LIFO FM, weak-implementation model vs ours; min/avg",
          first3, 20, 0.5, {"threads"}, table2},
+        {"table3",
+         "Table 3: CLIP FM as published vs with the corking fix (Sec. 2.3); "
+         "min/avg, corking incidence on actual and unit areas",
+         first3, 20, 0.5, {"threads"}, table3, nullptr, table3_cases},
         {"table4",
          "Table 4: hMetis-1.5-like ML, 2% balance, configurations of n "
          "starts with V-cycles on the best",
@@ -380,6 +646,10 @@ const std::vector<Experiment>& experiments() {
          "V-cycling ablation (Sec. 3.2): ML LIFO FM, 2% balance, best cut "
          "and total CPU",
          first3, 8, 0.5, {}, vcycle},
+        {"clustering",
+         "Clustering ablation (Sec. 4 open question): ML LIFO FM, 2% "
+         "balance, avg cut and total CPU",
+         first3, 10, 0.5, {"threads"}, clustering},
         {"suite",
          "Suite summary: avg cut, 2% balance, every ibm preset", all_ibm, 3,
          0.1, {}, suite},
@@ -394,72 +664,97 @@ const std::vector<Experiment>& experiments() {
          "Non-dominated frontier, ranking diagram and significance "
          "(Sec. 3.2)",
          "ibm01", 20, 0.35, {"threads"}, pareto, pareto_report},
+        {"fixed",
+         "Fixed-terminal study [9]: flat LIFO FM, 2% balance, a fraction "
+         "of the vertices fixed at the sides of an ml reference solution",
+         first3, 20, 0.5, {"threads"}, fixed_study, nullptr, fixed_cases},
+        {"noise",
+         "Randomization-noise decomposition (Brglez [7], Sec. 3.2): CLIP "
+         "with and without the corking fix on re-seeded generator twins",
+         "ibm01", 20, 0.5, {"threads", "instances"}, noise, noise_report,
+         noise_cases},
     };
   }();
   return registry;
 }
 
+/// The numbers of one (row, case) cell, summed over the row's specs.
+struct Numbers {
+  double best = 0, min = 0, avg = 0, stddev = 0, cpu = 0, skip = 0;
+  std::size_t corked = 0, starts = 0, stalled = 0;
+  std::size_t runs = 0;
+  std::string error;
+};
+
+std::string cell_text(const Numbers& sum, Cell cell) {
+  const auto n = static_cast<double>(sum.runs);
+  const int decimals = sum.runs > 1 ? 1 : 0;
+  switch (cell) {
+    case Cell::kBest: return fmt_fixed(sum.best / n, decimals);
+    case Cell::kMin: return fmt_fixed(sum.min / n, decimals);
+    case Cell::kMinAvg: return fmt_min_avg(sum.min / n, sum.avg / n);
+    case Cell::kAvg: return fmt_fixed(sum.avg / n, 1);
+    case Cell::kStddev: return fmt_fixed(sum.stddev / n, 1);
+    case Cell::kCpu: return fmt_fixed(sum.cpu / n, 3);
+    case Cell::kSkip: return fmt_fixed(sum.skip / n, 1);
+    case Cell::kCorked:
+      return std::to_string(sum.corked) + "/" + std::to_string(sum.starts);
+    case Cell::kStalled:
+      return fmt_fixed(static_cast<double>(sum.stalled) / n, decimals);
+  }
+  return "?";
+}
+
+Numbers run_cell(const Row& row, const Case& c) {
+  Numbers sum;
+  for (EngineSpec spec : row.specs) {
+    if (row.for_case) row.for_case(spec, c.graph);
+    const EngineResult result = run_engine(spec, c.graph, c.fixed);
+    if (!result.error.empty()) {
+      sum.error = result.error;
+      return sum;
+    }
+    const MultistartResult& m = result.multistart;
+    sum.best += static_cast<double>(m.best_cut);
+    sum.min += static_cast<double>(m.min_cut());
+    sum.avg += m.avg_cut();
+    sum.stddev += m.cut_sample().stddev();
+    sum.cpu += m.total_cpu_seconds;
+    sum.skip += 100.0 * m.update_work.skip_rate();
+    sum.stalled += m.update_work.stalled_passes;
+    for (const StartRecord& start : m.starts) {
+      if (start.work.zero_move_passes > 0) ++sum.corked;
+    }
+    sum.starts += m.starts.size();
+    ++sum.runs;
+  }
+  return sum;
+}
+
 /// Run one grid table: every (row, case) cell through run_engine.
 bool run_table(const std::string& experiment, const Table& table,
-               const std::vector<Hypergraph>& graphs, const BenchOptions& opt) {
-  struct Numbers {
-    double best = 0, min = 0, avg = 0, cpu = 0, skip = 0;
-  };
+               const std::vector<Case>& cases, const BenchOptions& opt) {
   bool ok = true;
-  std::vector<std::vector<std::string>> text(table.rows.size());
-  std::vector<std::vector<double>> avg(table.rows.size());
+  std::vector<std::vector<Numbers>> grid(table.rows.size());
   for (std::size_t r = 0; r < table.rows.size(); ++r) {
-    const Row& row = table.rows[r];
-    for (std::size_t c = 0; c < graphs.size(); ++c) {
-      Numbers sum;
-      std::string error;
-      for (const EngineSpec& spec : row.specs) {
-        const EngineResult result = run_engine(spec, graphs[c]);
-        if (!result.error.empty()) {
-          error = result.error;
-          break;
-        }
-        const MultistartResult& m = result.multistart;
-        sum.best += static_cast<double>(m.best_cut);
-        sum.min += static_cast<double>(m.min_cut());
-        sum.avg += m.avg_cut();
-        sum.cpu += m.total_cpu_seconds;
-        sum.skip += 100.0 * m.update_work.skip_rate();
-      }
-      if (!error.empty()) {
+    for (const Case& c : cases) {
+      grid[r].push_back(run_cell(table.rows[r], c));
+      if (!grid[r].back().error.empty()) {
         std::fprintf(stderr,
                      "bench_experiments --experiment %s: %s, %s on %s: %s\n",
                      experiment.c_str(), table.title.c_str(),
-                     row.label.c_str(), opt.cases[c].c_str(), error.c_str());
+                     table.rows[r].label.c_str(), c.label.c_str(),
+                     grid[r].back().error.c_str());
         ok = false;
-        text[r].insert(text[r].end(), table.cells.size(), "n/a");
-        avg[r].push_back(0.0);
-        continue;
-      }
-      const auto n = static_cast<double>(row.specs.size());
-      const int decimals = row.specs.size() > 1 ? 1 : 0;
-      avg[r].push_back(sum.avg / n);
-      for (const Cell cell : table.cells) {
-        switch (cell) {
-          case Cell::kBest:
-            text[r].push_back(fmt_fixed(sum.best / n, decimals));
-            break;
-          case Cell::kMinAvg:
-            text[r].push_back(fmt_min_avg(sum.min / n, sum.avg / n));
-            break;
-          case Cell::kAvg:
-            text[r].push_back(fmt_fixed(sum.avg / n, 1));
-            break;
-          case Cell::kCpu:
-            text[r].push_back(fmt_fixed(sum.cpu / n, 3));
-            break;
-          case Cell::kSkip:
-            text[r].push_back(fmt_fixed(sum.skip / n, 1));
-            break;
-        }
       }
     }
   }
+  const auto texts = [&](const Numbers& sum, const std::vector<Cell>& cells,
+                         std::vector<std::string>& line) {
+    for (const Cell cell : cells) {
+      line.push_back(sum.error.empty() ? cell_text(sum, cell) : "n/a");
+    }
+  };
 
   const std::size_t width = table.cells.size();
   const auto heads = [&](std::vector<std::string>& header,
@@ -472,32 +767,46 @@ bool run_table(const std::string& experiment, const Table& table,
   std::vector<std::vector<std::string>> lines;
   if (table.cases_down) {
     for (const Row& row : table.rows) heads(header, row.label);
-    for (std::size_t c = 0; c < graphs.size(); ++c) {
-      lines.push_back({opt.cases[c]});
-      for (const auto& cells : text) {
-        lines.back().insert(lines.back().end(), cells.begin() + c * width,
-                            cells.begin() + (c + 1) * width);
-      }
+    for (std::size_t c = 0; c < cases.size(); ++c) {
+      lines.push_back({cases[c].label});
+      for (const auto& cells : grid) texts(cells[c], table.cells, lines.back());
     }
   } else {
-    for (const auto& name : opt.cases) heads(header, name);
+    for (const Case& c : cases) heads(header, c.label);
     for (std::size_t r = 0; r < table.rows.size(); ++r) {
       lines.push_back({table.rows[r].label});
-      lines.back().insert(lines.back().end(), text[r].begin(), text[r].end());
+      for (const Numbers& sum : grid[r]) texts(sum, table.cells, lines.back());
     }
   }
   TextTable out(std::move(header));
   for (auto& line : lines) out.add_row(std::move(line));
   emit(out, opt, table.title);
 
+  for (const auto& [title, cells] : table.listings) {
+    std::vector<std::string> listing_header = {table.label_header, "case"};
+    for (const Cell cell : cells) listing_header.emplace_back(cell_name(cell));
+    TextTable listing(std::move(listing_header));
+    for (std::size_t r = 0; r < table.rows.size(); ++r) {
+      for (std::size_t c = 0; c < cases.size(); ++c) {
+        std::vector<std::string> line = {table.rows[r].label, cases[c].label};
+        texts(grid[r][c], cells, line);
+        listing.add_row(std::move(line));
+      }
+    }
+    emit(listing, opt, title);
+  }
+
   if (table.gmean) {
     TextTable gmeans(
         {"engine", "gmean cut ratio vs " + table.rows.front().label});
+    const auto avg = [](const Numbers& sum) {
+      return sum.error.empty() ? sum.avg / static_cast<double>(sum.runs) : 0.0;
+    };
     for (std::size_t r = 0; r < table.rows.size(); ++r) {
       Sample ratios;
-      for (std::size_t c = 0; c < graphs.size(); ++c) {
-        if (avg[0][c] > 0.0 && avg[r][c] > 0.0) {
-          ratios.add(avg[r][c] / avg[0][c]);
+      for (std::size_t c = 0; c < cases.size(); ++c) {
+        if (avg(grid[0][c]) > 0.0 && avg(grid[r][c]) > 0.0) {
+          ratios.add(avg(grid[r][c]) / avg(grid[0][c]));
         }
       }
       gmeans.add_row(
@@ -508,34 +817,38 @@ bool run_table(const std::string& experiment, const Table& table,
   return ok;
 }
 
+std::vector<Case> preset_cases(const BenchOptions& opt, const CliArgs&) {
+  std::vector<Case> cases;
+  for (const auto& name : opt.cases) {
+    cases.push_back({name, make_instance(name, opt.scale)});
+  }
+  return cases;
+}
+
 bool run_experiment(const Experiment& e, const BenchOptions& opt,
                     const CliArgs& args) {
   std::printf("##### %s — %s; scale %.2f, seed %llu\n\n", e.name.c_str(),
               e.intro.c_str(), opt.scale,
               static_cast<unsigned long long>(opt.seed));
-  std::vector<Hypergraph> graphs;
-  for (const auto& name : opt.cases) {
-    graphs.push_back(make_instance(name, opt.scale));
-  }
   bool ok = true;
-  for (const Table& table : e.tables(opt, args)) {
-    if (e.report == nullptr) {
-      ok = run_table(e.name, table, graphs, opt) && ok;
-      continue;
-    }
-    std::vector<LabeledSpec> engines;
-    for (const Row& row : table.rows) {
-      engines.emplace_back(row.label, row.specs.front());
-    }
-    for (std::size_t c = 0; c < graphs.size(); ++c) {
-      try {
-        e.report(graphs[c], opt.cases[c], engines, opt);
-      } catch (const std::runtime_error& error) {
-        std::fprintf(stderr, "bench_experiments --experiment %s on %s: %s\n",
-                     e.name.c_str(), opt.cases[c].c_str(), error.what());
-        ok = false;
+  try {
+    const std::vector<Case> cases =
+        (e.build_cases != nullptr ? e.build_cases : preset_cases)(opt, args);
+    for (const Table& table : e.tables(opt, args)) {
+      if (e.report == nullptr) {
+        ok = run_table(e.name, table, cases, opt) && ok;
+        continue;
       }
+      std::vector<LabeledSpec> engines;
+      for (const Row& row : table.rows) {
+        engines.emplace_back(row.label, row.specs.front());
+      }
+      e.report(cases, engines, opt);
     }
+  } catch (const std::runtime_error& error) {
+    std::fprintf(stderr, "bench_experiments --experiment %s: %s\n",
+                 e.name.c_str(), error.what());
+    ok = false;
   }
   return ok;
 }

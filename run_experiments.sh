@@ -6,7 +6,9 @@ set -e
 cmake -B build -G Ninja
 cmake --build build
 ctest --test-dir build 2>&1 | tee test_output.txt
-# Every registry experiment once, then the binaries it cannot express yet.
+# Every registry experiment once, then the three binaries it cannot
+# express yet (bench_kway, bench_initial, bench_pruning) and the
+# microbenchmark and daemon benches.
 build/bench/bench_experiments --experiment all 2>&1 | tee bench_output.txt
 (for b in build/bench/bench_*; do
   [ "$b" = build/bench/bench_experiments ] && continue

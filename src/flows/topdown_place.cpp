@@ -4,8 +4,7 @@
 #include <cmath>
 #include <unordered_map>
 
-#include "src/part/core/multistart.h"
-#include "src/part/core/partitioner.h"
+#include "src/part/engine.h"
 #include "src/util/logging.h"
 #include "src/util/timer.h"
 
@@ -134,20 +133,23 @@ class TopdownPlacer {
     }
     Hypergraph sub = builder.finalize();
 
-    PartitionProblem problem;
-    problem.graph = &sub;
-    problem.balance = BalanceConstraint::from_tolerance(
-        sub.total_vertex_weight(), config_.tolerance);
-    problem.fixed = std::move(fixed);
-
-    FlatFmPartitioner partitioner(config_.fm);
-    MultistartResult result = run_multistart(
-        problem, partitioner, config_.starts_per_region, region.seed);
+    EngineSpec spec;
+    spec.engine = "flat";
+    spec.tolerance = config_.tolerance;
+    spec.starts = config_.starts_per_region;
+    spec.seed = region.seed;
+    spec.fm = config_.fm;
+    EngineResult result = run_engine(spec, sub, fixed);
     ++report_.regions_partitioned;
 
-    std::vector<PartId> parts = result.best_parts;
+    std::vector<PartId> parts = std::move(result.parts);
     if (parts.empty()) {
       // All starts infeasible (tiny skewed regions): fall back to LPT.
+      PartitionProblem problem;
+      problem.graph = &sub;
+      problem.balance = BalanceConstraint::from_tolerance(
+          sub.total_vertex_weight(), config_.tolerance);
+      problem.fixed = std::move(fixed);
       parts = lpt_initial(problem);
     }
 

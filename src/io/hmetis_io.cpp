@@ -70,6 +70,12 @@ Hypergraph read_hmetis(std::istream& in, std::string name) {
       builder.set_vertex_weight(static_cast<VertexId>(v), w);
     }
   }
+  if (scan.next_content_line()) {
+    scan.fail(std::string("unexpected line after the ") +
+              (vertex_weights ? "last vertex weight" : "last net") +
+              ": the header announces " + std::to_string(num_edges) +
+              " nets");
+  }
   return builder.finalize(std::move(name));
 }
 
@@ -141,6 +147,7 @@ void write_hmetis_file(const Hypergraph& h, const std::string& path) {
   std::ofstream out(path);
   if (!out) throw std::runtime_error("hmetis: cannot write " + path);
   write_hmetis(h, out);
+  close_written(out, "hmetis", path);
 }
 
 }  // namespace vlsipart

@@ -119,6 +119,10 @@ Ispd98Instance read_ispd98(std::istream& net_in, std::istream& are_in,
     net.fail("pin count mismatch: header says " + std::to_string(num_pins) +
              ", saw " + std::to_string(pins_seen));
   }
+  if (net.next_content_line()) {
+    net.fail("pin line beyond the header's pin count " +
+             std::to_string(num_pins));
+  }
   if (nets_seen != num_nets) {
     // Some distributions count degenerate nets differently; warn, accept.
     VP_WARN("ispd98: header net count " << num_nets << " but parsed "
@@ -209,6 +213,8 @@ void write_ispd98_files(const Ispd98Instance& inst,
     throw std::runtime_error("ispd98: cannot write " + basepath);
   }
   write_ispd98(inst, net_out, are_out);
+  close_written(net_out, "ispd98", basepath + ".netD");
+  close_written(are_out, "ispd98", basepath + ".are");
 }
 
 }  // namespace vlsipart

@@ -39,6 +39,7 @@ void write_partition_file(const std::vector<PartId>& parts,
   std::ofstream out(path);
   if (!out) throw std::runtime_error("partition: cannot write " + path);
   write_partition(parts, out);
+  close_written(out, "partition", path);
 }
 
 }  // namespace vlsipart

@@ -13,6 +13,7 @@
 #include <charconv>
 #include <cstddef>
 #include <cstring>
+#include <fstream>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
@@ -197,5 +198,16 @@ class BlockWriter {
   std::vector<char> block_;
   std::size_t used_ = 0;
 };
+
+/// Closes a written file and throws "<format>: cannot write <path>" when
+/// any write or the close failed, so a full disk is not reported as a
+/// saved file.
+inline void close_written(std::ofstream& out, const char* format,
+                          const std::string& path) {
+  out.close();
+  if (!out) {
+    throw std::runtime_error(std::string(format) + ": cannot write " + path);
+  }
+}
 
 }  // namespace vlsipart

@@ -51,26 +51,35 @@ struct FmPassStats {
 };
 
 /// Cumulative gain-update work counters — the cost model behind the
-/// net-state-aware inner loop.  Aggregated across passes (and, in the
-/// multistart harness, across starts) so benches can report how much
-/// update work a configuration actually performed.
+/// net-state-aware inner loop — plus the corking diagnostics.  Aggregated
+/// across passes (and, in the multistart harness, per start and across
+/// starts) so benches can report how much update work a configuration
+/// actually performed and how many of its starts corked.
 struct UpdateWork {
   std::size_t nets_skipped_noncritical = 0;
   std::size_t nets_walked = 0;
   std::size_t nonzero_delta_updates = 0;
   std::size_t zero_delta_updates = 0;
+  /// Passes that made no move (corked, Sec. 2.3) and passes that ended
+  /// with every remaining head illegal.
+  std::size_t zero_move_passes = 0;
+  std::size_t stalled_passes = 0;
 
   void absorb(const FmPassStats& s) {
     nets_skipped_noncritical += s.nets_skipped_noncritical;
     nets_walked += s.nets_walked;
     nonzero_delta_updates += s.nonzero_delta_updates;
     zero_delta_updates += s.zero_delta_updates;
+    zero_move_passes += s.zero_move_pass ? 1 : 0;
+    stalled_passes += s.stalled ? 1 : 0;
   }
   void absorb(const UpdateWork& o) {
     nets_skipped_noncritical += o.nets_skipped_noncritical;
     nets_walked += o.nets_walked;
     nonzero_delta_updates += o.nonzero_delta_updates;
     zero_delta_updates += o.zero_delta_updates;
+    zero_move_passes += o.zero_move_passes;
+    stalled_passes += o.stalled_passes;
   }
   /// Counters accumulated in `after` since the `before` snapshot.
   static UpdateWork delta(const UpdateWork& after, const UpdateWork& before) {
@@ -82,6 +91,8 @@ struct UpdateWork {
         after.nonzero_delta_updates - before.nonzero_delta_updates;
     d.zero_delta_updates =
         after.zero_delta_updates - before.zero_delta_updates;
+    d.zero_move_passes = after.zero_move_passes - before.zero_move_passes;
+    d.stalled_passes = after.stalled_passes - before.stalled_passes;
     return d;
   }
   /// Fraction of incident-net visits resolved without a pin walk.

@@ -103,23 +103,20 @@ MultistartResult run_multistart(const PartitionProblem& problem,
   // and its index, whichever engine and worker slot execute it.
   auto run_one = [&](Bipartitioner& engine, std::size_t w, std::size_t i) {
     Rng rng = base.fork(i);
+    const UpdateWork work_before = engine.update_work();
     ThreadCpuTimer timer;
     const Weight cut = engine.run_start(problem, rng, parts_buf[w], i);
     StartRecord& record = result.starts[i];  // distinct index: race-free
     record.cut = cut;
     record.cpu_seconds = timer.elapsed();
+    record.work = UpdateWork::delta(engine.update_work(), work_before);
     record.feasible = check_solution(problem, parts_buf[w]).empty();
     if (record.feasible) bests[w].offer(cut, i, parts_buf[w]);
   };
 
   if (workers == 1) {
     // One worker runs inline on the caller's engine: no pool, no clone.
-    const UpdateWork work_before = partitioner.update_work();
     for (std::size_t i = 0; i < num_starts; ++i) run_one(partitioner, 0, i);
-    // The caller's engine may carry counters from earlier harness calls;
-    // report only the work this call added.
-    result.update_work =
-        UpdateWork::delta(partitioner.update_work(), work_before);
   } else {
     std::vector<std::unique_ptr<Bipartitioner>> engines;
     engines.reserve(workers);
@@ -130,16 +127,11 @@ MultistartResult run_multistart(const PartitionProblem& problem,
     pool.parallel_for_dynamic(num_starts, [&](std::size_t w, std::size_t i) {
       run_one(*engines[w], w, i);
     });
-    // Worker engines are fresh clones, so their counters are exactly this
-    // call's work; integer sums over a fixed start set are independent of
-    // which worker ran which start.
-    for (const auto& engine : engines) {
-      result.update_work.absorb(engine->update_work());
-    }
   }
 
   for (const StartRecord& r : result.starts) {
     result.total_cpu_seconds += r.cpu_seconds;
+    result.update_work.absorb(r.work);
   }
   LocalBest merged = merge_bests(bests);
   result.best_cut = (merged.index == kNoIndex) ? 0 : merged.cut;

@@ -1,9 +1,9 @@
 // Independent-start harness.
 //
 // Runs a Bipartitioner N times from independent seeds and records, per
-// start, the cut and CPU time — the raw material for the paper's
-// min/average tables (Tables 1-3) and for the BSF/Pareto reporting of
-// Sec. 3.2.  Start i always uses base_rng.fork(i), so any individual
+// start, the cut, CPU time and work counters — the raw material for the
+// paper's min/average tables (Tables 1-3), for the corking counts of
+// Sec. 2.3 and for the BSF/Pareto reporting of Sec. 3.2.  Start i always uses base_rng.fork(i), so any individual
 // start is reproducible in isolation.
 //
 // run_multistart has one per-start body: start i is a pure function of
@@ -37,6 +37,9 @@ struct StartRecord {
   Weight cut = 0;
   double cpu_seconds = 0.0;
   bool feasible = false;
+  /// The engine's counters after this start minus before it: the
+  /// start's own gain-update work and corked/stalled passes.
+  UpdateWork work;
 };
 
 struct MultistartResult {
@@ -49,9 +52,9 @@ struct MultistartResult {
   /// Wall-clock of the whole harness call; shrinks with more threads.
   double wall_seconds = 0.0;
   std::size_t threads_used = 1;
-  /// Gain-update work summed over all starts (run_multistart only; the
-  /// pruned regime leaves it zero).  Integer sums over a fixed start set,
-  /// so thread-count-invariant like everything else here.
+  /// Sum of the per-start `work` (run_multistart only; the pruned regime
+  /// leaves it zero).  Integer sums over a fixed start set, so
+  /// thread-count-invariant like everything else here.
   UpdateWork update_work;
 
   Weight min_cut() const;

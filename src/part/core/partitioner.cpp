@@ -35,18 +35,9 @@ Weight FlatFmPartitioner::run_start(const PartitionProblem& problem, Rng& rng,
   }
   state_->assign(parts);
   if (parallel_refiner_ != nullptr) {
-    const ParallelFmResult result = parallel_refiner_->refine(*state_, rng);
-    work_.absorb(result.update_work());
-    // Surface the round stats through the serial result shape so the
-    // corking/diagnostic consumers keep working against either engine.
-    last_result_ = FmResult{};
-    last_result_.initial_cut = result.initial_cut;
-    last_result_.final_cut = result.final_cut;
-    last_result_.passes = result.rounds;
-    last_result_.total_moves = result.total_moves;
+    work_.absorb(parallel_refiner_->refine(*state_, rng).update_work());
   } else {
-    last_result_ = refiner_->refine(*state_, rng);
-    work_.absorb(last_result_.update_work());
+    work_.absorb(refiner_->refine(*state_, rng).update_work());
   }
   parts = state_->parts();
   return state_->cut();

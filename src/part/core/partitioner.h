@@ -75,9 +75,6 @@ class FlatFmPartitioner final : public Bipartitioner {
                    std::size_t start_index) override;
   std::unique_ptr<Bipartitioner> clone() const override;
 
-  /// FM statistics of the most recent run (corking diagnostics etc.).
-  const FmResult& last_result() const { return last_result_; }
-
   UpdateWork update_work() const override { return work_; }
 
   const FmConfig& config() const { return config_; }
@@ -86,7 +83,6 @@ class FlatFmPartitioner final : public Bipartitioner {
   FmConfig config_;
   std::string name_;
   InitialScheme initial_;
-  FmResult last_result_;
   UpdateWork work_;
   std::size_t run_index_ = 0;
   /// Reusable scratch, bound to the problem of the most recent run.  The

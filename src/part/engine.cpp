@@ -65,6 +65,25 @@ std::unique_ptr<Bipartitioner> make_bipartitioner(const EngineSpec& spec,
   return std::make_unique<FlatFmPartitioner>(fm);
 }
 
+std::string fixed_error(const std::vector<PartId>& fixed, std::size_t k,
+                        const Hypergraph& h) {
+  if (fixed.empty()) return {};
+  if (k > 2) {
+    return "fixed vertices need k = 2: recursive bisection does not "
+           "propagate them";
+  }
+  if (fixed.size() != h.num_vertices()) {
+    return "fixed vector has " + std::to_string(fixed.size()) +
+           " entries for " + std::to_string(h.num_vertices()) + " vertices";
+  }
+  for (const PartId p : fixed) {
+    if (p != 0 && p != 1 && p != kNoPart) {
+      return "fixed side must be 0, 1 or free";
+    }
+  }
+  return {};
+}
+
 }  // namespace
 
 std::span<const EngineInfo> engine_registry() { return kEngines; }
@@ -89,9 +108,11 @@ std::string engine_spec_error(const std::string& engine, std::size_t k) {
   return {};
 }
 
-EngineResult run_engine(const EngineSpec& spec, const Hypergraph& h) {
+EngineResult run_engine(const EngineSpec& spec, const Hypergraph& h,
+                        std::vector<PartId> fixed) {
   EngineResult out;
   out.error = engine_spec_error(spec.engine, spec.k);
+  if (out.error.empty()) out.error = fixed_error(fixed, spec.k, h);
   if (!out.error.empty()) return out;
   const EngineKind kind = find_engine(spec.engine)->kind;
   FmConfig fm = spec.fm;
@@ -128,6 +149,7 @@ EngineResult run_engine(const EngineSpec& spec, const Hypergraph& h) {
     problem.graph = &h;
     problem.balance = BalanceConstraint::from_tolerance(
         h.total_vertex_weight(), spec.tolerance);
+    problem.fixed = std::move(fixed);
     MultistartResult& r = out.multistart;
     // Across starts; run_multistart runs a single start inline, and an
     // evo single start took the budget in make_bipartitioner.

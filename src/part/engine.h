@@ -64,7 +64,12 @@ struct EngineResult {
 /// Build the engine, run it under run_hmetis_like (ml), run_multistart
 /// (other bipartitioners) or recursive_bisection (k > 2) with the thread
 /// budget placed as EngineSpec::threads says, and audit the answer with
-/// check_solution (k = 2) or check_kway (k > 2).
-EngineResult run_engine(const EngineSpec& spec, const Hypergraph& h);
+/// check_solution (k = 2) or check_kway (k > 2).  `fixed` is empty or
+/// holds one side (0, 1 or kNoPart) per vertex; it becomes the k = 2
+/// problem's fixed vertices, which the audit checks.  Recursive
+/// bisection does not propagate fixed vertices, so k > 2 with a
+/// non-empty `fixed` is an error.
+EngineResult run_engine(const EngineSpec& spec, const Hypergraph& h,
+                        std::vector<PartId> fixed = {});
 
 }  // namespace vlsipart

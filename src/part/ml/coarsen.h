@@ -30,8 +30,9 @@ enum class CoarsenScheme : std::uint8_t {
 
 struct CoarsenConfig {
   /// Matching is the default: on this testbed it consistently beats
-  /// first-choice on cut (see bench_clustering) at ~2x the coarsening
-  /// time — and Sec. 2.2 demands the strongest available testbed.
+  /// first-choice on cut (see `bench_experiments --experiment
+  /// clustering`) at ~2x the coarsening time — and Sec. 2.2 demands the
+  /// strongest available testbed.
   CoarsenScheme scheme = CoarsenScheme::kHeavyEdgeMatching;
   /// Stop when the coarsest level has at most this many vertices.
   std::size_t coarsen_to = 120;

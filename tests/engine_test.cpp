@@ -1,8 +1,9 @@
-// Tests for the engine front door's thread budget: run_engine spends
-// EngineSpec::threads at exactly one level (starts, evo offspring or RB
-// subtrees) and every engine's answer is bit-identical at every budget.
-// The budgets are fixed numbers, not the host's CPU count, so these
-// tests check the same schedules on any machine.
+// Tests for the engine front door: run_engine spends EngineSpec::threads
+// at exactly one level (starts, evo offspring or RB subtrees) and every
+// engine's answer is bit-identical at every budget; fixed vertices are
+// problem input that the audit checks; each start records its corked
+// passes.  The budgets are fixed numbers, not the host's CPU count, so
+// these tests check the same schedules on any machine.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -10,6 +11,8 @@
 
 #include "src/gen/netlist_gen.h"
 #include "src/part/engine.h"
+#include "src/util/rng.h"
+#include "tests/cork_fixture.h"
 
 namespace vlsipart {
 namespace {
@@ -92,6 +95,82 @@ TEST(Engine, RejectsClipWithRoundRefiner) {
   nlevel.fm.clip = true;
   nlevel.fm.refine_threads = 2;
   EXPECT_EQ(run_engine(nlevel, h).error, "");
+}
+
+std::size_t corked_starts(const EngineResult& r) {
+  std::size_t corked = 0;
+  for (const StartRecord& start : r.multistart.starts) {
+    if (start.work.zero_move_passes > 0) ++corked;
+  }
+  return corked;
+}
+
+// CLIP as published corks on the Sec. 2.3 construction, where no random
+// feasible start can move an oversized cell: a start corks when both
+// sides' zero-key heads are illegal, which random starts reach a few
+// times in 64 (2 here, 9 in 200).  The corking fix never corks.
+TEST(Engine, CountsCorkedStartsPerStart) {
+  const CorkFixture f;
+  EngineSpec spec = small_spec("flat", 2, 64);
+  spec.tolerance = 0.05;
+  spec.fm.clip = true;
+  spec.fm.exclude_oversized = false;
+  spec.fm.zero_gain_update = ZeroGainUpdate::kAll;
+  spec.fm.insert_order = InsertOrder::kFifo;
+  spec.fm.tie_break = TieBreak::kPart0;
+  const EngineResult reported = run_engine(spec, f.h);
+  ASSERT_EQ(reported.error, "");
+  EXPECT_GE(corked_starts(reported), 1u);
+  EXPECT_GE(reported.multistart.update_work.zero_move_passes,
+            corked_starts(reported));
+
+  spec.fm.exclude_oversized = true;
+  spec.fm.zero_gain_update = ZeroGainUpdate::kNonzero;
+  spec.fm.insert_order = InsertOrder::kLifo;
+  spec.fm.tie_break = TieBreak::kAway;
+  const EngineResult ours = run_engine(spec, f.h);
+  ASSERT_EQ(ours.error, "");
+  EXPECT_EQ(corked_starts(ours), 0u);
+  EXPECT_EQ(ours.multistart.update_work.zero_move_passes, 0u);
+}
+
+// A random fifth of the vertices fixed at random sides: every engine
+// that honours fixed vertices keeps each one where it was put, and the
+// audit would have failed the run otherwise.
+TEST(Engine, KeepsFixedVerticesOnTheirSides) {
+  const Hypergraph h = generate_netlist(preset("tiny"));
+  std::vector<PartId> fixed(h.num_vertices(), kNoPart);
+  Rng pick(3);
+  for (std::size_t v = 0; v < h.num_vertices(); v += 5) {
+    fixed[v] = static_cast<PartId>(pick.below(2));
+  }
+  for (const char* engine : {"flat", "clip", "ml"}) {
+    const EngineResult r = run_engine(small_spec(engine, 2, 3), h, fixed);
+    ASSERT_EQ(r.error, "") << engine;
+    ASSERT_EQ(r.parts.size(), h.num_vertices()) << engine;
+    for (std::size_t v = 0; v < fixed.size(); ++v) {
+      if (fixed[v] != kNoPart) {
+        EXPECT_EQ(r.parts[v], fixed[v]) << engine << " vertex " << v;
+      }
+    }
+  }
+}
+
+// Recursive bisection does not propagate fixed vertices, so k > 2 with
+// fixed vertices is a named error rather than an answer that ignores
+// them; a wrongly sized vector is one too.
+TEST(Engine, RejectsFixedVerticesItCannotHonour) {
+  const Hypergraph h = generate_netlist(preset("tiny"));
+  std::vector<PartId> fixed(h.num_vertices(), kNoPart);
+  fixed[0] = 1;
+  const EngineResult kway = run_engine(small_spec("flat", 4, 2), h, fixed);
+  EXPECT_NE(kway.error.find("fixed vertices need k = 2"), std::string::npos)
+      << kway.error;
+  EXPECT_TRUE(kway.parts.empty());
+  fixed.pop_back();
+  const EngineResult sized = run_engine(small_spec("flat", 2, 2), h, fixed);
+  EXPECT_NE(sized.error.find("fixed vector has"), std::string::npos)
+      << sized.error;
 }
 
 }  // namespace

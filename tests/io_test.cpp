@@ -305,6 +305,26 @@ TEST(HmetisIo, ReadsLineLongerThanABlockAndNoFinalNewline) {
   h.validate();
 }
 
+TEST(HmetisIo, RejectsLineAfterLastNet) {
+  // The header announces one net; the second net line would be dropped.
+  expect_hmetis_error("1 3\n1 2\n2 3\n", "hmetis: line 3");
+}
+
+TEST(HmetisIo, RejectsLineAfterLastVertexWeight) {
+  expect_hmetis_error("1 2 10\n1 2\n4\n5\n6\n", "hmetis: line 5");
+}
+
+TEST(HmetisIo, AcceptsCommentsAfterLastLine) {
+  std::istringstream in("1 2\n1 2\n% trailer\n\n  \n");
+  EXPECT_EQ(read_hmetis(in).num_edges(), 1u);
+}
+
+TEST(Ispd98Io, RejectsPinLineBeyondHeaderCount) {
+  expect_ispd98_error(
+      std::string(kNetHeader) + "a0 s\na1 l\na1 s\np1 l\na0 s\n", "a0 1\n",
+      "ispd98 .netD: line 10");
+}
+
 TEST(Ispd98Io, RejectsNonNumericModuleIndex) {
   expect_ispd98_error(std::string(kNetHeader) + "ax s\n", "a0 1\n",
                       "ispd98 .netD: line 6");
@@ -369,6 +389,16 @@ TEST(FileIo, Ispd98FileRoundTrip) {
   const Ispd98Instance reread = read_ispd98_files(base);
   EXPECT_EQ(reread.hypergraph.num_pins(), inst.hypergraph.num_pins());
   EXPECT_EQ(reread.num_cells, inst.num_cells);
+}
+
+TEST(FileIo, FailedWritesThrowNamingFormatAndPath) {
+  // /dev/full accepts the open and fails every write with ENOSPC.
+  const std::string full = "/dev/full";
+  const Hypergraph h = generate_netlist(preset("tiny"));
+  expect_read_error([&] { write_partition_file({0, 1}, full); },
+                    "partition: cannot write /dev/full");
+  expect_read_error([&] { write_hmetis_file(h, full); },
+                    "hmetis: cannot write /dev/full");
 }
 
 TEST(FileIo, MissingFileThrows) {

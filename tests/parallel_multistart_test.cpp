@@ -68,6 +68,8 @@ void expect_same_work(const UpdateWork& a, const UpdateWork& b,
   EXPECT_EQ(a.nets_walked, b.nets_walked) << label;
   EXPECT_EQ(a.nonzero_delta_updates, b.nonzero_delta_updates) << label;
   EXPECT_EQ(a.zero_delta_updates, b.zero_delta_updates) << label;
+  EXPECT_EQ(a.zero_move_passes, b.zero_move_passes) << label;
+  EXPECT_EQ(a.stalled_passes, b.stalled_passes) << label;
 }
 
 TEST(ParallelMultistart, FlatEngineBitIdenticalAcrossThreadCounts) {
@@ -170,6 +172,40 @@ TEST(ParallelMultistart, InlineUpdateWorkIsPerCallDelta) {
   const UpdateWork second = run_multistart(p, reused, 6, 13, 1).update_work;
   expect_same_work(parallel, first, "first inline call");
   expect_same_work(parallel, second, "second inline call");
+}
+
+TEST(ParallelMultistart, PerStartWorkSumsToUpdateWorkAtEveryThreadCount) {
+  // Each start records its own counters; their sum is the call's
+  // update_work, and both are identical at 1, 2 and 4 threads.  CLIP as
+  // published at 2% corks on actual areas, so the pass counters are
+  // exercised too.
+  const Hypergraph h = generate_netlist(preset("small"));
+  const PartitionProblem p = make_problem(h, 0.02);
+  FmConfig cfg;
+  cfg.clip = true;
+  cfg.exclude_oversized = false;
+  cfg.zero_gain_update = ZeroGainUpdate::kAll;
+  cfg.insert_order = InsertOrder::kFifo;
+  cfg.tie_break = TieBreak::kPart0;
+  std::vector<MultistartResult> runs;
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    FlatFmPartitioner engine{cfg};
+    runs.push_back(run_multistart(p, engine, 12, 17, threads));
+    const MultistartResult& r = runs.back();
+    UpdateWork sum;
+    for (const StartRecord& start : r.starts) sum.absorb(start.work);
+    const std::string label = "threads=" + std::to_string(threads);
+    expect_same_work(sum, r.update_work, label.c_str());
+    EXPECT_GT(r.update_work.nets_walked, 0u) << label;
+    EXPECT_GT(r.update_work.stalled_passes, 0u) << label;
+  }
+  for (std::size_t t = 1; t < runs.size(); ++t) {
+    expect_same_work(runs[0].update_work, runs[t].update_work, "total");
+    for (std::size_t i = 0; i < runs[0].starts.size(); ++i) {
+      expect_same_work(runs[0].starts[i].work, runs[t].starts[i].work,
+                       ("start " + std::to_string(i)).c_str());
+    }
+  }
 }
 
 TEST(ParallelMultistart, BsfCurveIdenticalAcrossThreadCounts) {

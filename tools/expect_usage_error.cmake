@@ -1,10 +1,11 @@
 # ctest helper: runs `${BIN} ${FLAG}` and fails unless the binary exits
 # with status ${STATUS} (default 1) and names the rejected flag on
 # stderr.  FLAG is the command-line tail, split like a shell would
-# (default: --bogus-flag); its first word is the flag that must be named.
-# With ${EXPECT} set, stdout or stderr must also contain that text.
-#   cmake -DBIN=<path> [-DFLAG="--threads 2"] [-DSTATUS=2] [-DEXPECT=text]
-#         -P tools/expect_usage_error.cmake
+# (default: --bogus-flag); its first word is the flag that must be named,
+# unless ${NAMED} gives the text stderr must name instead.  With
+# ${EXPECT} set, stdout or stderr must also contain that text.
+#   cmake -DBIN=<path> [-DFLAG="--threads 2"] [-DSTATUS=2] [-DNAMED=text]
+#         [-DEXPECT=text] -P tools/expect_usage_error.cmake
 if(NOT DEFINED FLAG)
   set(FLAG --bogus-flag)
 endif()
@@ -13,6 +14,9 @@ if(NOT DEFINED STATUS)
 endif()
 separate_arguments(args UNIX_COMMAND "${FLAG}")
 list(GET args 0 flag)
+if(DEFINED NAMED)
+  set(flag "${NAMED}")
+endif()
 execute_process(COMMAND "${BIN}" ${args}
                 RESULT_VARIABLE rc
                 OUTPUT_VARIABLE out
