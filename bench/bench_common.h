@@ -1,5 +1,5 @@
-// Shared helpers for bench_experiments and the table-regeneration bench
-// binaries.
+// Shared helpers of the bench binaries: bench_experiments, bench_kway
+// and bench_service.
 //
 // Every bench, and every experiment of bench_experiments, accepts:
 //   --cases ibm01,ibm02,...   instance presets (default per bench)
@@ -42,7 +42,6 @@
 #include "src/part/core/multistart.h"
 #include "src/part/core/partitioner.h"
 #include "src/part/engine.h"
-#include "src/part/ml/ml_partitioner.h"
 #include "src/util/cli.h"
 #include "src/util/table.h"
 #include "src/util/timer.h"
@@ -142,13 +141,6 @@ inline FmConfig reported_clip() {
   cfg.clip = true;
   cfg.exclude_oversized = false;
   return cfg;
-}
-
-/// ML wrapper with the given flat policy at every level.
-inline MlConfig ml_config(const FmConfig& refine) {
-  MlConfig config;
-  config.refine = refine;
-  return config;
 }
 
 /// The bench's Sec. 3.2 multistart regime for one engine: --runs starts

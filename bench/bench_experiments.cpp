@@ -1,7 +1,7 @@
 // One binary for every experiment that run_engine can express: the
-// paper's Tables 1-5, the Sec. 3.2 BSF and Pareto reports, the suite
-// summary, the engine tier, the fixed-terminal and noise studies and four
-// ablations.
+// paper's Tables 1-5, the Sec. 3.2 BSF, Pareto, pruning and significance
+// reports, the suite summary, the engine tier, the fixed-terminal and
+// noise studies and five ablations.
 //
 //   bench_experiments --experiment NAME|all [common flags] [its flags]
 //
@@ -13,8 +13,9 @@
 // labelled rows times cases; a row is one EngineSpec, or one per repeat
 // (Tables 4/5) whose numbers the row's cells average, and may adapt its
 // spec to each case's graph.  Every cell is one run_engine call per
-// spec, so every answer is audited by check_solution.  The bsf, pareto
-// and noise entries hand their rows and every case to a report instead.
+// spec, so every answer is audited by check_solution.  The report
+// entries (bsf, pareto, noise, pruning, significance) hand each table and
+// every case to a report instead.
 //
 // A flag the selected experiment does not read is a usage error; `all`
 // runs every entry at its defaults and accepts only the common
@@ -94,8 +95,8 @@ struct Table {
   std::vector<std::pair<std::string, std::vector<Cell>>> listings = {};
 };
 
-using Report = void (*)(const std::vector<Case>&,
-                        const std::vector<LabeledSpec>&, const BenchOptions&);
+using Report = void (*)(const std::vector<Case>&, const Table&,
+                        const BenchOptions&);
 
 struct Experiment {
   std::string name;
@@ -105,7 +106,7 @@ struct Experiment {
   double scale;
   std::vector<std::string> flags;  ///< read beyond the common vocabulary
   std::vector<Table> (*tables)(const BenchOptions&, const CliArgs&);
-  /// Set for the reports: they get the first table's rows and every case.
+  /// Set for the reports: each table goes to it with every case.
   Report report = nullptr;
   /// Set when the experiment builds its own cases; else one generated
   /// instance per --cases preset.
@@ -299,6 +300,15 @@ std::vector<Table> bsf(const BenchOptions& opt, const CliArgs&) {
           {"ML-CLIP-FM", {multistart_spec(opt, "ml", our_clip(), 0.02)}}}}};
 }
 
+/// A report's engines: each row's label and its first spec.
+std::vector<LabeledSpec> labeled_specs(const Table& table) {
+  std::vector<LabeledSpec> engines;
+  for (const Row& row : table.rows) {
+    engines.emplace_back(row.label, row.specs.front());
+  }
+  return engines;
+}
+
 /// compare_engines on one case; its error names the case too.
 ComparisonReport compare_on(const Case& c,
                             const std::vector<LabeledSpec>& engines,
@@ -310,13 +320,13 @@ ComparisonReport compare_on(const Case& c,
   }
 }
 
-void bsf_report(const std::vector<Case>& cases,
-                const std::vector<LabeledSpec>& engines,
+void bsf_report(const std::vector<Case>& cases, const Table& table,
                 const BenchOptions& opt) {
   ComparisonConfig config;
   config.budgets = {1, 2, 4, 8, 16, 30, 50, 100};
   for (const Case& c : cases) {
-    const ComparisonReport report = compare_on(c, engines, config);
+    const ComparisonReport report =
+        compare_on(c, labeled_specs(table), config);
     std::printf("=== BSF curves, %s (2%% balance, %zu sampled starts)\n\n",
                 c.label.c_str(), opt.runs);
     TextTable table({"tau (cpu s)", "starts", "engine", "E[best cut]"});
@@ -344,12 +354,12 @@ std::vector<Table> pareto(const BenchOptions& opt, const CliArgs&) {
           {"evo", {multistart_spec(opt, "evo", our_lifo(), 0.02)}}}}};
 }
 
-void pareto_report(const std::vector<Case>& cases,
-                   const std::vector<LabeledSpec>& engines,
+void pareto_report(const std::vector<Case>& cases, const Table& table,
                    const BenchOptions& opt) {
   const ComparisonConfig config;  // budgets 1..16 starts, baseline row 0
   for (const Case& c : cases) {
-    const ComparisonReport report = compare_on(c, engines, config);
+    const ComparisonReport report =
+        compare_on(c, labeled_specs(table), config);
     std::printf("=== Performance points, %s (2%% balance)\n\n",
                 c.label.c_str());
 
@@ -508,9 +518,9 @@ std::vector<Case> noise_cases(const BenchOptions& opt, const CliArgs& args) {
   return cases;
 }
 
-void noise_report(const std::vector<Case>& cases,
-                  const std::vector<LabeledSpec>& engines,
+void noise_report(const std::vector<Case>& cases, const Table& table,
                   const BenchOptions& opt) {
+  const std::vector<LabeledSpec> engines = labeled_specs(table);
   const std::size_t twins = cases.size() / opt.cases.size();
   for (std::size_t p = 0; p < opt.cases.size(); ++p) {
     std::vector<std::string> header = {"instance seed"};
@@ -559,6 +569,135 @@ void noise_report(const std::vector<Case>& cases,
                                     engines[1].first, pooled[1])
                     .c_str());
   }
+}
+
+/// Start pruning (Sec. 3.2): "pruning (early termination of starts that
+/// appear unpromising relative to previous starts) can be applied" — one
+/// reason actual CPU time, not the number of starts, is the comparison
+/// axis.
+std::vector<Table> pruning(const BenchOptions& opt, const CliArgs&) {
+  return {Table{.title = "Pruning quality/CPU tradeoff",
+                .rows = {{"flat LIFO",
+                          {multistart_spec(opt, "flat", our_lifo(), 0.02)}}}}};
+}
+
+/// The row unpruned through run_engine, then the serial pruned regime of
+/// the same starts at three prune factors.
+void pruning_report(const std::vector<Case>& cases, const Table& table,
+                    const BenchOptions& opt) {
+  const Row& row = table.rows.front();
+  const EngineSpec& spec = row.specs.front();
+  const std::string of_starts = "/" + std::to_string(spec.starts);
+  TextTable out({"case", "variant", "best cut", "avg cut(kept)", "pruned",
+                 "total cpu (s)"});
+  for (const Case& c : cases) {
+    const EngineResult plain = run_engine(spec, c.graph);
+    if (!plain.error.empty()) {
+      throw std::runtime_error(row.label + " on " + c.label + ": " +
+                               plain.error);
+    }
+    const MultistartResult& m = plain.multistart;
+    out.add_row({c.label, "no pruning", std::to_string(m.best_cut),
+                 fmt_fixed(m.avg_cut(), 1), "0" + of_starts,
+                 fmt_fixed(m.total_cpu_seconds, 3)});
+    const PartitionProblem problem = make_problem(c.graph, spec.tolerance);
+    for (const double factor : {1.20, 1.10, 1.02}) {
+      PruneConfig prune;
+      prune.factor = factor;
+      const PrunedMultistartResult pruned = run_multistart_pruned(
+          problem, spec.fm, spec.starts, spec.seed, prune);
+      RunningStats kept;
+      for (const StartRecord& start : pruned.result.starts) {
+        if (start.feasible) kept.add(static_cast<double>(start.cut));
+      }
+      out.add_row({c.label, "prune @" + fmt_fixed(factor, 2),
+                   std::to_string(pruned.result.best_cut),
+                   fmt_fixed(kept.mean(), 1),
+                   std::to_string(pruned.pruned_starts) + of_starts,
+                   fmt_fixed(pruned.result.total_cpu_seconds, 3)});
+    }
+  }
+  emit(out, opt, table.title);
+}
+
+/// Significance (Brglez [7], Sec. 3.2): "which improvements are due to
+/// improved heuristic and which are merely due to chance?"  One table
+/// per question: two flat FM configurations differing in ONE implicit
+/// decision ("Don't change two things at once" [19]), question i on seed
+/// --seed + i.
+std::vector<Table> significance(const BenchOptions& opt, const CliArgs&) {
+  const FmConfig base = our_lifo();
+  FmConfig all_dgain = base;
+  all_dgain.zero_gain_update = ZeroGainUpdate::kAll;
+  FmConfig fifo = base;
+  fifo.insert_order = InsertOrder::kFifo;
+  FmConfig toward = base;
+  toward.tie_break = TieBreak::kToward;
+  const FmConfig clip = our_clip();
+  FmConfig clip_cork = clip;
+  clip_cork.exclude_oversized = false;
+  struct Question {
+    const char* title;
+    const char* label_a;
+    FmConfig a;
+    const char* label_b;
+    FmConfig b;
+  };
+  const Question questions[] = {
+      {"Does skipping zero-delta-gain updates matter?", "Nonzero", base,
+       "All-dgain", all_dgain},
+      {"Does LIFO beat FIFO bucket insertion [21]?", "LIFO", base, "FIFO",
+       fifo},
+      {"Does the tie-break bias matter?", "Away", base, "Toward", toward},
+      {"Does CLIP [15] beat plain FM?", "CLIP+fix", clip, "FM", base},
+      {"Does the corking fix matter for CLIP?", "CLIP+fix", clip,
+       "CLIP as published", clip_cork},
+  };
+  std::vector<Table> tables;
+  std::uint64_t seed = opt.seed;
+  for (const Question& q : questions) {
+    EngineSpec a = multistart_spec(opt, "flat", q.a, 0.02);
+    a.seed = seed++;
+    EngineSpec b = a;
+    b.fm = q.b;
+    tables.push_back(
+        Table{.title = q.title, .rows = {{q.label_a, {a}}, {q.label_b, {b}}}});
+  }
+  return tables;
+}
+
+/// A question's verdict on each case: its first row against the second,
+/// the baseline.
+void significance_report(const std::vector<Case>& cases, const Table& table,
+                         const BenchOptions&) {
+  ComparisonConfig config;
+  config.baseline = 1;
+  for (const Case& c : cases) {
+    const ComparisonReport report =
+        compare_on(c, labeled_specs(table), config);
+    std::printf("* %s: %s\n  %s\n\n", c.label.c_str(), table.title.c_str(),
+                report.engines[0].versus_baseline.c_str());
+  }
+}
+
+/// Initial-solution generator (Hauck-Borriello [20], Sec. 2.2): each
+/// scheme per start of flat FM and per coarsest-level try of ml.
+std::vector<Table> initial(const BenchOptions& opt, const CliArgs&) {
+  Table table{.title = "Initial solution generator" + over_starts(opt),
+              .label_header = "Engine/initial",
+              .cells = {Cell::kMinAvg, Cell::kCpu}};
+  for (const auto& [engine, label] :
+       {std::pair{"flat", "flat FM/"}, std::pair{"ml", "ML coarsest/"}}) {
+    for (const InitialScheme scheme : {InitialScheme::kRandom,
+                                       InitialScheme::kBfs,
+                                       InitialScheme::kMixed}) {
+      FmConfig fm = our_lifo();
+      fm.initial_scheme = scheme;
+      table.rows.push_back({std::string(label) + name_of(scheme),
+                            {multistart_spec(opt, engine, fm, 0.02)}});
+    }
+  }
+  return {table};
 }
 
 /// Clustering (Sec. 4: "the effects of clustering in multilevel FM" are
@@ -650,6 +789,10 @@ const std::vector<Experiment>& experiments() {
          "Clustering ablation (Sec. 4 open question): ML LIFO FM, 2% "
          "balance, avg cut and total CPU",
          first3, 10, 0.5, {"threads"}, clustering},
+        {"initial",
+         "Initial-solution ablation [20]: flat FM per start and ML at its "
+         "coarsest level, 2% balance, min/avg and total CPU",
+         first3, 20, 0.5, {"threads"}, initial},
         {"suite",
          "Suite summary: avg cut, 2% balance, every ibm preset", all_ibm, 3,
          0.1, {}, suite},
@@ -664,6 +807,15 @@ const std::vector<Experiment>& experiments() {
          "Non-dominated frontier, ranking diagram and significance "
          "(Sec. 3.2)",
          "ibm01", 20, 0.35, {"threads"}, pareto, pareto_report},
+        {"pruning",
+         "Start-pruning ablation (Sec. 3.2): flat LIFO FM, 2% balance, "
+         "pruned starts run serially",
+         first3, 20, 0.5, {}, pruning, pruning_report},
+        {"significance",
+         "Significance of one implicit decision at a time (Brglez [7], "
+         "Sec. 3.2): Welch and Mann-Whitney at alpha 0.05; NOT significant "
+         "means the gap is within run-to-run noise",
+         "ibm01", 30, 0.5, {"threads"}, significance, significance_report},
         {"fixed",
          "Fixed-terminal study [9]: flat LIFO FM, 2% balance, a fraction "
          "of the vertices fixed at the sides of an ml reference solution",
@@ -839,11 +991,7 @@ bool run_experiment(const Experiment& e, const BenchOptions& opt,
         ok = run_table(e.name, table, cases, opt) && ok;
         continue;
       }
-      std::vector<LabeledSpec> engines;
-      for (const Row& row : table.rows) {
-        engines.emplace_back(row.label, row.specs.front());
-      }
-      e.report(cases, engines, opt);
+      e.report(cases, table, opt);
     }
   } catch (const std::runtime_error& error) {
     std::fprintf(stderr, "bench_experiments --experiment %s: %s\n",

@@ -27,13 +27,14 @@
 //   --max-passes N  --max-moves-past-best N  --exclude-oversized
 //   --audit off|pass|moves  --audit-every N
 //   --refine-threads N  (1 = serial FM; >1 = synchronous-round parallel)
+//   --initial-scheme random|bfs|mixed  (per flat start; per coarsest-
+//                   level try of ml, nlevel, evo and k > 2 bisections)
 // Multilevel knobs (ml engine):
 //   --initial-tries N  --coarsen-to N  --min-reduction X
 //   --coarsen-threads N (1 = serial; >1 = deterministic parallel rating)
 // n-level knobs (nlevel engine; shares --coarsen-to/--initial-tries):
 //   --max-cluster-weight W  --max-rated-net-size N
 //   --local-moves-past-best N  --final-refine 0|1
-//   --initial-scheme random|bfs|mixed
 // Memetic knobs (evo engine; nests the full ml surface):
 //   --population N  --generations N  --offspring N
 //   --mutation-period N  --mutation-size N
@@ -131,6 +132,11 @@ void fm_config_from_args(const CliArgs& args, FmConfig& fm) {
                                fm.audit.mode);
   int_flag(args, "audit-every", fm.audit.every_moves);
   int_flag(args, "refine-threads", fm.refine_threads);
+  fm.initial_scheme = parse_choice(args, "initial-scheme",
+                                   {{"random", InitialScheme::kRandom},
+                                    {"bfs", InitialScheme::kBfs},
+                                    {"mixed", InitialScheme::kMixed}},
+                                   fm.initial_scheme);
 }
 
 /// The ml knob surface (shared by ml, ml recursive bisection and evo)
@@ -149,11 +155,6 @@ void engine_configs_from_args(const CliArgs& args, EngineSpec& spec) {
   int_flag(args, "max-cluster-weight", nlevel.max_cluster_weight);
   int_flag(args, "max-rated-net-size", nlevel.max_rated_net_size);
   int_flag(args, "initial-tries", nlevel.initial_tries);
-  nlevel.initial_scheme = parse_choice(args, "initial-scheme",
-                                       {{"random", InitialScheme::kRandom},
-                                        {"bfs", InitialScheme::kBfs},
-                                        {"mixed", InitialScheme::kMixed}},
-                                       nlevel.initial_scheme);
   int_flag(args, "local-moves-past-best", nlevel.local_moves_past_best);
   nlevel.final_refine = args.get_bool("final-refine", nlevel.final_refine);
 
@@ -165,94 +166,90 @@ void engine_configs_from_args(const CliArgs& args, EngineSpec& spec) {
   int_flag(args, "mutation-size", evo.mutation_size);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const CliArgs args(argc, argv);
-  try {
-    args.check_known({"hgr", "ispd98", "case", "scale", "k", "tolerance",
-                      "ubfactor", "engine", "starts", "vcycles", "seed",
-                      "out", "help", "tie-break", "zero-gain", "insert-order",
-                      "best-choice", "illegal-head", "exclude-oversized",
-                      "look-beyond-first", "lookahead", "lookahead-scan",
-                      "max-passes", "max-moves-past-best", "audit",
-                      "audit-every", "initial-tries", "coarsen-to",
-                      "min-reduction", "refine-threads", "coarsen-threads",
-                      "max-cluster-weight", "max-rated-net-size",
-                      "local-moves-past-best", "final-refine",
-                      "initial-scheme", "population", "generations",
-                      "offspring", "mutation-period", "mutation-size",
-                      "threads"});
-    if (args.get_bool("help")) {
-      print_help();
-      return 0;
-    }
-    Hypergraph h;
-    std::string source;
-    if (args.has("hgr")) {
-      source = args.get("hgr", "");
-      h = read_hmetis_file(source);
-    } else if (args.has("ispd98")) {
-      source = args.get("ispd98", "");
-      h = read_ispd98_files(source).hypergraph;
-    } else {
-      const std::string name = args.get("case", "ibm01");
-      source = name;
-      h = generate_netlist(
-          preset(name).scaled(args.get_double("scale", 0.5)));
-    }
-    std::printf("%s\n\n", compute_stats(h).to_string(h.name()).c_str());
-
-    EngineSpec spec;  // each flag defaults to the spec's default
-    int_flag(args, "k", spec.k);
-    // hMetis "UBfactor" parity: UBfactor b means parts within
-    // (50 +- b)% of the total, i.e. tolerance = 2b/100.
-    spec.tolerance = args.get_double("tolerance", spec.tolerance);
-    if (args.has("ubfactor")) {
-      spec.tolerance = 2.0 * args.get_double("ubfactor", 1.0) / 100.0;
-    }
-    spec.engine = CliArgs::check_known_value(
-        "engine", args.get("engine", spec.engine), engine_names());
-    const std::string unsupported = engine_spec_error(spec.engine, spec.k);
-    if (!unsupported.empty()) throw std::runtime_error(unsupported);
-    int_flag(args, "starts", spec.starts);
-    int_flag(args, "threads", spec.threads);
-    int_flag(args, "vcycles", spec.vcycles);
-    int_flag(args, "seed", spec.seed);
-    fm_config_from_args(args, spec.fm);
-    engine_configs_from_args(args, spec);
-
-    CpuTimer timer;
-    const EngineResult result = run_engine(spec, h);
-    const double cpu = timer.elapsed();
-    if (!result.error.empty()) {
-      std::fprintf(stderr, "%s\n", result.error.c_str());
-      return 1;
-    }
-    const std::size_t k = spec.k;
-    const std::vector<PartId>& parts = result.parts;
-
-    TextTable report({"metric", "value"});
-    report.add_row({"parts", std::to_string(k)});
-    report.add_row({"cut", std::to_string(result.cut)});
-    if (k == 2) {
-      report.add_row({"ratio cut", fmt_fixed(ratio_cut(h, parts) * 1e9, 3) +
-                                       "e-9"});
-      report.add_row({"absorption", fmt_fixed(absorption(h, parts), 1)});
-      report.add_row(
-          {"SOED", std::to_string(sum_of_external_degrees(h, parts))});
-    }
-    report.add_row({"CPU seconds", fmt_fixed(cpu, 3)});
-    std::printf("%s\n", report.to_string().c_str());
-
-    const std::string out = args.get(
-        "out", (args.has("hgr") || args.has("ispd98") ? source : h.name()) +
-                   ".part." + std::to_string(k));
-    write_partition_file(parts, out);
-    std::printf("solution written to %s\n", out.c_str());
+  args.check_known({"hgr", "ispd98", "case", "scale", "k", "tolerance",
+                    "ubfactor", "engine", "starts", "vcycles", "seed",
+                    "out", "help", "tie-break", "zero-gain", "insert-order",
+                    "best-choice", "illegal-head", "exclude-oversized",
+                    "look-beyond-first", "lookahead", "lookahead-scan",
+                    "max-passes", "max-moves-past-best", "audit",
+                    "audit-every", "initial-tries", "coarsen-to",
+                    "min-reduction", "refine-threads", "coarsen-threads",
+                    "max-cluster-weight", "max-rated-net-size",
+                    "local-moves-past-best", "final-refine",
+                    "initial-scheme", "population", "generations",
+                    "offspring", "mutation-period", "mutation-size",
+                    "threads"});
+  if (args.get_bool("help")) {
+    print_help();
     return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "vpart: %s\n", e.what());
+  }
+  Hypergraph h;
+  std::string source;
+  if (args.has("hgr")) {
+    source = args.get("hgr", "");
+    h = read_hmetis_file(source);
+  } else if (args.has("ispd98")) {
+    source = args.get("ispd98", "");
+    h = read_ispd98_files(source).hypergraph;
+  } else {
+    const std::string name = args.get("case", "ibm01");
+    source = name;
+    h = generate_netlist(preset(name).scaled(args.get_double("scale", 0.5)));
+  }
+  std::printf("%s\n\n", compute_stats(h).to_string(h.name()).c_str());
+
+  EngineSpec spec;  // each flag defaults to the spec's default
+  int_flag(args, "k", spec.k);
+  // hMetis "UBfactor" parity: UBfactor b means parts within
+  // (50 +- b)% of the total, i.e. tolerance = 2b/100.
+  spec.tolerance = args.get_double("tolerance", spec.tolerance);
+  if (args.has("ubfactor")) {
+    spec.tolerance = 2.0 * args.get_double("ubfactor", 1.0) / 100.0;
+  }
+  spec.engine = CliArgs::check_known_value(
+      "engine", args.get("engine", spec.engine), engine_names());
+  const std::string unsupported = engine_spec_error(spec.engine, spec.k);
+  if (!unsupported.empty()) throw std::runtime_error(unsupported);
+  int_flag(args, "starts", spec.starts);
+  int_flag(args, "threads", spec.threads);
+  int_flag(args, "vcycles", spec.vcycles);
+  int_flag(args, "seed", spec.seed);
+  fm_config_from_args(args, spec.fm);
+  engine_configs_from_args(args, spec);
+
+  CpuTimer timer;
+  const EngineResult result = run_engine(spec, h);
+  const double cpu = timer.elapsed();
+  if (!result.error.empty()) {
+    std::fprintf(stderr, "%s\n", result.error.c_str());
     return 1;
   }
+  const std::size_t k = spec.k;
+  const std::vector<PartId>& parts = result.parts;
+
+  TextTable report({"metric", "value"});
+  report.add_row({"parts", std::to_string(k)});
+  report.add_row({"cut", std::to_string(result.cut)});
+  if (k == 2) {
+    report.add_row({"ratio cut", fmt_fixed(ratio_cut(h, parts) * 1e9, 3) +
+                                     "e-9"});
+    report.add_row({"absorption", fmt_fixed(absorption(h, parts), 1)});
+    report.add_row(
+        {"SOED", std::to_string(sum_of_external_degrees(h, parts))});
+  }
+  report.add_row({"CPU seconds", fmt_fixed(cpu, 3)});
+  std::printf("%s\n", report.to_string().c_str());
+
+  const std::string out = args.get(
+      "out", (args.has("hgr") || args.has("ispd98") ? source : h.name()) +
+                 ".part." + std::to_string(k));
+  write_partition_file(parts, out);
+  std::printf("solution written to %s\n", out.c_str());
+  return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return cli_main(argc, argv, run); }

@@ -60,6 +60,18 @@ const char* name_of(IllegalHeadPolicy v) {
   return "?";
 }
 
+const char* name_of(InitialScheme v) {
+  switch (v) {
+    case InitialScheme::kRandom:
+      return "Random";
+    case InitialScheme::kBfs:
+      return "BFS";
+    case InitialScheme::kMixed:
+      return "Mixed";
+  }
+  return "?";
+}
+
 std::string FmConfig::to_string() const {
   std::ostringstream out;
   out << (clip ? "CLIP" : "FM") << "(" << name_of(tie_break) << ","
@@ -67,6 +79,9 @@ std::string FmConfig::to_string() const {
       << name_of(best_choice) << "," << name_of(illegal_head)
       << (exclude_oversized ? ",noOversized" : "")
       << (look_beyond_first ? ",lookBeyond" : "");
+  if (initial_scheme != InitialScheme::kRandom) {
+    out << ",init=" << name_of(initial_scheme);
+  }
   if (lookahead_depth > 1) out << ",LA" << lookahead_depth;
   if (refine_threads > 1) out << ",par" << refine_threads;
   if (audit.enabled()) out << ",audit=" << audit.to_string();

@@ -51,6 +51,14 @@ enum class IllegalHeadPolicy : std::uint8_t {
   kSkipSide = 1,    ///< abandon the whole side for this selection
 };
 
+/// Initial-solution generator (Hauck-Borriello [20] count it among the
+/// hidden decisions, Sec. 2.2); see initial.h for the generators.
+enum class InitialScheme : std::uint8_t {
+  kRandom = 0,  ///< randomized LPT (random_initial)
+  kBfs = 1,     ///< BFS region growing (bfs_initial)
+  kMixed = 2,   ///< alternate random/BFS across tries
+};
+
 struct FmConfig {
   /// false = classic FM keyed by actual gain [17]; true = CLIP [15],
   /// keyed by cumulative delta gain since the start of the pass.
@@ -61,6 +69,12 @@ struct FmConfig {
   InsertOrder insert_order = InsertOrder::kLifo;
   BestChoice best_choice = BestChoice::kFirst;
   IllegalHeadPolicy illegal_head = IllegalHeadPolicy::kSkipBucket;
+
+  /// How a start's solution is generated before refinement: per start in
+  /// the flat engine, per try at the coarsest level of ml (and so of evo
+  /// and k > 2 bisections) and nlevel.  kMixed keys its alternation on
+  /// that start or try index.
+  InitialScheme initial_scheme = InitialScheme::kRandom;
 
   /// The corking fix of Sec. 2.3: do not insert cells whose area exceeds
   /// the balance window into the gain structure (they can never legally
@@ -114,5 +128,6 @@ const char* name_of(ZeroGainUpdate v);
 const char* name_of(InsertOrder v);
 const char* name_of(BestChoice v);
 const char* name_of(IllegalHeadPolicy v);
+const char* name_of(InitialScheme v);
 
 }  // namespace vlsipart

@@ -121,18 +121,6 @@ std::vector<PartId> bfs_initial(const PartitionProblem& problem, Rng& rng) {
   return parts;
 }
 
-const char* name_of(InitialScheme scheme) {
-  switch (scheme) {
-    case InitialScheme::kRandom:
-      return "Random";
-    case InitialScheme::kBfs:
-      return "BFS";
-    case InitialScheme::kMixed:
-      return "Mixed";
-  }
-  return "?";
-}
-
 std::vector<PartId> make_initial(const PartitionProblem& problem,
                                  InitialScheme scheme, std::size_t try_index,
                                  Rng& rng) {

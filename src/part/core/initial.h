@@ -8,6 +8,7 @@
 
 #include <vector>
 
+#include "src/part/core/fm_config.h"
 #include "src/part/core/partition_state.h"
 #include "src/util/rng.h"
 
@@ -33,16 +34,8 @@ std::vector<PartId> lpt_initial(const PartitionProblem& problem);
 /// heavy instances (FM's recovery rule then rebalances).
 std::vector<PartId> bfs_initial(const PartitionProblem& problem, Rng& rng);
 
-/// Initial-solution generator selection for engines that expose it.
-enum class InitialScheme : std::uint8_t {
-  kRandom = 0,  ///< randomized LPT (random_initial)
-  kBfs = 1,     ///< BFS region growing (bfs_initial)
-  kMixed = 2,   ///< alternate random/BFS across tries
-};
-
-const char* name_of(InitialScheme scheme);
-
-/// Dispatch on scheme; `try_index` selects the branch under kMixed.
+/// Dispatch on scheme (FmConfig::initial_scheme); `try_index` selects the
+/// branch under kMixed.
 std::vector<PartId> make_initial(const PartitionProblem& problem,
                                  InitialScheme scheme, std::size_t try_index,
                                  Rng& rng);

@@ -161,7 +161,7 @@ PrunedMultistartResult run_multistart_pruned(const PartitionProblem& problem,
     Rng rng = base.fork(i);
     ThreadCpuTimer timer;
 
-    auto parts = random_initial(problem, rng);
+    auto parts = make_initial(problem, config.initial_scheme, i, rng);
     PartitionState state(*problem.graph);
     state.assign(parts);
     FmRefiner pass1(problem, pass1_config);

@@ -2,13 +2,7 @@
 
 namespace vlsipart {
 
-FlatFmPartitioner::FlatFmPartitioner(FmConfig config, std::string name,
-                                     InitialScheme initial)
-    : config_(config), name_(std::move(name)), initial_(initial) {
-  if (name_.empty()) {
-    name_ = std::string("flat-") + (config_.clip ? "clip" : "fm");
-  }
-}
+FlatFmPartitioner::FlatFmPartitioner(FmConfig config) : config_(config) {}
 
 Weight FlatFmPartitioner::run(const PartitionProblem& problem, Rng& rng,
                               std::vector<PartId>& parts) {
@@ -18,7 +12,7 @@ Weight FlatFmPartitioner::run(const PartitionProblem& problem, Rng& rng,
 Weight FlatFmPartitioner::run_start(const PartitionProblem& problem, Rng& rng,
                                     std::vector<PartId>& parts,
                                     std::size_t start_index) {
-  parts = make_initial(problem, initial_, start_index, rng);
+  parts = make_initial(problem, config_.initial_scheme, start_index, rng);
   if (&problem != bound_problem_ || problem.graph != bound_graph_) {
     state_ = std::make_unique<PartitionState>(*problem.graph);
     if (config_.refine_threads > 1) {
@@ -44,7 +38,7 @@ Weight FlatFmPartitioner::run_start(const PartitionProblem& problem, Rng& rng,
 }
 
 std::unique_ptr<Bipartitioner> FlatFmPartitioner::clone() const {
-  return std::make_unique<FlatFmPartitioner>(config_, name_, initial_);
+  return std::make_unique<FlatFmPartitioner>(config_);
 }
 
 }  // namespace vlsipart

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "src/part/core/fm_config.h"
@@ -24,8 +23,6 @@ namespace vlsipart {
 class Bipartitioner {
  public:
   virtual ~Bipartitioner() = default;
-
-  virtual std::string name() const = 0;
 
   /// Run one start: generate (or refine) an assignment into `parts`.
   /// Returns the achieved cut.  Deterministic given the Rng state.
@@ -55,8 +52,9 @@ class Bipartitioner {
   virtual UpdateWork update_work() const { return {}; }
 };
 
-/// Flat (single-level) FM or CLIP partitioner: random feasible initial
-/// solution + FM refinement with the configured implicit decisions.
+/// Flat (single-level) FM or CLIP partitioner: an initial solution from
+/// config.initial_scheme + FM refinement with the configured implicit
+/// decisions.
 ///
 /// The partition state and FM refiner (gain container, lock vector, move
 /// buffers) are allocated on first run and reused across starts on the
@@ -64,10 +62,8 @@ class Bipartitioner {
 /// instead of once per start.
 class FlatFmPartitioner final : public Bipartitioner {
  public:
-  explicit FlatFmPartitioner(FmConfig config, std::string name = {},
-                             InitialScheme initial = InitialScheme::kRandom);
+  explicit FlatFmPartitioner(FmConfig config);
 
-  std::string name() const override { return name_; }
   Weight run(const PartitionProblem& problem, Rng& rng,
              std::vector<PartId>& parts) override;
   Weight run_start(const PartitionProblem& problem, Rng& rng,
@@ -81,8 +77,6 @@ class FlatFmPartitioner final : public Bipartitioner {
 
  private:
   FmConfig config_;
-  std::string name_;
-  InitialScheme initial_;
   UpdateWork work_;
   std::size_t run_index_ = 0;
   /// Reusable scratch, bound to the problem of the most recent run.  The

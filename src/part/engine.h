@@ -45,7 +45,9 @@ struct EngineSpec {
   /// budget: each budget thread may use that many more.  The answer is
   /// bit-identical at every budget.
   std::size_t threads = 1;
-  FmConfig fm;  ///< every engine's refine policy (clip adds CLIP keys)
+  /// Every engine's refine policy and initial-solution generator (clip
+  /// adds CLIP keys).
+  FmConfig fm;
   MlConfig ml;  ///< ml, ml bisections and evo's nested ML
   NlevelConfig nlevel;
   EvoConfig evo;

@@ -7,14 +7,11 @@
 
 namespace vlsipart {
 
-EvoPartitioner::EvoPartitioner(EvoConfig config, std::size_t threads,
-                               std::string name)
-    : config_(config), threads_(threads), name_(std::move(name)) {
-  if (name_.empty()) name_ = "evo";
-}
+EvoPartitioner::EvoPartitioner(EvoConfig config, std::size_t threads)
+    : config_(config), threads_(threads) {}
 
 std::unique_ptr<Bipartitioner> EvoPartitioner::clone() const {
-  return std::make_unique<EvoPartitioner>(config_, threads_, name_);
+  return std::make_unique<EvoPartitioner>(config_, threads_);
 }
 
 UpdateWork EvoPartitioner::update_work() const {

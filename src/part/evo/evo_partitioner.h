@@ -23,7 +23,6 @@
 #pragma once
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "src/part/core/partitioner.h"
@@ -54,10 +53,8 @@ class EvoPartitioner final : public Bipartitioner {
  public:
   /// `threads` workers run the seeding and each generation's offspring.
   /// The result is bit-identical for every value (see header comment).
-  explicit EvoPartitioner(EvoConfig config, std::size_t threads = 1,
-                          std::string name = {});
+  explicit EvoPartitioner(EvoConfig config, std::size_t threads = 1);
 
-  std::string name() const override { return name_; }
   Weight run(const PartitionProblem& problem, Rng& rng,
              std::vector<PartId>& parts) override;
   /// Engines and pool are reusable scratch; a clone is a fresh instance
@@ -91,7 +88,6 @@ class EvoPartitioner final : public Bipartitioner {
 
   EvoConfig config_;
   std::size_t threads_;
-  std::string name_;
   std::vector<std::unique_ptr<MlPartitioner>> engines_;
   std::unique_ptr<ThreadPool> pool_;
 };

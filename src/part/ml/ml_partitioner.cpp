@@ -9,15 +9,10 @@
 
 namespace vlsipart {
 
-MlPartitioner::MlPartitioner(MlConfig config, std::string name)
-    : config_(config), name_(std::move(name)) {
-  if (name_.empty()) {
-    name_ = std::string("ml-") + (config_.refine.clip ? "clip" : "fm");
-  }
-}
+MlPartitioner::MlPartitioner(MlConfig config) : config_(config) {}
 
 std::unique_ptr<Bipartitioner> MlPartitioner::clone() const {
-  return std::make_unique<MlPartitioner>(config_, name_);
+  return std::make_unique<MlPartitioner>(config_);
 }
 
 ThreadPool* MlPartitioner::acquire_pool() {
@@ -126,7 +121,7 @@ Weight MlPartitioner::run_internal(const PartitionProblem& problem, Rng& rng,
     for (std::size_t t = 0; t < std::max<std::size_t>(1, config_.initial_tries);
          ++t) {
       std::vector<PartId> trial =
-          make_initial(coarse_problem, config_.initial_scheme, t, rng);
+          make_initial(coarse_problem, config_.refine.initial_scheme, t, rng);
       PartitionState state(*coarsest);
       state.assign(trial);
       if (par_refine) {

@@ -5,8 +5,8 @@
 // Pipeline per start:
 //   1. coarsen:   heavy-edge first-choice clustering to ~coarsen_to
 //                 vertices (coarsen.h);
-//   2. initial:   several random feasible solutions of the coarsest
-//                 graph, each FM-refined; keep the best;
+//   2. initial:   several solutions of the coarsest graph from
+//                 refine.initial_scheme, each FM-refined; keep the best;
 //   3. uncoarsen: project each level up and FM-refine with the
 //                 configured (LIFO or CLIP) flat engine.
 //
@@ -18,7 +18,6 @@
 // these starts", Sec. 3.2).
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "src/part/core/multistart.h"
@@ -30,12 +29,11 @@ namespace vlsipart {
 
 struct MlConfig {
   CoarsenConfig coarsen;
-  /// FM policy used at every level (CLIP toggles "ML CLIP" vs "ML LIFO").
+  /// FM policy used at every level (CLIP toggles "ML CLIP" vs "ML LIFO");
+  /// its initial_scheme generates the coarsest-level tries.
   FmConfig refine;
   /// Initial solutions tried at the coarsest level.
   std::size_t initial_tries = 8;
-  /// Generator for those tries (random / BFS region growing / mixed).
-  InitialScheme initial_scheme = InitialScheme::kRandom;
   /// V-cycles applied at the end of each start (0 = plain multilevel;
   /// the hMetis-like harness V-cycles only the best of N starts instead).
   std::size_t vcycles = 0;
@@ -43,9 +41,8 @@ struct MlConfig {
 
 class MlPartitioner final : public Bipartitioner {
  public:
-  explicit MlPartitioner(MlConfig config, std::string name = {});
+  explicit MlPartitioner(MlConfig config);
 
-  std::string name() const override { return name_; }
   Weight run(const PartitionProblem& problem, Rng& rng,
              std::vector<PartId>& parts) override;
   /// The engine carries only reusable scratch and work counters across
@@ -92,7 +89,6 @@ class MlPartitioner final : public Bipartitioner {
 
   MlConfig config_;
   std::unique_ptr<ThreadPool> pool_;
-  std::string name_;
   /// Gain-update work accumulated over every refine at every level.
   UpdateWork work_;
   /// Reusable contraction scratch shared by all hierarchies this engine

@@ -21,13 +21,11 @@ Weight derived_max_cluster_weight(const Hypergraph& h,
 
 }  // namespace
 
-NlevelPartitioner::NlevelPartitioner(NlevelConfig config, std::string name)
-    : config_(config), name_(std::move(name)) {
-  if (name_.empty()) name_ = "nlevel";
-}
+NlevelPartitioner::NlevelPartitioner(NlevelConfig config)
+    : config_(config) {}
 
 std::unique_ptr<Bipartitioner> NlevelPartitioner::clone() const {
-  return std::make_unique<NlevelPartitioner>(config_, name_);
+  return std::make_unique<NlevelPartitioner>(config_);
 }
 
 bool NlevelPartitioner::movable(const PartitionProblem& problem,
@@ -148,7 +146,7 @@ void NlevelPartitioner::solve_coarsest(const PartitionProblem& problem,
   for (std::size_t t = 0; t < std::max<std::size_t>(1, config_.initial_tries);
        ++t) {
     std::vector<PartId> trial =
-        make_initial(coarse_problem, config_.initial_scheme, t, rng);
+        make_initial(coarse_problem, config_.refine.initial_scheme, t, rng);
     PartitionState state(cr.coarse);
     state.assign(trial);
     work_.absorb(refiner.refine(state, rng).update_work());

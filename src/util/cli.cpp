@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <stdexcept>
 
 namespace vlsipart {
@@ -169,7 +170,7 @@ std::vector<std::string> CliArgs::get_list(const std::string& name,
 int cli_main(int argc, char** argv, int (*body)(int, char**)) {
   try {
     return body(argc, argv);
-  } catch (const std::invalid_argument& e) {
+  } catch (const std::exception& e) {
     std::fprintf(stderr, "%s: error: %s\n", argc > 0 ? argv[0] : "?",
                  e.what());
     return 1;

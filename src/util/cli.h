@@ -56,9 +56,10 @@ class CliArgs {
   std::vector<std::string> positional_;
 };
 
-/// The shared `main` of the bench and example binaries: returns
-/// body(argc, argv), except that a std::invalid_argument escaping it —
-/// how CliArgs reports an unknown option or a malformed value — prints
+/// The shared `main` of the bench, example and tool binaries: returns
+/// body(argc, argv), except that a std::exception escaping it — how
+/// CliArgs reports an unknown option or a malformed value, and how a
+/// reader, writer or filesystem call reports a bad path — prints
 /// "<argv[0]>: error: <what>" to stderr and returns 1 instead of ending
 /// the process in an uncaught-exception abort.
 int cli_main(int argc, char** argv, int (*body)(int, char**));

@@ -67,6 +67,43 @@ TEST(Engine, KwayIdenticalAnswersAtEveryThreadBudget) {
   }
 }
 
+// The initial-solution generator is one FM policy field: run_engine
+// hands fm.initial_scheme to every engine, so each answer equals the
+// engine built by hand with BFS starts.
+TEST(Engine, InitialSchemeReachesEveryEngine) {
+  const Hypergraph h = generate_netlist(preset("tiny"));
+  PartitionProblem problem;
+  problem.graph = &h;
+  problem.balance =
+      BalanceConstraint::from_tolerance(h.total_vertex_weight(), 0.1);
+  FmConfig bfs;
+  bfs.initial_scheme = InitialScheme::kBfs;
+  for (const char* engine : {"flat", "ml", "nlevel"}) {
+    EngineSpec spec = small_spec(engine, 2, 3);
+    spec.fm = bfs;
+    const EngineResult r = run_engine(spec, h);
+    ASSERT_EQ(r.error, "") << engine;
+    MultistartResult by_hand;
+    if (spec.engine == "flat") {
+      FlatFmPartitioner flat(bfs);
+      by_hand = run_multistart(problem, flat, spec.starts, spec.seed);
+    } else if (spec.engine == "ml") {
+      MlConfig config;
+      config.refine = bfs;
+      MlPartitioner ml(config);
+      by_hand = run_hmetis_like(problem, ml, spec.starts, spec.vcycles,
+                                spec.seed);
+    } else {
+      NlevelConfig config;
+      config.refine = bfs;
+      NlevelPartitioner nlevel(config);
+      by_hand = run_multistart(problem, nlevel, spec.starts, spec.seed);
+    }
+    EXPECT_EQ(r.cut, by_hand.best_cut) << engine;
+    EXPECT_EQ(r.parts, by_hand.best_parts) << engine;
+  }
+}
+
 // The round refiner has no CLIP mode, so CLIP with refine_threads > 1 is
 // an error naming why, whether it comes from the clip engine or from
 // fm.clip, at k = 2 and k > 2.  nlevel refines serially and keeps CLIP.

@@ -90,7 +90,9 @@ TEST(InitialScheme, DispatchAndNames) {
 TEST(InitialScheme, FlatEngineWithBfsStartsStaysValid) {
   const Hypergraph h = generate_netlist(preset("small"));
   const PartitionProblem p = make_problem(h, 0.1);
-  FlatFmPartitioner engine{FmConfig{}, "bfs-fm", InitialScheme::kBfs};
+  FmConfig bfs;
+  bfs.initial_scheme = InitialScheme::kBfs;
+  FlatFmPartitioner engine{bfs};
   const MultistartResult r = run_multistart(p, engine, 8, 5);
   for (const auto& s : r.starts) EXPECT_TRUE(s.feasible);
   EXPECT_EQ(check_solution(p, r.best_parts), "");
@@ -142,7 +144,7 @@ TEST(MlInitialScheme, BfsAtCoarsestLevelWorks) {
   const Hypergraph h = generate_netlist(preset("small"));
   const PartitionProblem p = make_problem(h, 0.1);
   MlConfig config;
-  config.initial_scheme = InitialScheme::kMixed;
+  config.refine.initial_scheme = InitialScheme::kMixed;
   MlPartitioner engine(config);
   std::vector<PartId> parts;
   Rng rng(9);

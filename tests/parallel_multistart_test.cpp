@@ -42,7 +42,6 @@ class CloneCountingEngine final : public Bipartitioner {
  public:
   explicit CloneCountingEngine(std::size_t* clones) : clones_(clones) {}
 
-  std::string name() const override { return "clone-counting"; }
   Weight run(const PartitionProblem& problem, Rng& rng,
              std::vector<PartId>& parts) override {
     return inner_.run(problem, rng, parts);
@@ -119,19 +118,21 @@ TEST(ParallelMultistart, MixedInitialSchemeKeyedByStartIndex) {
   // counts, to match the serial schedule.
   const Hypergraph h = generate_netlist(preset("tiny"));
   const PartitionProblem p = make_problem(h, 0.1);
-  FlatFmPartitioner serial_engine{FmConfig{}, "", InitialScheme::kMixed};
+  FmConfig mixed;
+  mixed.initial_scheme = InitialScheme::kMixed;
+  FlatFmPartitioner serial_engine{mixed};
   const MultistartResult serial = run_multistart(p, serial_engine, 8, 5, 1);
-  FlatFmPartitioner engine{FmConfig{}, "", InitialScheme::kMixed};
+  FlatFmPartitioner engine{mixed};
   const MultistartResult r = run_multistart(p, engine, 8, 5, 4);
   expect_same_result(serial, r, "mixed");
 
   // Reusing one engine across calls must not shift the alternation: with
   // an odd start count, a per-engine call counter would leave the second
   // call starting on the other generator.
-  FlatFmPartitioner parallel_engine{FmConfig{}, "", InitialScheme::kMixed};
+  FlatFmPartitioner parallel_engine{mixed};
   const MultistartResult parallel =
       run_multistart(p, parallel_engine, 3, 5, 2);
-  FlatFmPartitioner reused{FmConfig{}, "", InitialScheme::kMixed};
+  FlatFmPartitioner reused{mixed};
   const MultistartResult first = run_multistart(p, reused, 3, 5, 1);
   const MultistartResult second = run_multistart(p, reused, 3, 5, 1);
   expect_same_result(parallel, first, "mixed reused, first call");

@@ -21,7 +21,6 @@
 //   --no-result-cache                force recomputation server-side
 //   --timeout-ms 600000              client-side response wait
 #include <cstdio>
-#include <exception>
 
 #include "src/part/engine.h"
 #include "src/service/client.h"
@@ -30,108 +29,108 @@
 using namespace vlsipart;
 using namespace vlsipart::service;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const CliArgs args(argc, argv);
-  try {
-    args.check_known({"socket", "op", "case", "hgr", "ispd98", "scale",
-                      "gen-seed", "k", "tolerance", "engine", "starts",
-                      "vcycles", "population", "generations", "seed",
-                      "deadline-ms", "parts", "no-result-cache",
-                      "timeout-ms"});
-    Endpoint endpoint;
-    std::string error;
-    if (!Endpoint::parse(args.get("socket", "unix:/tmp/vpartd.sock"),
-                         endpoint, &error)) {
-      std::fprintf(stderr, "vpart_client: %s\n", error.c_str());
-      return 2;
-    }
-    const int timeout_ms =
-        static_cast<int>(args.get_int("timeout-ms", 600000));
-    ServiceClient client;
-    if (!client.connect(endpoint)) {
-      std::fprintf(stderr, "vpart_client: cannot connect to %s: %s\n",
-                   endpoint.describe().c_str(), client.error().c_str());
-      return 1;
-    }
-
-    const std::string op = args.get("op", "submit");
-    if (op == "stats" || op == "ping") {
-      JsonValue request = JsonValue::object();
-      request.set("op", JsonValue::string(op));
-      JsonValue response;
-      if (!client.request(request, response, timeout_ms)) {
-        std::fprintf(stderr, "vpart_client: %s\n", client.error().c_str());
-        return 1;
-      }
-      std::printf("%s\n", response.dump().c_str());
-      return 0;
-    }
-    if (op == "shutdown") {
-      if (!client.shutdown_server()) {
-        std::fprintf(stderr, "vpart_client: shutdown refused: %s\n",
-                     client.error().c_str());
-        return 1;
-      }
-      std::printf("vpartd draining\n");
-      return 0;
-    }
-    if (op != "submit") {
-      std::fprintf(stderr,
-                   "vpart_client: unknown --op (submit|stats|ping|"
-                   "shutdown): %s\n",
-                   op.c_str());
-      return 2;
-    }
-
-    SubmitRequest request;
-    if (args.has("hgr")) {
-      request.instance.hgr_path = args.get("hgr", "");
-    } else if (args.has("ispd98")) {
-      request.instance.ispd98_path = args.get("ispd98", "");
-    } else {
-      request.instance.preset = args.get("case", "ibm01");
-      request.instance.scale = args.get_double("scale", 0.5);
-      request.instance.gen_seed =
-          static_cast<std::uint64_t>(args.get_int("gen-seed", 0));
-    }
-    request.k = static_cast<std::size_t>(args.get_int("k", 2));
-    request.tolerance = args.get_double("tolerance", 0.02);
-    request.engine = CliArgs::check_known_value(
-        "engine", args.get("engine", "ml"), engine_names());
-    if (const std::string why = engine_spec_error(request.engine, request.k);
-        !why.empty()) {
-      std::fprintf(stderr, "vpart_client: %s\n", why.c_str());
-      return 2;
-    }
-    request.starts = static_cast<std::size_t>(args.get_int("starts", 4));
-    request.vcycles = static_cast<std::size_t>(args.get_int("vcycles", 1));
-    request.population =
-        static_cast<std::size_t>(args.get_int("population", 6));
-    request.generations =
-        static_cast<std::size_t>(args.get_int("generations", 8));
-    request.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-    request.deadline_ms = args.get_int("deadline-ms", 0);
-    request.include_parts = args.get_bool("parts");
-    request.use_result_cache = !args.get_bool("no-result-cache");
-
-    const PartitionReply reply = client.submit_and_wait(request, timeout_ms);
-    if (!reply.ok) {
-      std::fprintf(stderr, "vpart_client: %s: %s\n",
-                   reply.error.empty() ? "request failed"
-                                       : reply.error.c_str(),
-                   reply.message.c_str());
-      return 1;
-    }
-    std::printf("job %lld: cut=%lld cache=%s queue_wait=%.3fs run=%.3fs\n",
-                static_cast<long long>(reply.job),
-                static_cast<long long>(reply.cut), reply.cache.c_str(),
-                reply.queue_wait_s, reply.run_s);
-    if (request.include_parts) {
-      for (const PartId p : reply.parts) std::printf("%u\n", p);
-    }
-    return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "vpart_client: %s\n", e.what());
+  args.check_known({"socket", "op", "case", "hgr", "ispd98", "scale",
+                    "gen-seed", "k", "tolerance", "engine", "starts",
+                    "vcycles", "population", "generations", "seed",
+                    "deadline-ms", "parts", "no-result-cache",
+                    "timeout-ms"});
+  Endpoint endpoint;
+  std::string error;
+  if (!Endpoint::parse(args.get("socket", "unix:/tmp/vpartd.sock"),
+                       endpoint, &error)) {
+    std::fprintf(stderr, "vpart_client: %s\n", error.c_str());
+    return 2;
+  }
+  const int timeout_ms = static_cast<int>(args.get_int("timeout-ms", 600000));
+  ServiceClient client;
+  if (!client.connect(endpoint)) {
+    std::fprintf(stderr, "vpart_client: cannot connect to %s: %s\n",
+                 endpoint.describe().c_str(), client.error().c_str());
     return 1;
   }
+
+  const std::string op = args.get("op", "submit");
+  if (op == "stats" || op == "ping") {
+    JsonValue request = JsonValue::object();
+    request.set("op", JsonValue::string(op));
+    JsonValue response;
+    if (!client.request(request, response, timeout_ms)) {
+      std::fprintf(stderr, "vpart_client: %s\n", client.error().c_str());
+      return 1;
+    }
+    std::printf("%s\n", response.dump().c_str());
+    return 0;
+  }
+  if (op == "shutdown") {
+    if (!client.shutdown_server()) {
+      std::fprintf(stderr, "vpart_client: shutdown refused: %s\n",
+                   client.error().c_str());
+      return 1;
+    }
+    std::printf("vpartd draining\n");
+    return 0;
+  }
+  if (op != "submit") {
+    std::fprintf(stderr,
+                 "vpart_client: unknown --op (submit|stats|ping|"
+                 "shutdown): %s\n",
+                 op.c_str());
+    return 2;
+  }
+
+  SubmitRequest request;
+  if (args.has("hgr")) {
+    request.instance.hgr_path = args.get("hgr", "");
+  } else if (args.has("ispd98")) {
+    request.instance.ispd98_path = args.get("ispd98", "");
+  } else {
+    request.instance.preset = args.get("case", "ibm01");
+    request.instance.scale = args.get_double("scale", 0.5);
+    request.instance.gen_seed =
+        static_cast<std::uint64_t>(args.get_int("gen-seed", 0));
+  }
+  request.k = static_cast<std::size_t>(args.get_int("k", 2));
+  request.tolerance = args.get_double("tolerance", 0.02);
+  request.engine = CliArgs::check_known_value(
+      "engine", args.get("engine", "ml"), engine_names());
+  if (const std::string why = engine_spec_error(request.engine, request.k);
+      !why.empty()) {
+    std::fprintf(stderr, "vpart_client: %s\n", why.c_str());
+    return 2;
+  }
+  request.starts = static_cast<std::size_t>(args.get_int("starts", 4));
+  request.vcycles = static_cast<std::size_t>(args.get_int("vcycles", 1));
+  request.population =
+      static_cast<std::size_t>(args.get_int("population", 6));
+  request.generations =
+      static_cast<std::size_t>(args.get_int("generations", 8));
+  request.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  request.deadline_ms = args.get_int("deadline-ms", 0);
+  request.include_parts = args.get_bool("parts");
+  request.use_result_cache = !args.get_bool("no-result-cache");
+
+  const PartitionReply reply = client.submit_and_wait(request, timeout_ms);
+  if (!reply.ok) {
+    std::fprintf(stderr, "vpart_client: %s: %s\n",
+                 reply.error.empty() ? "request failed"
+                                     : reply.error.c_str(),
+                 reply.message.c_str());
+    return 1;
+  }
+  std::printf("job %lld: cut=%lld cache=%s queue_wait=%.3fs run=%.3fs\n",
+              static_cast<long long>(reply.job),
+              static_cast<long long>(reply.cut), reply.cache.c_str(),
+              reply.queue_wait_s, reply.run_s);
+  if (request.include_parts) {
+    for (const PartId p : reply.parts) std::printf("%u\n", p);
+  }
+  return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return cli_main(argc, argv, run); }

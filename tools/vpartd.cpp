@@ -25,7 +25,6 @@
 //   --coarsen-threads 1    intra-run coarsening threads per engine
 //   --verbose              per-event log lines on stderr
 #include <cstdio>
-#include <exception>
 
 #include "src/service/server.h"
 #include "src/util/cli.h"
@@ -34,53 +33,52 @@
 using namespace vlsipart;
 using namespace vlsipart::service;
 
-int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
-  try {
-    args.check_known({"socket", "workers", "queue", "max-payload-mb",
-                      "idle-timeout-ms", "drain-grace-ms", "stats-interval",
-                      "instance-cache", "result-cache", "refine-threads",
-                      "coarsen-threads", "verbose"});
-    ServiceConfig config;
-    std::string endpoint_error;
-    if (!Endpoint::parse(args.get("socket", "unix:/tmp/vpartd.sock"),
-                         config.endpoint, &endpoint_error)) {
-      std::fprintf(stderr, "vpartd: %s\n", endpoint_error.c_str());
-      return 2;
-    }
-    config.workers = static_cast<std::size_t>(args.get_int("workers", 2));
-    config.queue_capacity =
-        static_cast<std::size_t>(args.get_int("queue", 64));
-    config.max_payload = static_cast<std::size_t>(
-                             args.get_int("max-payload-mb", 4))
-                         << 20;
-    config.idle_timeout_ms =
-        static_cast<int>(args.get_int("idle-timeout-ms", 30000));
-    config.drain_grace_ms =
-        static_cast<int>(args.get_int("drain-grace-ms", 2000));
-    config.stats_log_interval_s = args.get_double("stats-interval", 0.0);
-    config.instance_cache_capacity =
-        static_cast<std::size_t>(args.get_int("instance-cache", 8));
-    config.result_cache_capacity =
-        static_cast<std::size_t>(args.get_int("result-cache", 256));
-    config.refine_threads =
-        static_cast<std::size_t>(args.get_int("refine-threads", 1));
-    config.coarsen_threads =
-        static_cast<std::size_t>(args.get_int("coarsen-threads", 1));
-    config.verbose = args.get_bool("verbose");
+namespace {
 
-    install_shutdown_handler();
-    PartitionService server(std::move(config));
-    server.start();
-    std::printf("vpartd: serving on %s (%zu threads per job)\n",
-                server.bound_endpoint().describe().c_str(),
-                server.job_threads());
-    std::fflush(stdout);
-    server.serve_until_shutdown();
-    std::printf("vpartd: drained, exiting\n");
-    return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "vpartd: %s\n", e.what());
-    return 1;
+int run(int argc, char** argv) {
+  const CliArgs args(argc, argv);
+  args.check_known({"socket", "workers", "queue", "max-payload-mb",
+                    "idle-timeout-ms", "drain-grace-ms", "stats-interval",
+                    "instance-cache", "result-cache", "refine-threads",
+                    "coarsen-threads", "verbose"});
+  ServiceConfig config;
+  std::string endpoint_error;
+  if (!Endpoint::parse(args.get("socket", "unix:/tmp/vpartd.sock"),
+                       config.endpoint, &endpoint_error)) {
+    std::fprintf(stderr, "vpartd: %s\n", endpoint_error.c_str());
+    return 2;
   }
+  config.workers = static_cast<std::size_t>(args.get_int("workers", 2));
+  config.queue_capacity = static_cast<std::size_t>(args.get_int("queue", 64));
+  config.max_payload =
+      static_cast<std::size_t>(args.get_int("max-payload-mb", 4)) << 20;
+  config.idle_timeout_ms =
+      static_cast<int>(args.get_int("idle-timeout-ms", 30000));
+  config.drain_grace_ms =
+      static_cast<int>(args.get_int("drain-grace-ms", 2000));
+  config.stats_log_interval_s = args.get_double("stats-interval", 0.0);
+  config.instance_cache_capacity =
+      static_cast<std::size_t>(args.get_int("instance-cache", 8));
+  config.result_cache_capacity =
+      static_cast<std::size_t>(args.get_int("result-cache", 256));
+  config.refine_threads =
+      static_cast<std::size_t>(args.get_int("refine-threads", 1));
+  config.coarsen_threads =
+      static_cast<std::size_t>(args.get_int("coarsen-threads", 1));
+  config.verbose = args.get_bool("verbose");
+
+  install_shutdown_handler();
+  PartitionService server(std::move(config));
+  server.start();
+  std::printf("vpartd: serving on %s (%zu threads per job)\n",
+              server.bound_endpoint().describe().c_str(),
+              server.job_threads());
+  std::fflush(stdout);
+  server.serve_until_shutdown();
+  std::printf("vpartd: drained, exiting\n");
+  return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return cli_main(argc, argv, run); }
