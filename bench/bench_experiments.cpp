@@ -667,16 +667,17 @@ std::vector<Table> significance(const BenchOptions& opt, const CliArgs&) {
 }
 
 /// A question's verdict on each case: its first row against the second,
-/// the baseline.
+/// the baseline.  One emitted record per (case, question).
 void significance_report(const std::vector<Case>& cases, const Table& table,
-                         const BenchOptions&) {
+                         const BenchOptions& opt) {
   ComparisonConfig config;
   config.baseline = 1;
   for (const Case& c : cases) {
     const ComparisonReport report =
         compare_on(c, labeled_specs(table), config);
-    std::printf("* %s: %s\n  %s\n\n", c.label.c_str(), table.title.c_str(),
-                report.engines[0].versus_baseline.c_str());
+    TextTable verdict({"case", "verdict"});
+    verdict.add_row({c.label, report.engines[0].versus_baseline});
+    emit(verdict, opt, table.title);
   }
 }
 

@@ -1,6 +1,7 @@
 // Google-benchmark microbenchmarks for the performance-critical kernels:
 // gain-container operations, incremental partition-state moves, one FM
-// pass, one coarsening level, and the .hgr reader and writer.  These
+// pass, the k-way polish, one coarsening level, and the .hgr reader and
+// writer.  These
 // guard the "Do make it fast enough / Do measure CPU time" maxims [19] —
 // a slow testbed invalidates runtime-regime conclusions.
 #include <benchmark/benchmark.h>
@@ -17,6 +18,8 @@
 #include "src/part/core/initial.h"
 #include "src/part/core/parallel_refine.h"
 #include "src/part/evo/evo_partitioner.h"
+#include "src/part/kway/kway_refiner.h"
+#include "src/part/kway/recursive_bisection.h"
 #include "src/part/ml/coarsen.h"
 #include "src/part/ml/parallel_coarsen.h"
 #include "src/part/nlevel/nlevel_graph.h"
@@ -94,6 +97,28 @@ void BM_FmFullRefine(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FmFullRefine)->Unit(benchmark::kMillisecond);
+
+// The direct k-way polish as recursive bisection runs it (two passes)
+// on the unpolished RB parts of ibm10@0.3, k = 4: an instance with
+// clock-class nets, whose every move touches thousands of pins.
+void BM_KwayPolish(benchmark::State& state) {
+  const Hypergraph h = generate_netlist(preset("ibm10").scaled(0.3));
+  KwayConfig config;
+  config.k = 4;
+  config.refine_passes = 0;
+  const std::vector<PartId> rb_parts = recursive_bisection(h, config).parts;
+  const KwayProblem p = KwayProblem::uniform(h, config.k, config.tolerance);
+  KwayFmConfig polish;
+  polish.max_passes = 2;
+  for (auto _ : state) {
+    KwayState s(h, config.k);
+    s.assign(rb_parts);
+    KwayFmRefiner refiner(p, polish);
+    Rng rng(config.seed);
+    benchmark::DoNotOptimize(refiner.refine(s, rng));
+  }
+}
+BENCHMARK(BM_KwayPolish)->Unit(benchmark::kMillisecond);
 
 // Delta-gain-heavy scenario: a medium instance with many huge clock/
 // reset-class nets (the shape vlsipart::gen deliberately produces).  The

@@ -185,21 +185,8 @@ int run(int argc, char** argv) {
     print_help();
     return 0;
   }
-  Hypergraph h;
-  std::string source;
-  if (args.has("hgr")) {
-    source = args.get("hgr", "");
-    h = read_hmetis_file(source);
-  } else if (args.has("ispd98")) {
-    source = args.get("ispd98", "");
-    h = read_ispd98_files(source).hypergraph;
-  } else {
-    const std::string name = args.get("case", "ibm01");
-    source = name;
-    h = generate_netlist(preset(name).scaled(args.get_double("scale", 0.5)));
-  }
-  std::printf("%s\n\n", compute_stats(h).to_string(h.name()).c_str());
-
+  // Every flag is checked before the instance is read or generated, so
+  // a typo costs no parse of a large input.
   EngineSpec spec;  // each flag defaults to the spec's default
   int_flag(args, "k", spec.k);
   // hMetis "UBfactor" parity: UBfactor b means parts within
@@ -218,6 +205,21 @@ int run(int argc, char** argv) {
   int_flag(args, "seed", spec.seed);
   fm_config_from_args(args, spec.fm);
   engine_configs_from_args(args, spec);
+
+  Hypergraph h;
+  std::string source;
+  if (args.has("hgr")) {
+    source = args.get("hgr", "");
+    h = read_hmetis_file(source);
+  } else if (args.has("ispd98")) {
+    source = args.get("ispd98", "");
+    h = read_ispd98_files(source).hypergraph;
+  } else {
+    const std::string name = args.get("case", "ibm01");
+    source = name;
+    h = generate_netlist(preset(name).scaled(args.get_double("scale", 0.5)));
+  }
+  std::printf("%s\n\n", compute_stats(h).to_string(h.name()).c_str());
 
   CpuTimer timer;
   const EngineResult result = run_engine(spec, h);

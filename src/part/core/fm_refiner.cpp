@@ -228,7 +228,8 @@ FmRefiner::Candidate FmRefiner::select_move(const PartitionState& state,
 }
 
 // hot-path: root
-FmPassStats FmRefiner::run_pass(PartitionState& state, Rng& rng) {
+FmPassStats FmRefiner::run_pass(PartitionState& state, PassCarry& carry,
+                                Rng& rng) {
   const Hypergraph& h = *problem_->graph;
   const std::size_t n = h.num_vertices();
   VP_CHECK(n <= kInvalidVertex, "vertex count " << n << " fits VertexId");
@@ -263,8 +264,15 @@ FmPassStats FmRefiner::run_pass(PartitionState& state, Rng& rng) {
   order.resize(n);  // hot-path: allow(per-pass reset of reused buffer)
   std::iota(order.begin(), order.end(), 0);
   std::vector<Gain>& initial_gain = initial_gain_;
-  initial_gain.assign(n, 0);  // hot-path: allow(per-pass reset of reused buffer)
-  for (VertexId v = 0; v < n; ++v) initial_gain[v] = state.gain(v);
+  if (carry.gains_valid) {
+    // The previous pass replayed its kept prefix onto initial_gain_, so
+    // it already holds every vertex's gain in this state.
+    if (audit_.enabled()) audit_pass_start_gains(state, initial_gain);
+  } else {
+    initial_gain.resize(n);  // hot-path: allow(per-pass reset of reused buffer)
+    for (VertexId v = 0; v < n; ++v) initial_gain[v] = state.gain(v);
+  }
+  carry.snapshot = state;  // reuses the buffers after the first pass
   if (config_.clip) {
     // CLIP builds the zero-gain buckets with the highest-initial-gain
     // cells at the heads [15]: insert in ascending initial-gain order so
@@ -424,9 +432,34 @@ FmPassStats FmRefiner::run_pass(PartitionState& state, Rng& rng) {
   // sequence — every delta-gain update of the pass is on trial here.
   if (audit_.enabled()) run_in_pass_audit(state);
 
-  // Roll back to the best prefix.
-  for (std::size_t i = move_order_.size(); i > best_prefix; --i) {
-    state.move(move_order_[i - 1]);
+  // Roll back to the best prefix: undo the rejected tail move by move,
+  // or, when the kept prefix is at most half the moves, restore the
+  // pass-start copy and replay the prefix.  The replay also carries initial_gain_
+  // forward to the next pass's initial gains: each critical net adds its
+  // four-cut-values delta to every other pin, and the mover's gain
+  // changes sign.
+  carry.gains_valid = best_prefix <= move_order_.size() / 2;
+  if (carry.gains_valid) {
+    state = *carry.snapshot;
+    for (std::size_t i = 0; i < best_prefix; ++i) {
+      const VertexId v = move_order_[i];
+      const PartId from = state.part(v);
+      state.move(v, [&](EdgeId e, std::uint32_t old_from,
+                        std::uint32_t old_to) {
+        if (old_from >= 3 && old_to >= 2) return;  // every delta is zero
+        const NetGainDelta d =
+            net_gain_delta(old_from, old_to, h.edge_weight(e));
+        for (const VertexId y : h.pins(e)) {
+          if (y == v) continue;
+          initial_gain[y] += state.part(y) == from ? d.on_from : d.on_to;
+        }
+      });
+      initial_gain[v] = -initial_gain[v];
+    }
+  } else {
+    for (std::size_t i = move_order_.size(); i > best_prefix; --i) {
+      state.move(move_order_[i - 1]);
+    }
   }
   stats.moves_kept = best_prefix;
   stats.cut_after = state.cut();
@@ -439,8 +472,9 @@ FmResult FmRefiner::refine(PartitionState& state, Rng& rng) {
   result.initial_cut = state.cut();
   int pass_count = 0;
   Weight imb_before = imbalance(state.part_weight(0));
+  PassCarry carry;  // freed on return: nothing carries across calls
   while (true) {
-    FmPassStats stats = run_pass(state, rng);
+    FmPassStats stats = run_pass(state, carry, rng);
     ++pass_count;
     result.total_moves += stats.moves_made;
     if (stats.zero_move_pass) ++result.zero_move_passes;

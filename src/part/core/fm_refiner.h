@@ -4,19 +4,25 @@
 //
 // The engine refines a PartitionState in place.  Each pass:
 //   1. computes gains and builds the gain container (CLIP: all keys 0,
-//      heads ordered by descending initial gain, per [15]);
+//      heads ordered by descending initial gain, per [15]), and copies
+//      the state as the pass-start snapshot;
 //   2. repeatedly selects the highest-key legal move — examining only the
 //      first move of each bucket unless look_beyond_first — applies it,
 //      locks the vertex, and updates neighbor gains via the
 //      "four cut values" per-net delta computation, honoring the
 //      zero-delta-gain update policy;
-//   3. rolls back to the best prefix (tie-broken per BestChoice).
+//   3. rolls back to the best prefix (tie-broken per BestChoice).  When
+//      the prefix is at most half the moves, it restores the snapshot
+//      and replays the prefix, carrying the gains along so the next pass
+//      skips step 1's gain sweep; otherwise it undoes the tail move by
+//      move.  Either way the state is the same.
 // Passes repeat until no improvement (or max_passes).
 //
 // Pass statistics expose the corking diagnostics of Sec. 2.3:
 // a zero-move pass is exactly a "corked" CLIP pass.
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "src/part/core/fm_config.h"
@@ -148,10 +154,18 @@ class FmRefiner {
     bool valid = false;
   };
 
+  /// What one pass hands the next within a refine() call: the
+  /// pass-start copy of the state (the buffers are reused), and whether
+  /// initial_gain_ already holds the gains of the state.
+  struct PassCarry {
+    std::optional<PartitionState> snapshot;
+    bool gains_valid = false;
+  };
+
   bool move_allowed(const PartitionState& state, VertexId v) const;
   Candidate select_from_side(const PartitionState& state, PartId side) const;
   Candidate select_move(const PartitionState& state, PartId last_from) const;
-  FmPassStats run_pass(PartitionState& state, Rng& rng);
+  FmPassStats run_pass(PartitionState& state, PassCarry& carry, Rng& rng);
 
   /// From-scratch cross-check of every incrementally maintained structure
   /// (see invariant_audit.h); called at the cadence audit_ prescribes.
@@ -189,6 +203,7 @@ class FmRefiner {
   /// Per-pass scratch, hoisted so repeated refine() calls (multistart)
   /// reuse the allocations instead of reconstructing them every pass.
   std::vector<VertexId> build_order_;
+  /// Pass-start gains; after a snapshot rollback, the next pass's.
   std::vector<Gain> initial_gain_;
   /// Radix-sort scratch for CLIP's initial-gain bucket order.
   std::vector<VertexId> sort_scratch_;

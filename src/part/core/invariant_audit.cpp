@@ -95,6 +95,18 @@ void audit_mid_pass(const FmAuditView& view) {
   audit_locked_pins(view);
 }
 
+void audit_pass_start_gains(const PartitionState& state,
+                            std::span<const Gain> gain) {
+  const std::size_t n = state.graph().num_vertices();
+  VP_CHECK(gain.size() == n, "audit: carried-gain span covers vertices");
+  for (std::size_t i = 0; i < n; ++i) {
+    const Gain expected = state.gain(static_cast<VertexId>(i));
+    VP_CHECK(gain[i] == expected, "audit: carried gain drift at vertex "
+                                      << i << ": carried " << gain[i]
+                                      << " vs recomputed " << expected);
+  }
+}
+
 void audit_pass_boundary(const PartitionProblem& problem,
                          const PartitionState& state, Weight imbalance_before,
                          Weight cut_before) {

@@ -55,6 +55,14 @@ void audit_locked_pins(const FmAuditView& view);
 /// Full mid-pass audit: state.audit() plus the two checks above.
 void audit_mid_pass(const FmAuditView& view);
 
+/// Pass-start audit of carried gains: gain[v] == state.gain(v) for every
+/// vertex, fixed ones included.  A pass that rolls back by replaying its
+/// kept prefix hands its updated gains to the next pass instead of
+/// recomputing them; this is the from-scratch check of that hand-over.
+/// O(pins).
+void audit_pass_start_gains(const PartitionState& state,
+                            std::span<const Gain> gain);
+
 /// Pass-boundary audit: state.audit() (pin counts, cut and part weights
 /// re-derived from the assignment) plus the rollback guarantees — the
 /// pass never worsened the balance violation, and at equal violation

@@ -75,8 +75,9 @@ class PartitionState {
   /// incident net, in incidence order, in the same walk that updates the
   /// net: old_from/old_to are the net's pin counts on v's source and
   /// destination sides before the move, the inputs of net_gain_delta().
-  /// The callback must not read this state: v's part and the part
-  /// weights change only after the last net.
+  /// The callback may read the part of any vertex but v, and nothing
+  /// else of this state: v's part and the part weights change only after
+  /// the last net, and the pin counts and cut are mid-update.
   template <class OnNet>
   void move(VertexId v, OnNet&& on_net);
 

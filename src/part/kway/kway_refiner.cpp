@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/util/checked_narrow.h"
 #include "src/util/logging.h"
 #include "src/util/prefetch.h"
 
@@ -31,6 +32,8 @@ KwayFmRefiner::KwayFmRefiner(const KwayProblem& problem, KwayFmConfig config)
   max_abs_gain_ = max_wdeg;
   const std::size_t n = h.num_vertices();
   target_.assign(n, kNoPart);
+  best_.assign(n, Target{});
+  fresh_at_.assign(n, 0);
   locked_.assign(n, 0);
   use_lookahead_ = config_.lookahead_depth > 1;
 }
@@ -117,19 +120,16 @@ bool KwayFmRefiner::target_legal(const KwayState& state, VertexId v,
          state.part_weight(state.part(v)) - w >= problem_->min_part;
 }
 
-PartId KwayFmRefiner::best_target(const KwayState& state, VertexId v,
-                                  bool require_legal) const {
+KwayFmRefiner::Target KwayFmRefiner::best_target(const KwayState& state,
+                                                 VertexId v,
+                                                 bool require_legal) const {
   const PartId from = state.part(v);
-  PartId best = kNoPart;
-  Gain best_gain = 0;
+  Target best;
   for (PartId t = 0; t < static_cast<PartId>(state.k()); ++t) {
     if (t == from) continue;
     if (require_legal && !target_legal(state, v, t)) continue;
     const Gain g = state.gain(v, t);
-    if (best == kNoPart || g > best_gain) {
-      best = t;
-      best_gain = g;
-    }
+    if (best.to == kNoPart || g > best.gain) best = {t, g};
   }
   return best;
 }
@@ -142,6 +142,7 @@ Weight KwayFmRefiner::run_pass(KwayState& state, Rng& rng) {
 
   pool_.reset(max_abs_gain_);
   std::fill(locked_.begin(), locked_.end(), 0);
+  std::fill(fresh_at_.begin(), fresh_at_.end(), 0);
   move_order_.clear();
   if (use_lookahead_) {
     locked_in_.assign(h.num_edges() * state.k(), 0);  // hot-path: allow(per-pass reset of reused buffer)
@@ -159,9 +160,8 @@ Weight KwayFmRefiner::run_pass(KwayState& state, Rng& rng) {
   for (std::size_t v = 0; v < n; ++v) {
     const auto vid = static_cast<VertexId>(v);
     if (problem_->is_fixed(vid)) continue;
-    const PartId t = best_target(state, vid, /*require_legal=*/false);
-    if (t == kNoPart) continue;
-    pool_insert(vid, state.gain(vid, t), t);
+    best_[vid] = best_target(state, vid, /*require_legal=*/false);
+    pool_insert(vid, best_[vid].gain, best_[vid].to);
   }
 
   const Weight cut_before = state.cut();
@@ -183,15 +183,15 @@ Weight KwayFmRefiner::run_pass(KwayState& state, Rng& rng) {
     if (!target_legal(state, v, to)) {
       // Downgrade to the best *legal* target; keys only decrease, so
       // reinsertion makes progress.
-      to = best_target(state, v, /*require_legal=*/true);
-      if (to == kNoPart) {
+      const Target legal = best_target(state, v, /*require_legal=*/true);
+      if (legal.to == kNoPart) {
         pool_.erase(v);
         continue;
       }
-      const Gain g = state.gain(v, to);
-      if (g < pool_.key(v)) {
+      to = legal.to;
+      if (legal.gain < pool_.key(v)) {
         pool_.erase(v);
-        pool_insert(v, g, to);
+        pool_insert(v, legal.gain, to);
         continue;
       }
       // Equal key with a legal target: fall through and take it.
@@ -208,8 +208,20 @@ Weight KwayFmRefiner::run_pass(KwayState& state, Rng& rng) {
       }
     }
 
-    // Eager exact update of every free neighbor's best candidate.
+    // Exact update of every free neighbor's best candidate.  A pin's gain
+    // toward any target changes only on a net whose from count fell to
+    // <= 1 or whose to count rose to <= 2: KwayState::gain reads the
+    // counts only at their 0/1 thresholds.  So each pin's cached best is
+    // recomputed once per move, at its first visit through such a net,
+    // and reused on every other net.  Every visit still erases the pin and
+    // pushes it to the front of its bucket.  A pin met first on an
+    // unchanged net is pushed with its old key, but its later visit
+    // pushes it again, and only a pin's last push fixes its place: the
+    // pool order, and every tie, is the one a recompute per visit gives.
+    const auto stamp = vp::checked_narrow<std::uint32_t>(move_order_.size());
     for (const EdgeId e : h.incident_edges(v)) {
+      const bool changed =
+          state.pins_in(e, from) <= 1 || state.pins_in(e, to) <= 2;
       const auto pins = h.pins(e);
       const std::size_t prefetch_end =
           pins.size() >= kPinPrefetchMinPins
@@ -223,9 +235,12 @@ Weight KwayFmRefiner::run_pass(KwayState& state, Rng& rng) {
         }
         const VertexId y = pins[j];
         if (y == v || locked_[y] || !pool_.contains(y)) continue;
-        const PartId t = best_target(state, y, /*require_legal=*/false);
+        if (changed && fresh_at_[y] != stamp) {
+          fresh_at_[y] = stamp;
+          best_[y] = best_target(state, y, /*require_legal=*/false);
+        }
         pool_.erase(y);
-        if (t != kNoPart) pool_insert(y, state.gain(y, t), t);
+        pool_insert(y, best_[y].gain, best_[y].to);
       }
     }
 

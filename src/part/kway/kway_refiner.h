@@ -5,7 +5,12 @@
 // pool keyed by that gain.  A pass repeatedly extracts the best legal
 // candidate, applies it, locks the vertex, updates neighbor candidates,
 // and finally rolls back to the best prefix — the same pass discipline
-// as the 2-way engine.  (Sanchis's full scheme adds Krishnamurthy level
+// as the 2-way engine.  Each vertex's best (target, gain) is cached; a
+// move recomputes it only for the pins of nets whose count on the
+// source or destination part crossed a 0/1/2 threshold, the only nets
+// on which any gain changes.  A clock net that stays spread over its
+// parts thus costs a pass over its pins per move, not a best-target
+// search per pin.  (Sanchis's full scheme adds Krishnamurthy level
 // gains per direction; this implementation is the standard first-order
 // variant, which is what later k-way partitioners adopted.)
 //
@@ -58,10 +63,15 @@ class KwayFmRefiner {
     PartId from;
   };
 
-  /// Best-gain target for v given current weights; returns kNoPart if no
-  /// target is legal.  Prefers the highest gain; ties broken by lowest
-  /// part id (deterministic).
-  PartId best_target(const KwayState& state, VertexId v,
+  struct Target {
+    PartId to = kNoPart;
+    Gain gain = 0;
+  };
+
+  /// Best-gain target for v given current weights, with its gain; `to` is
+  /// kNoPart if no target is legal.  Prefers the highest gain; ties
+  /// broken by lowest part id (deterministic).
+  Target best_target(const KwayState& state, VertexId v,
                      bool require_legal) const;
   bool target_legal(const KwayState& state, VertexId v, PartId to) const;
 
@@ -87,6 +97,13 @@ class KwayFmRefiner {
   /// destination part alongside the pool key.
   BucketArray<1> pool_;
   std::vector<PartId> target_;
+  /// Cached best target over all parts, legal or not, and its gain.
+  /// The pool candidate differs from it only after a downgrade to the
+  /// best legal target; the next neighbor update restores it.
+  std::vector<Target> best_;
+  /// Move number (1-based, within the pass) at which v's cache was last
+  /// recomputed: a pin on several changed nets is recomputed once.
+  std::vector<std::uint32_t> fresh_at_;
   std::vector<std::uint8_t> locked_;
   /// Per-(edge, part) locked pin counts (e * k + p); maintained only
   /// when level-gain tie-breaking is active.

@@ -397,7 +397,9 @@ JsonValue PartitionService::handle_status(const JsonValue& request) {
 }
 
 JsonValue PartitionService::job_response(const Job& job) const {
-  // Caller holds jobs_mutex_.
+  // The job is terminal: the worker wrote its fields before publishing
+  // the state under jobs_mutex_, and no thread writes them afterwards,
+  // so the caller reads them without the lock.
   JsonValue out = JsonValue::object();
   out.set("ok", JsonValue::boolean(job.state == JobState::kDone));
   out.set("job", JsonValue::integer(static_cast<std::int64_t>(job.id)));
@@ -458,6 +460,9 @@ JsonValue PartitionService::handle_result(const JsonValue& request,
     out.set("error", JsonValue::string("not_ready"));
     return out;
   }
+  // Serializing a large parts array must not hold up the workers'
+  // dequeue.
+  lock.unlock();
   return job_response(*job);
 }
 

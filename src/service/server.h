@@ -125,6 +125,7 @@ class PartitionService {
   JsonValue handle_stats();
 
   std::shared_ptr<Job> find_job(std::int64_t id);
+  /// Result response of a terminal job, built without jobs_mutex_.
   JsonValue job_response(const Job& job) const;
   void finish_job(const std::shared_ptr<Job>& job, JobState state);
   void prune_jobs_locked();

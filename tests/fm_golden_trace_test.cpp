@@ -21,6 +21,8 @@
 #include "src/gen/netlist_gen.h"
 #include "src/part/core/fm_refiner.h"
 #include "src/part/core/initial.h"
+#include "src/part/kway/kway_refiner.h"
+#include "src/part/kway/recursive_bisection.h"
 #include "src/part/ml/ml_partitioner.h"
 
 namespace vlsipart {
@@ -168,6 +170,28 @@ struct GoldenRow {
   Weight cut;
 };
 
+/// Digest of the direct k-way polish on recursive-bisection parts: passes,
+/// moves, both cuts and the full polished assignment.
+std::uint64_t kway_polish_digest(const Hypergraph& h, std::size_t k,
+                                 const std::vector<PartId>& rb_parts,
+                                 const KwayFmConfig& cfg, Weight* final_cut) {
+  const KwayProblem p = KwayProblem::uniform(h, k, 0.10);
+  KwayState state(h, k);
+  state.assign(rb_parts);
+  KwayFmRefiner refiner(p, cfg);
+  Rng rng(97531);
+  const KwayFmResult r = refiner.refine(state, rng);
+
+  Digest d;
+  d.add(r.passes);
+  d.add(r.total_moves);
+  d.add_signed(r.initial_cut);
+  d.add_signed(r.final_cut);
+  for (const PartId part : state.parts()) d.add(part);
+  *final_cut = state.cut();
+  return d.h;
+}
+
 // --- Golden tables (captured from the seed implementation) ---
 const std::vector<GoldenRow> kFlatGolden = {
     // clang-format off
@@ -178,6 +202,33 @@ const std::vector<GoldenRow> kFlatGolden = {
 const std::vector<GoldenRow> kMlGolden = {
     // clang-format off
 #include "tests/fm_golden_ml.inc"
+    // clang-format on
+};
+
+// Captured before the k-way polish kept a per-vertex candidate cache:
+// the cache must reproduce the eager recompute bit for bit.
+const std::vector<GoldenRow> kKwayGolden = {
+    // clang-format off
+    {"medium-k4", "rb-polish", 0xd6524509ee7e6670ULL, 187},
+    {"medium-k4", "polish-p2", 0x1bb4f3b188ea380aULL, 187},
+    {"medium-k4", "polish-full", 0x1bb4f3b188ea380aULL, 187},
+    {"medium-k4", "polish-la3", 0xb256f2e6e8c3dd14ULL, 187},
+    {"medium-k4", "polish-mpb64", 0xfb08a9ed040a1e83ULL, 187},
+    {"medium-k8", "rb-polish", 0x8361bad701a9b175ULL, 311},
+    {"medium-k8", "polish-p2", 0x650906d6111df957ULL, 311},
+    {"medium-k8", "polish-full", 0x650906d6111df957ULL, 311},
+    {"medium-k8", "polish-la3", 0x9bbc2a2c0f7c9c1fULL, 311},
+    {"medium-k8", "polish-mpb64", 0xc1b0a23606ff20b2ULL, 315},
+    {"ibm01-k4", "rb-polish", 0xa96fd073ba9aa4a2ULL, 180},
+    {"ibm01-k4", "polish-p2", 0x9b6199f6546fbe82ULL, 180},
+    {"ibm01-k4", "polish-full", 0x9b6199f6546fbe82ULL, 180},
+    {"ibm01-k4", "polish-la3", 0x6148787fb7329536ULL, 180},
+    {"ibm01-k4", "polish-mpb64", 0x7ae80f9ad294b1f6ULL, 180},
+    {"ibm01-k8", "rb-polish", 0xafbaa5c9b703cfa6ULL, 258},
+    {"ibm01-k8", "polish-p2", 0x9215d8dd777fdd04ULL, 258},
+    {"ibm01-k8", "polish-full", 0x90e1e295a85c56deULL, 258},
+    {"ibm01-k8", "polish-la3", 0x901625d714e1d12bULL, 258},
+    {"ibm01-k8", "polish-mpb64", 0xca965018390f832cULL, 260},
     // clang-format on
 };
 
@@ -254,6 +305,74 @@ TEST(FmGoldenTrace, MultilevelPipeline) {
   }
   if (!print) {
     EXPECT_EQ(row, kMlGolden.size());
+  }
+}
+
+/// Recursive bisection plus the direct k-way polish, k = 4 and 8: the
+/// end-to-end RB result (polish kept only when balanced) and the polish
+/// alone on the unpolished RB parts under each pass policy.
+TEST(FmGoldenTrace, KwayPolish) {
+  const bool print = print_mode();
+  struct PolishSpec {
+    const char* label;
+    KwayFmConfig cfg;
+  };
+  std::vector<PolishSpec> polishes(4);
+  polishes[0].label = "polish-p2";
+  polishes[0].cfg.max_passes = 2;
+  polishes[1].label = "polish-full";
+  polishes[2].label = "polish-la3";
+  polishes[2].cfg.max_passes = 2;
+  polishes[2].cfg.lookahead_depth = 3;
+  polishes[3].label = "polish-mpb64";
+  polishes[3].cfg.max_moves_past_best = 64;
+
+  std::size_t row = 0;
+  const auto check = [&](const std::string& instance, const std::string& label,
+                         std::uint64_t digest, Weight cut) {
+    if (print) {
+      std::printf("    {\"%s\", \"%s\", 0x%016llxULL, %lld},\n",
+                  instance.c_str(), label.c_str(),
+                  static_cast<unsigned long long>(digest),
+                  static_cast<long long>(cut));
+      return;
+    }
+    ASSERT_LT(row, kKwayGolden.size()) << "golden table too short";
+    const GoldenRow& golden = kKwayGolden[row];
+    EXPECT_STREQ(golden.instance, instance.c_str());
+    EXPECT_STREQ(golden.config, label.c_str());
+    EXPECT_EQ(golden.cut, cut) << instance << "/" << label << ": cut drifted";
+    EXPECT_EQ(golden.digest, digest)
+        << instance << "/" << label << ": assignment drifted";
+    ++row;
+  };
+  const std::pair<const char*, double> instances[] = {{"medium", 1.0},
+                                                      {"ibm01", 0.3}};
+  for (const auto& [name, scale] : instances) {
+    const Hypergraph h = generate_netlist(preset(name).scaled(scale));
+    for (const std::size_t k : {std::size_t{4}, std::size_t{8}}) {
+      const std::string instance = std::string(name) + "-k" + std::to_string(k);
+      KwayConfig config;
+      config.k = k;
+      config.seed = 5;
+      const KwayResult polished = recursive_bisection(h, config);
+      Digest d;
+      d.add_signed(polished.cut);
+      for (const PartId part : polished.parts) d.add(part);
+      check(instance, "rb-polish", d.h, polished.cut);
+
+      config.refine_passes = 0;
+      const std::vector<PartId> rb_parts = recursive_bisection(h, config).parts;
+      for (const PolishSpec& spec : polishes) {
+        Weight cut = 0;
+        const std::uint64_t digest =
+            kway_polish_digest(h, k, rb_parts, spec.cfg, &cut);
+        check(instance, spec.label, digest, cut);
+      }
+    }
+  }
+  if (!print) {
+    EXPECT_EQ(row, kKwayGolden.size());
   }
 }
 

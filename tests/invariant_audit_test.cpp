@@ -252,6 +252,66 @@ TEST(InvariantAudit, LockedPinAuditCatchesDrift) {
   EXPECT_THROW(audit_locked_pins(view), std::logic_error);
 }
 
+TEST(InvariantAudit, PassStartGainAuditCatchesDrift) {
+  AuditFixture f;
+  EXPECT_NO_THROW(audit_pass_start_gains(f.state, f.initial_gain));
+  f.initial_gain[3] += 1;  // a carried gain that missed one delta
+  try {
+    audit_pass_start_gains(f.state, f.initial_gain);
+    FAIL() << "drifted carried gain not caught";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("carried gain drift"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+/// A pass that keeps at most half its moves restores its start state,
+/// replays the kept prefix and hands its updated gains to the next pass.
+/// Under VLSIPART_AUDIT every hand-over is checked against a from-scratch
+/// recompute, and the result equals the unaudited one.
+TEST(InvariantAudit, CarriedGainsMatchRecomputeUnderEnvAudit) {
+  const Hypergraph h = generate_netlist(preset("ibm01").scaled(0.05));
+  PartitionProblem problem;
+  problem.graph = &h;
+  problem.balance =
+      BalanceConstraint::from_tolerance(h.total_vertex_weight(), 0.1);
+
+  for (const bool clip : {false, true}) {
+    auto run_once = [&](FmResult* result) {
+      FmConfig config;
+      config.clip = clip;
+      Rng rng(11);
+      PartitionState state(h);
+      state.assign(make_initial(problem, InitialScheme::kRandom, 0, rng));
+      FmRefiner refiner(problem, config);
+      Rng refine_rng(5);
+      *result = refiner.refine(state, refine_rng);
+      return state.parts();
+    };
+    FmResult plain;
+    std::vector<PartId> baseline;
+    {
+      ScopedAuditEnv env(nullptr);
+      baseline = run_once(&plain);
+    }
+    // Some pass other than the last kept at most half its moves, so the
+    // next one started from carried gains.
+    bool carried = false;
+    for (std::size_t p = 0; p + 1 < plain.pass_stats.size(); ++p) {
+      const FmPassStats& s = plain.pass_stats[p];
+      carried = carried || s.moves_kept <= s.moves_made / 2;
+    }
+    EXPECT_TRUE(carried) << "clip=" << clip;
+    FmResult audited;
+    {
+      ScopedAuditEnv env("pass");
+      EXPECT_EQ(baseline, run_once(&audited)) << "clip=" << clip;
+    }
+    EXPECT_EQ(plain.final_cut, audited.final_cut);
+  }
+}
+
 /// Refinement results must be bit-identical with audits off, per-pass,
 /// and per-move — audits observe, they never steer.
 TEST(InvariantAudit, AuditsNeverChangeResults) {
