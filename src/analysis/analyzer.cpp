@@ -169,7 +169,6 @@ AnalysisResult analyze_buffers(const std::vector<SourceBuffer>& files,
   const CallGraph graph = build_call_graph(corpus);
   run_lock_rule(corpus, graph, filter, raw);
   run_hotpath_rule(corpus, graph, filter, raw, result.suppressed);
-  run_round_rules(corpus, graph, filter, raw);
 
   // Per-file allow() maps, built once.
   std::map<std::string, std::map<std::string, std::set<int>>> allows;

@@ -1,16 +1,17 @@
 // vpart_lint analyzer: orchestration and suppressions.
 //
-// Eight rule families (see DESIGN.md §12 for the catalog):
+// Six rule families (see DESIGN.md §12 for the catalog, and for the
+// mutant table that keeps only rules no compiler warning or tier-1 test
+// already enforces):
 //   * determinism — token-level rules for nondeterministic constructs;
 //   * knob completeness — cross-file check that every field of the
 //     partitioning/service config structs is reachable from CLI parsing
 //     and mentioned in the docs ("no implicit decisions");
 //   * lock discipline — lockset checking of // guarded_by(<mutex>)
 //     annotations, with holds() facts propagated over the call graph;
-//   * hot-path purity and the parallel-round protocol — reachability
-//     passes over the call graph;
-//   * index-width, flow-determinism and dead-store — CFG + reaching-
-//     definitions passes (rules_dataflow.cpp).
+//   * hot-path purity — a reachability pass over the call graph;
+//   * index-width and flow-determinism — CFG + definition-taint passes
+//     (rules_dataflow.cpp).
 //
 // Suppressions: append "// det-lint: allow(<rule>[, <rule>...])" to the
 // offending line or the line directly above it, with a justification.

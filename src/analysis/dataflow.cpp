@@ -181,7 +181,6 @@ class ReachBuilder {
     std::size_t name_tok = T.size();
     std::string type_name;
     bool pointer = false;
-    bool reference = false;
     int depth = 0;
     for (std::size_t i = begin; i < end; ++i) {
       const Token& t = T[i];
@@ -190,7 +189,6 @@ class ReachBuilder {
       if (t.is_punct(">") || t.is_punct(")") || t.is_punct("]")) --depth;
       if (depth != 0) continue;
       if (t.is_punct("*")) pointer = true;
-      if (t.is_punct("&") || t.is_punct("&&")) reference = true;
       if (t.kind == TokenKind::kIdentifier && !is_decl_qualifier(t.text)) {
         if (name_tok < T.size()) {
           const Token& prev = T[name_tok];
@@ -206,7 +204,6 @@ class ReachBuilder {
     info.name = T[name_tok].text;
     info.type_name = type_name;
     info.is_pointer = pointer;
-    info.is_reference = reference;
     info.is_param = true;
     const int var = add_var(std::move(info));
     Def d;
@@ -223,7 +220,6 @@ class ReachBuilder {
     const CfgStmt& stmt = cfg_.stmts[s];
     std::size_t i = stmt.begin;
     std::size_t end = stmt.end;
-    bool range_for = false;
     if (i < end && T[i].is_ident("for")) {
       // Range-for header: the declaration sits between '(' and the
       // top-level ':'.  (Classic-for init clauses are their own
@@ -247,7 +243,6 @@ class ReachBuilder {
       if (colon == end) return;
       i += 2;
       end = colon;
-      range_for = true;
     }
     if (i >= end) return;
     if (T[i].kind == TokenKind::kPreprocessor) return;
@@ -296,11 +291,9 @@ class ReachBuilder {
     // Declarator list.
     while (i < end) {
       bool pointer = false;
-      bool reference = false;
       while (i < end && (T[i].is_punct("*") || T[i].is_punct("&") ||
                          T[i].is_punct("&&") || T[i].is_ident("const"))) {
         if (T[i].is_punct("*")) pointer = true;
-        if (T[i].is_punct("&") || T[i].is_punct("&&")) reference = true;
         ++i;
       }
       if (i >= end || T[i].kind != TokenKind::kIdentifier) return;
@@ -316,14 +309,12 @@ class ReachBuilder {
       info.name = T[name_tok].text;
       info.type_name = type_name;
       info.is_pointer = pointer;
-      info.is_reference = reference;
       info.decl_stmt = s;
       const int var = add_var(std::move(info));
       Def d;
       d.var = var;
       d.stmt = s;
       d.token = name_tok;
-      d.uninit = !range_for && !inits && at_end;
       add_def(d);
       decl_name_tokens_.insert(name_tok);
       if (!continues && !inits) return;
@@ -392,10 +383,7 @@ class ReachBuilder {
       const auto it = var_of_.find(T[k].text);
       if (it == var_of_.end()) continue;
       const int var = it->second;
-      if (in_lambda(k)) {
-        r_.vars[var].captured = true;
-        continue;
-      }
+      if (in_lambda(k)) continue;
       if (k > stmt.begin &&
           (T[k - 1].is_punct(".") || T[k - 1].is_punct("->") ||
            T[k - 1].is_punct("::"))) {
@@ -419,9 +407,6 @@ class ReachBuilder {
         d.var = var;
         d.stmt = s;
         d.token = k;
-        d.plain_assign =
-            k == stmt.begin && stmt.end > stmt.begin &&
-            T[stmt.end - 1].is_punct(";");
         add_def(d);
         continue;  // pure definition, the name itself is not read
       }
@@ -522,16 +507,12 @@ class ReachBuilder {
 
     // Def-use chains: a use sees the defs of its variable reaching its
     // statement (parameters reach everywhere their bit survives).
-    r_.uses_of_def.assign(nd, {});
     r_.defs_of_use.assign(r_.uses.size(), {});
     for (std::size_t u = 0; u < r_.uses.size(); ++u) {
       const Use& use = r_.uses[u];
       const BitSet& live = r_.in_stmt[use.stmt];
       for (const int d : defs_of_var[use.var]) {
-        if (live.test(d)) {
-          r_.uses_of_def[d].push_back(static_cast<int>(u));
-          r_.defs_of_use[u].push_back(d);
-        }
+        if (live.test(d)) r_.defs_of_use[u].push_back(d);
       }
     }
   }

@@ -11,11 +11,9 @@
 //
 // ReachingDefs instantiates it with facts = definitions of function-
 // local variables (declarations, assignments, ++/--, conservative
-// writes through & / out-parameters).  A declaration without an
-// initializer contributes an "uninitialized" pseudo-definition, which
-// is how the use-before-init rule asks its question.  Statement-level
-// precision is recovered from block-level IN by replaying the block's
-// statements in order.
+// writes through & / out-parameters).  Statement-level precision is
+// recovered from block-level IN by replaying the block's statements in
+// order.
 #pragma once
 
 #include <cstddef>
@@ -79,10 +77,8 @@ DataflowResult solve_forward(const Cfg& cfg, const GenKill& problem,
 struct VarInfo {
   std::string name;
   std::string type_name;   ///< last type identifier ("size_t", "int", ...)
-  bool is_pointer = false;   ///< declarator contained '*'
-  bool is_reference = false; ///< declarator contained '&'
+  bool is_pointer = false;     ///< declarator contained '*'
   bool address_taken = false;  ///< '&name' seen anywhere in the function
-  bool captured = false;       ///< appears inside a nested lambda body
   bool is_param = false;
   int decl_stmt = -1;  ///< statement of the declaration, -1 for params
 };
@@ -91,9 +87,6 @@ struct Def {
   int var = -1;
   int stmt = -1;          ///< -1 for parameter entry definitions
   std::size_t token = 0;  ///< the defined name's token index
-  bool uninit = false;    ///< declaration without initializer
-  /// Whole statement is exactly `name = expr ;` (the dead-store shape).
-  bool plain_assign = false;
   /// Conservative definition: '&name' or bare name as a call argument
   /// (a potential out-parameter).  Counts as a def AND a use.
   bool conservative = false;
@@ -111,7 +104,6 @@ struct ReachingDefs {
   std::vector<Use> uses;
   /// Definitions reaching the start of each statement (bit = def id).
   std::vector<BitSet> in_stmt;
-  std::vector<std::vector<int>> uses_of_def;  ///< def-use chains
   std::vector<std::vector<int>> defs_of_use;  ///< use-def chains
 
   int var_index(const std::string& name) const;
@@ -119,8 +111,7 @@ struct ReachingDefs {
 
 /// Compute reaching definitions for function `fn` over its CFG.
 /// Nested lambda body ranges (from `parsed`) are treated as opaque:
-/// variables referenced inside them are marked `captured` and their
-/// inner writes are ignored.
+/// reads and writes inside them are ignored.
 ReachingDefs compute_reaching_defs(const std::vector<Token>& tokens,
                                    const ParsedFile& parsed, int fn,
                                    const Cfg& cfg);

@@ -9,19 +9,6 @@ std::string Finding::to_string() const {
 
 const std::vector<RuleInfo>& rule_catalog() {
   static const std::vector<RuleInfo> kCatalog = {
-      {"rand", "determinism",
-       "call of rand()/srand() — use util::SplitMix64 seeded from the run "
-       "configuration"},
-      {"random-device", "determinism",
-       "std::random_device use — nondeterministic hardware entropy; derive "
-       "seeds from the run configuration"},
-      {"std-engine", "determinism",
-       "standard <random> engine (mt19937, default_random_engine, ...) — "
-       "engine streams differ across standard libraries; use "
-       "util::SplitMix64"},
-      {"time-seed", "determinism",
-       "seed derived from wall-clock time — seeds must come from the run "
-       "configuration"},
       {"wall-clock", "determinism",
        "wall-clock read (chrono ::now(), clock_gettime, gettimeofday) — "
        "results must not depend on time; allowed only for reporting, with "
@@ -55,13 +42,6 @@ const std::vector<RuleInfo>& rule_catalog() {
        "allocation, locking, IO or throw in code reachable from a "
        "// hot-path: root function — the FM inner loop must not touch the "
        "heap; justify amortized sites with // hot-path: allow(<reason>)"},
-      {"round-frozen-write", "round",
-       "worker-shard lambda writes a captured array at an index not "
-       "derived from its shard range (or grows a captured container) — "
-       "shards may only write slots they own"},
-      {"round-rng-in-shard", "round",
-       "RNG draw inside a worker-shard lambda — per-shard draws make the "
-       "stream depend on the shard count; draw before the round"},
       {"narrowing-cast", "index-width",
        "static_cast of a size-derived or explicitly widened expression to "
        "a narrower integer — use vp::checked_narrow<T>() or prove the "
@@ -70,14 +50,6 @@ const std::vector<RuleInfo>& rule_catalog() {
        "pointer- or clock-derived value flows into a sort comparator — "
        "ordering becomes allocation- or time-dependent; compare by id or "
        "value"},
-      {"tainted-seed", "flow-determinism",
-       "pointer- or clock-derived value flows into an RNG seed — the "
-       "stream is irreproducible; seed from the run configuration"},
-      {"dead-store", "dead-store",
-       "assignment whose value no later statement reads — dead code or a "
-       "missing use"},
-      {"use-before-init", "dead-store",
-       "variable may be read before any initialization on some path"},
   };
   return kCatalog;
 }

@@ -18,7 +18,7 @@ struct Finding {
 
 /// One rule in the catalog (drives --list-rules and the SARIF rule
 /// table).  `family` is "determinism", "knob", "lock", "hotpath",
-/// "round", "index-width", "flow-determinism" or "dead-store".
+/// "index-width" or "flow-determinism".
 struct RuleInfo {
   const char* id;
   const char* family;

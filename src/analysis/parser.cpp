@@ -377,17 +377,12 @@ class Parser {
     int pdepth = 0;
     bool any_token = false;
     bool in_default = false;
-    std::string last_ident;
-    std::string name;
     auto finish = [&] {
       if (!any_token) return;
       ++params;
       if (in_default) ++defaults;
-      def.param_names.push_back(name.empty() ? last_ident : name);
       any_token = false;
       in_default = false;
-      last_ident.clear();
-      name.clear();
     };
     for (std::size_t j = open + 1; j < close; ++j) {
       const Token& u = T_[j];
@@ -398,21 +393,11 @@ class Parser {
         continue;
       }
       any_token = true;
-      if (pdepth == 0 && u.is_punct("=") && !in_default) {
-        in_default = true;
-        name = last_ident;
-        continue;
-      }
-      if (!in_default && u.kind == TokenKind::kIdentifier) {
-        last_ident = u.text;
-      }
+      if (pdepth == 0 && u.is_punct("=")) in_default = true;
     }
     finish();
-    if (params == 1 && def.param_names.size() == 1 &&
-        def.param_names[0] == "void") {
-      def.param_names.clear();
-      params = 0;
-      defaults = 0;
+    if (close == open + 2 && T_[open + 1].is_ident("void")) {
+      params = 0;  // f(void)
     }
     def.max_arity = params;
     def.min_arity = params - defaults;
@@ -452,7 +437,6 @@ class Parser {
       def.parent = parent;
       def.line = T_[i].line;
       def.col = T_[i].col;
-      parse_captures(i + 1, close_cap, def);
       std::size_t j = close_cap + 1;
       std::size_t op = 0;
       std::size_t cp = 0;
@@ -501,36 +485,6 @@ class Parser {
       parse_body(def.body_begin + 1, def.body_end, self);
       i = def.body_end + 1;
     }
-  }
-
-  void parse_captures(std::size_t i, std::size_t end, FunctionDef& def) {
-    std::string current;
-    bool in_init = false;
-    int depth = 0;
-    auto finish = [&] {
-      if (!current.empty()) def.captures.push_back(current);
-      current.clear();
-      in_init = false;
-    };
-    for (std::size_t j = i; j < end; ++j) {
-      const Token& u = T_[j];
-      if (u.is_punct("(") || u.is_punct("[") || u.is_punct("{")) ++depth;
-      if (u.is_punct(")") || u.is_punct("]") || u.is_punct("}")) --depth;
-      if (depth == 0 && u.is_punct(",")) {
-        finish();
-        continue;
-      }
-      if (in_init) continue;
-      if (depth == 0 && u.is_punct("=") && !current.empty()) {
-        in_init = true;  // init capture: keep the name only
-        continue;
-      }
-      if (u.kind == TokenKind::kIdentifier || u.is_punct("&") ||
-          u.is_punct("=") || u.is_punct("*") || u.is_ident("this")) {
-        current += u.text;
-      }
-    }
-    finish();
   }
 
   const std::vector<Token>& T_;

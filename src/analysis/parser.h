@@ -5,9 +5,8 @@
 //     class (lexical class scope or explicit `Class::` qualifier),
 //     parameter count range (default arguments lower the minimum) and
 //     the token range of the body;
-//   * lambda bodies, attributed to the enclosing function, with their
-//     capture list and (when written as `auto name = [..]`) the local
-//     name they were bound to.
+//   * lambda bodies, attributed to the enclosing function, with (when
+//     written as `auto name = [..]`) the local name they were bound to.
 //
 // This is a heuristic single-pass recognizer: it tracks namespace /
 // class / function brace scopes and recognizes the declarator shape
@@ -30,7 +29,6 @@ struct FunctionDef {
   std::string owner;           ///< owning class when known, else ""
   std::size_t min_arity = 0;   ///< parameters without default arguments
   std::size_t max_arity = 0;   ///< all parameters
-  std::vector<std::string> param_names;
   int line = 0;  ///< line of the name token (annotation anchor)
   int col = 0;
   std::size_t params_begin = 0;  ///< token index of the parameter-list '('
@@ -39,7 +37,6 @@ struct FunctionDef {
   std::size_t body_end = 0;    ///< token index of the matching '}'
   bool is_lambda = false;
   int parent = -1;  ///< index of the enclosing FunctionDef, -1 at top level
-  std::vector<std::string> captures;  ///< lambda captures: "&", "=", "this", names
 };
 
 struct ParsedFile {

@@ -1,6 +1,6 @@
 // Dataflow rule families over the CFG + reaching-definitions engine.
 //
-// Three clients of src/analysis/{cfg,dataflow}, all intraprocedural:
+// Two clients of src/analysis/{cfg,dataflow}, both intraprocedural:
 //
 //   * index-width — the compact-CSR gate.  A value is "size-derived"
 //     when it comes from .size()/num_vertices()/... directly or through
@@ -13,18 +13,18 @@
 //     with -Werror=conversion and -Werror=sign-compare.
 //   * flow-determinism — taint propagation of pointer values (T* decls,
 //     &x, .data(), reinterpret_cast) and clock reads (::now(),
-//     clock_gettime) through assignments into ordering decisions: sort
-//     comparators and RNG seeds.  This upgrades the token-level
-//     determinism rules, which only see the sink expression itself and
-//     miss one hop of indirection.
-//   * dead-store / use-before-init — the cheap third client that proves
-//     the solver is generic: a plain `x = expr;` whose definition
-//     reaches no use, and a read reached by the "uninitialized"
-//     pseudo-definition of its declaration.
+//     clock_gettime) through assignments into sort comparators.  This
+//     upgrades the token-level determinism rules, which only see the
+//     comparator's parameter types and miss one hop of indirection.
+//     A pointer or clock value in an RNG seed is no lint rule: it
+//     changes answers that tier-1's golden traces pin.
 //
-// All heuristics here are deliberately biased against false positives:
-// captured and address-taken variables are excluded from the dead-store
-// family, pointer differences (p - q, the index-recovery idiom) do not
+// Dead stores and reads before initialization are GCC's job
+// (-Wunused-but-set-variable, -Wmaybe-uninitialized under the CI
+// build's -Werror; ctest compiler_gate.*).
+//
+// Both heuristics are deliberately biased against false positives:
+// pointer differences (p - q, the index-recovery idiom) do not
 // propagate pointer taint, and only bare (non-dereferenced) tainted
 // names count as comparator operands — keys[a] < keys[b] compares
 // values, keys + a < keys + b compares addresses.
@@ -80,18 +80,6 @@ bool is_wide_int(const std::string& s) {
          s == "long" || s == "auto" || s == "Weight" || s == "Gain";
 }
 
-/// Types for which an uninitialized read is meaningful (no default
-/// constructor runs).
-bool is_scalar_type(const VarInfo& v) {
-  if (v.is_pointer) return true;
-  const std::string& s = v.type_name;
-  return is_narrow_int(s) || s == "size_t" || s == "uint64_t" ||
-         s == "int64_t" || s == "ptrdiff_t" || s == "uintptr_t" ||
-         s == "intptr_t" || s == "long" || s == "float" || s == "double" ||
-         s == "bool" || s == "Weight" || s == "Gain" || s == "VertexId" ||
-         s == "EdgeId";
-}
-
 bool is_sort_name(const std::string& s) {
   return s == "sort" || s == "stable_sort" || s == "partial_sort" ||
          s == "nth_element";
@@ -100,11 +88,6 @@ bool is_sort_name(const std::string& s) {
 bool is_comparison(const Token& t) {
   return t.is_punct("<") || t.is_punct(">") || t.is_punct("<=") ||
          t.is_punct(">=");
-}
-
-bool contains_seed_word(const std::string& s) {
-  return s.find("seed") != std::string::npos ||
-         s.find("Seed") != std::string::npos;
 }
 
 class DataflowPass {
@@ -121,16 +104,13 @@ class DataflowPass {
     index_scope_ = in_dirs(path_, kIndexDirs);
     flow_scope_ = in_dirs(path_, kFlowDirs);
     const bool any_index = index_scope_ && filter_.enabled("narrowing-cast");
-    const bool any_flow = flow_scope_ &&
-                          (filter_.enabled("tainted-comparator") ||
-                           filter_.enabled("tainted-seed"));
-    const bool any_dead = filter_.enabled("dead-store") ||
-                          filter_.enabled("use-before-init");
-    if (!any_index && !any_flow && !any_dead) return;
+    const bool any_flow =
+        flow_scope_ && filter_.enabled("tainted-comparator");
+    if (!any_index && !any_flow) return;
 
     parsed_ = parse_file(lexed_);
     for (int fn = 0; fn < static_cast<int>(parsed_.functions.size()); ++fn) {
-      analyze_function(fn, any_index, any_flow, any_dead);
+      analyze_function(fn, any_index, any_flow);
     }
   }
 
@@ -141,8 +121,7 @@ class DataflowPass {
                            std::move(message)});
   }
 
-  void analyze_function(int fn, bool any_index, bool any_flow,
-                        bool any_dead) {
+  void analyze_function(int fn, bool any_index, bool any_flow) {
     const FunctionDef& def = parsed_.functions[fn];
     if (def.body_end <= def.body_begin + 1) return;
     cfg_ = build_cfg(T, parsed_, fn);
@@ -158,11 +137,6 @@ class DataflowPass {
     if (any_flow) {
       compute_flow_taint();
       check_sort_comparators();
-      check_seed_sinks();
-    }
-    if (any_dead) {
-      check_dead_stores();
-      check_use_before_init();
     }
   }
 
@@ -332,7 +306,7 @@ class DataflowPass {
     while (changed) {
       changed = false;
       for (const Def& d : rd_.defs) {
-        if (d.stmt < 0 || d.uninit) continue;
+        if (d.stmt < 0) continue;
         if (size_tainted_.count(d.var) != 0) continue;
         if (!is_wide_int(rd_.vars[d.var].type_name)) continue;
         const auto [b, e] = rhs_of(d);
@@ -466,7 +440,7 @@ class DataflowPass {
     while (changed) {
       changed = false;
       for (const Def& d : rd_.defs) {
-        if (d.stmt < 0 || d.uninit) continue;
+        if (d.stmt < 0) continue;
         const auto [b, e] = rhs_of(d);
         if (ptr_tainted_.count(d.var) == 0) {
           const bool src = rhs_is_pointer_source(b, e);
@@ -593,74 +567,6 @@ class DataflowPass {
       ++i;
     }
     return i;
-  }
-
-  void check_seed_sinks() {
-    if (ptr_tainted_.empty() && clock_tainted_.empty()) return;
-    const FunctionDef& def = parsed_.functions[fn_];
-    for (std::size_t i = def.body_begin; i < def.body_end; ++i) {
-      if (!is_call_at(i)) continue;
-      if (parsed_.enclosing(i, false) != fn_) continue;
-      const std::string& name = T[i].text;
-      const bool seedish = name == "Rng" || name == "reseed" ||
-                           name == "fork" || contains_seed_word(name);
-      if (!seedish) continue;
-      const std::size_t close = match_paren(i + 1);
-      if (close >= T.size()) continue;
-      for (std::size_t k = i + 2; k < close; ++k) {
-        const int v = var_at(k);
-        if (v < 0 || !is_bare_value(k)) continue;
-        const bool ptr = ptr_tainted_.count(v) != 0;
-        const bool clk = clock_tainted_.count(v) != 0;
-        if (!ptr && !clk) continue;
-        report(i, "tainted-seed",
-               std::string(ptr ? "pointer-derived '" : "clock-derived '") +
-                   rd_.vars[v].name + "' flows into RNG seed call '" + name +
-                   "' — the stream is irreproducible; seed from the run "
-                   "configuration");
-        break;  // one finding per call
-      }
-    }
-  }
-
-  // -- dead-store / use-before-init -----------------------------------
-
-  void check_dead_stores() {
-    for (std::size_t d = 0; d < rd_.defs.size(); ++d) {
-      const Def& def = rd_.defs[d];
-      if (!def.plain_assign || def.conservative || def.stmt < 0) continue;
-      const VarInfo& var = rd_.vars[def.var];
-      if (var.captured || var.address_taken || var.is_reference) continue;
-      if (!rd_.uses_of_def[d].empty()) continue;
-      report(def.token, "dead-store",
-             "value assigned to '" + var.name +
-                 "' is never read — dead code or a missing use");
-    }
-  }
-
-  void check_use_before_init() {
-    std::set<int> reported_vars;
-    for (std::size_t u = 0; u < rd_.uses.size(); ++u) {
-      const Use& use = rd_.uses[u];
-      const VarInfo& var = rd_.vars[use.var];
-      if (var.captured || var.address_taken || var.is_reference ||
-          var.is_param || !is_scalar_type(var)) {
-        continue;
-      }
-      if (reported_vars.count(use.var) != 0) continue;
-      bool uninit_reaches = false;
-      bool conservative_reaches = false;
-      for (const int d : rd_.defs_of_use[u]) {
-        if (rd_.defs[d].uninit) uninit_reaches = true;
-        if (rd_.defs[d].conservative) conservative_reaches = true;
-      }
-      if (!uninit_reaches || conservative_reaches) continue;
-      reported_vars.insert(use.var);
-      report(use.token, "use-before-init",
-             "'" + var.name +
-                 "' may be read before initialization on some path — "
-                 "initialize at the declaration");
-    }
   }
 
   struct Guard {

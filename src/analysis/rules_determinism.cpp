@@ -1,10 +1,15 @@
-// Determinism rule family: token-level port of the 8 rules of the
-// retired regex lint plus three new
-// token-aware rules.  Matching against the token stream (never against
-// string literals, comments or preprocessor text) eliminates the false-
-// positive class the regex lint had, and token patterns make the new
-// rules (pointer-keyed ordered containers, operator< on pointers,
-// float accumulation over unordered iteration) expressible at all.
+// Determinism rule family: token-level rules for constructs whose result
+// depends on something other than the input — a clock, hash-bucket
+// order, allocation order.  Matching against the token stream (never
+// against string literals, comments or preprocessor text) eliminates the
+// false-positive class of the retired regex lint, and token patterns
+// make the pointer-keyed container, operator< on pointers and float
+// accumulation over unordered iteration rules expressible at all.
+//
+// Seed sources (rand(), std::random_device, <random> engines, clock or
+// pointer seeds) are not lint rules: any of them in a partitioning path
+// changes the answers that the golden-trace digests and the thread-count
+// invariance tests pin, so tier-1 fails on them (DESIGN.md §12).
 #include <cstddef>
 #include <set>
 #include <string>
@@ -35,21 +40,9 @@ bool is_unordered_container(const std::string& s) {
          s == "unordered_multimap" || s == "unordered_multiset";
 }
 
-bool is_std_engine(const std::string& s) {
-  return s == "mt19937" || s == "mt19937_64" || s == "minstd_rand" ||
-         s == "minstd_rand0" || s == "default_random_engine" ||
-         s == "ranlux24" || s == "ranlux48" || s == "ranlux24_base" ||
-         s == "ranlux48_base" || s == "knuth_b";
-}
-
 bool is_sort_algorithm(const std::string& s) {
   return s == "sort" || s == "stable_sort" || s == "partial_sort" ||
          s == "nth_element";
-}
-
-bool contains_seed_word(const std::string& s) {
-  return s.find("seed") != std::string::npos ||
-         s.find("Seed") != std::string::npos || s == "Rng";
 }
 
 /// Index of the punct matching T[open] (one of () [] {} <>), or
@@ -93,10 +86,7 @@ class DeterminismPass {
   void run() {
     collect_declarations();
     for (std::size_t i = 0; i < T.size(); ++i) {
-      check_rand(i);
-      check_random_device(i);
-      check_std_engine(i);
-      check_wall_clock_and_time_seed(i);
+      check_wall_clock(i);
       check_unordered_in_core(i);
       check_range_for(i);
       check_pointer_sort_key(i);
@@ -146,73 +136,18 @@ class DeterminismPass {
     }
   }
 
-  void check_rand(std::size_t i) {
-    if (T[i].kind != TokenKind::kIdentifier) return;
-    if (T[i].text != "rand" && T[i].text != "srand") return;
-    if (i + 1 >= T.size() || !T[i + 1].is_punct("(")) return;
-    if (prev_is_member_access(i)) return;  // some_obj.rand() is not libc
-    report(T[i], "rand",
-           "C library rand()/srand() is global, unseeded, nondeterministic "
-           "state");
-  }
-
-  void check_random_device(std::size_t i) {
-    if (!T[i].is_ident("random_device")) return;
-    report(T[i], "random-device",
-           "std::random_device draws hardware entropy and is never "
-           "reproducible");
-  }
-
-  void check_std_engine(std::size_t i) {
-    if (T[i].kind != TokenKind::kIdentifier || !is_std_engine(T[i].text)) {
-      return;
-    }
-    report(T[i], "std-engine",
-           "use the explicitly seeded vlsipart::Rng instead of <random> "
-           "engines");
-  }
-
-  /// One scan serves both clock rules: any clock read fires wall-clock;
-  /// a clock read on a line that also mentions seeding fires time-seed.
-  void check_wall_clock_and_time_seed(std::size_t i) {
-    bool clock_read = false;
-    if (T[i].is_ident("now") && i > 0 && T[i - 1].is_punct("::") &&
-        i + 1 < T.size() && T[i + 1].is_punct("(")) {
-      clock_read = true;
-    }
-    if ((T[i].is_ident("clock_gettime") || T[i].is_ident("gettimeofday")) &&
-        i + 1 < T.size() && T[i + 1].is_punct("(")) {
-      clock_read = true;
-    }
-    if (clock_read) {
-      report(T[i], "wall-clock",
-             "wall-clock read: annotate to affirm timing feeds only "
-             "observability or admission policy (timers, deadlines, idle "
-             "timeouts), never a partitioning result");
-      if (line_mentions_seed(T[i].line)) {
-        report(T[i], "time-seed",
-               "seeding from the clock ties results to the wall clock");
-      }
-      return;
-    }
-    // time()/clock() calls are not wall-clock by themselves in the
-    // legacy rule set, but seeding from them is a time-seed.
-    if ((T[i].is_ident("time") || T[i].is_ident("clock")) &&
-        i + 1 < T.size() && T[i + 1].is_punct("(") &&
-        !prev_is_member_access(i) && line_mentions_seed(T[i].line)) {
-      report(T[i], "time-seed",
-             "seeding from the clock ties results to the wall clock");
-    }
-  }
-
-  bool line_mentions_seed(int line) const {
-    for (const Token& t : T) {
-      if (t.line != line) continue;
-      if (t.kind == TokenKind::kIdentifier && contains_seed_word(t.text)) {
-        return true;
-      }
-    }
-    return false;
+  void check_wall_clock(std::size_t i) {
+    const bool chrono_now = T[i].is_ident("now") && i > 0 &&
+                            T[i - 1].is_punct("::") && i + 1 < T.size() &&
+                            T[i + 1].is_punct("(");
+    const bool posix_clock =
+        (T[i].is_ident("clock_gettime") || T[i].is_ident("gettimeofday")) &&
+        i + 1 < T.size() && T[i + 1].is_punct("(");
+    if (!chrono_now && !posix_clock) return;
+    report(T[i], "wall-clock",
+           "wall-clock read: annotate to affirm timing feeds only "
+           "observability or admission policy (timers, deadlines, idle "
+           "timeouts), never a partitioning result");
   }
 
   void check_unordered_in_core(std::size_t i) {

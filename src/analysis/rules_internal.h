@@ -51,8 +51,8 @@ std::size_t match_close(const std::vector<Token>& T, std::size_t open,
 void run_determinism_rules(const FileUnit& unit, const RuleFilter& filter,
                            std::vector<Finding>& out);
 
-/// CFG + reaching-definitions rule families (index-width,
-/// flow-determinism, dead-store) over one linted unit.
+/// CFG + definition-taint rule families (index-width, flow-determinism)
+/// over one linted unit.
 void run_dataflow_rules(const FileUnit& unit, const RuleFilter& filter,
                         std::vector<Finding>& out);
 
@@ -74,10 +74,5 @@ void run_lock_rule(const Corpus& corpus, const CallGraph& graph,
 void run_hotpath_rule(const Corpus& corpus, const CallGraph& graph,
                       const RuleFilter& filter, std::vector<Finding>& out,
                       std::size_t& suppressed);
-
-/// Parallel-round protocol checks on worker-shard lambdas in
-/// parallel_* translation units.
-void run_round_rules(const Corpus& corpus, const CallGraph& graph,
-                     const RuleFilter& filter, std::vector<Finding>& out);
 
 }  // namespace vlsipart::analysis

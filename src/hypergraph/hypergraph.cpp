@@ -124,7 +124,8 @@ Hypergraph HypergraphBuilder::finalize(std::string name) {
   const std::size_t n = h.vertex_weights_.size();
   const std::size_t m = h.edge_weights_.size();
 
-  // Counting sort to build the vertex -> edges direction.
+  // Counting sort to build the vertex -> edges direction; the same walk
+  // sums each vertex's weighted degree.
   h.vertex_offsets_.assign(n + 1, 0);
   for (const VertexId v : h.edge_pins_) {
     ++h.vertex_offsets_[v + 1];
@@ -135,11 +136,18 @@ Hypergraph HypergraphBuilder::finalize(std::string name) {
   h.vertex_edges_.resize(h.edge_pins_.size());
   std::vector<std::size_t> cursor(h.vertex_offsets_.begin(),
                                   h.vertex_offsets_.end() - 1);
+  std::vector<Weight> wdeg(n, 0);
   for (std::size_t e = 0; e < m; ++e) {
+    const Weight w = h.edge_weights_[e];
     for (std::size_t p = h.edge_offsets_[e]; p < h.edge_offsets_[e + 1]; ++p) {
       const VertexId v = h.edge_pins_[p];
       h.vertex_edges_[cursor[v]++] = static_cast<EdgeId>(e);
+      wdeg[v] += w;
     }
+  }
+  h.max_weighted_degree_ = 0;
+  for (const Weight d : wdeg) {
+    h.max_weighted_degree_ = std::max(h.max_weighted_degree_, d);
   }
 
   h.total_vertex_weight_ = 0;

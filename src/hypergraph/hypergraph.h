@@ -32,6 +32,9 @@ class Hypergraph {
   Weight total_vertex_weight() const { return total_vertex_weight_; }
   Weight total_edge_weight() const { return total_edge_weight_; }
   Weight max_vertex_weight() const { return max_vertex_weight_; }
+  /// Largest sum of incident edge weights over all vertices: the bound
+  /// on any vertex's FM gain.
+  Weight max_weighted_degree() const { return max_weighted_degree_; }
 
   /// Vertices (pins) on edge e.
   std::span<const VertexId> pins(EdgeId e) const {
@@ -79,6 +82,7 @@ class Hypergraph {
   Weight total_vertex_weight_ = 0;
   Weight total_edge_weight_ = 0;
   Weight max_vertex_weight_ = 0;
+  Weight max_weighted_degree_ = 0;
   std::vector<std::string> vertex_names_;
 };
 

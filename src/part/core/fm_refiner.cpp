@@ -60,16 +60,7 @@ FmRefiner::FmRefiner(const PartitionProblem& problem, FmConfig config)
   // Keys are bounded by the weighted degree for classic FM and by twice
   // the weighted degree for CLIP (cumulative delta gain = actual gain
   // minus initial gain).  Size the bucket range for the worst case.
-  const Hypergraph& h = *problem.graph;
-  Gain max_wdeg = 0;
-  for (std::size_t v = 0; v < h.num_vertices(); ++v) {
-    Gain wdeg = 0;
-    for (const EdgeId e : h.incident_edges(static_cast<VertexId>(v))) {
-      wdeg += h.edge_weight(e);
-    }
-    max_wdeg = std::max(max_wdeg, wdeg);
-  }
-  max_abs_gain_ = 2 * max_wdeg;
+  max_abs_gain_ = 2 * problem.graph->max_weighted_degree();
   use_lookahead_ = config_.lookahead_depth > 1 && !config_.clip;
 }
 

@@ -20,17 +20,8 @@ KwayFmRefiner::KwayFmRefiner(const KwayProblem& problem, KwayFmConfig config)
     : problem_(&problem),
       config_(config),
       pool_(problem.graph->num_vertices()) {
-  const Hypergraph& h = *problem.graph;
-  Gain max_wdeg = 0;
-  for (std::size_t v = 0; v < h.num_vertices(); ++v) {
-    Gain wdeg = 0;
-    for (const EdgeId e : h.incident_edges(static_cast<VertexId>(v))) {
-      wdeg += h.edge_weight(e);
-    }
-    max_wdeg = std::max(max_wdeg, wdeg);
-  }
-  max_abs_gain_ = max_wdeg;
-  const std::size_t n = h.num_vertices();
+  max_abs_gain_ = problem.graph->max_weighted_degree();
+  const std::size_t n = problem.graph->num_vertices();
   target_.assign(n, kNoPart);
   best_.assign(n, Target{});
   fresh_at_.assign(n, 0);

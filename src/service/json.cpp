@@ -52,7 +52,11 @@ double JsonValue::as_number(double fallback) const {
 }
 
 std::int64_t JsonValue::as_int(std::int64_t fallback) const {
-  if (type_ != Type::kNumber) return fallback;
+  // [-2^63, 2^63) is exactly the doubles the cast below is defined for;
+  // NaN fails both comparisons.
+  if (type_ != Type::kNumber || !(number_ >= -0x1p63 && number_ < 0x1p63)) {
+    return fallback;
+  }
   return static_cast<std::int64_t>(number_);
 }
 

@@ -47,7 +47,9 @@ class JsonValue {
   bool is_array() const { return type_ == Type::kArray; }
   bool is_object() const { return type_ == Type::kObject; }
 
-  // Scalar accessors never throw; a type mismatch yields the fallback.
+  // Scalar accessors never throw; a type mismatch yields the fallback,
+  // and so does an as_int() number outside the int64_t range (or NaN).
+  // as_int() truncates fractions toward zero.
   bool as_bool(bool fallback = false) const;
   double as_number(double fallback = 0.0) const;
   std::int64_t as_int(std::int64_t fallback = 0) const;

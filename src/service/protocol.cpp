@@ -62,7 +62,8 @@ bool get_size(const JsonValue& request, const char* key,
     return true;
   }
   const std::int64_t value = v->as_int(-1);
-  if (!v->is_number() || value < static_cast<std::int64_t>(min) ||
+  if (!v->is_number() || static_cast<double>(value) != v->as_number() ||
+      value < static_cast<std::int64_t>(min) ||
       value > static_cast<std::int64_t>(max)) {
     if (error != nullptr) {
       *error = std::string(key) + " must be an integer in [" +

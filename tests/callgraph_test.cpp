@@ -101,16 +101,13 @@ TEST(Parser, LambdaBodiesWithCaptureSites) {
   ASSERT_NE(body, nullptr);
   EXPECT_TRUE(body->is_lambda);
   EXPECT_EQ(body->qualified_name, "Widget::scan::body");
-  ASSERT_EQ(body->captures.size(), 2u);
-  EXPECT_EQ(body->captures[0], "this");
-  EXPECT_EQ(body->captures[1], "n");
-  ASSERT_EQ(body->param_names.size(), 1u);
-  EXPECT_EQ(body->param_names[0], "i");
+  EXPECT_EQ(body->parent, static_cast<int>(scan - p.functions.data()));
+  EXPECT_EQ(body->max_arity, 1u);
 
   const FunctionDef* untied = find_def(p, "untied");
   ASSERT_NE(untied, nullptr);
-  ASSERT_EQ(untied->captures.size(), 1u);
-  EXPECT_EQ(untied->captures[0], "&");
+  EXPECT_TRUE(untied->is_lambda);
+  EXPECT_EQ(untied->max_arity, 0u);
 }
 
 TEST(Parser, EnclosingFindsInnermostSpan) {

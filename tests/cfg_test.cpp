@@ -1,9 +1,9 @@
 // Dataflow-engine tests: CFG construction over the structured control
 // flow the heuristic parser recognizes, reaching definitions with
 // def-use chains, and a firing / suppressed / clean fixture for every
-// dataflow rule family (index-width, flow-determinism, dead-store) —
-// including the one-hop pointer-to-comparator flow the token-level
-// determinism rules cannot see.  Ends with a golden SARIF shape check.
+// dataflow rule family (index-width, flow-determinism) — including the
+// one-hop pointer-to-comparator flow the token-level determinism rules
+// cannot see.  Ends with a golden SARIF shape check.
 #include <algorithm>
 #include <string>
 #include <vector>
@@ -368,28 +368,6 @@ TEST(ReachingDefsTest, ParamsDefineAtEntry) {
   EXPECT_EQ(def_lines_at_use(b, rd, "a", 2), (std::vector<int>{0}));
 }
 
-TEST(ReachingDefsTest, UninitializedDeclContributesPseudoDef) {
-  const Built b = build(
-      "int f(int a) {\n"
-      "  int x;\n"
-      "  if (a > 0) {\n"
-      "    x = 1;\n"
-      "  }\n"
-      "  return x;\n"
-      "}\n");
-  const ReachingDefs rd = reach(b);
-  const int v = rd.var_index("x");
-  ASSERT_GE(v, 0);
-  bool uninit_reaches = false;
-  for (std::size_t u = 0; u < rd.uses.size(); ++u) {
-    if (rd.uses[u].var != v) continue;
-    for (const int d : rd.defs_of_use[u]) {
-      if (rd.defs[d].uninit) uninit_reaches = true;
-    }
-  }
-  EXPECT_TRUE(uninit_reaches);
-}
-
 TEST(ReachingDefsTest, ConservativeOutParamDefDoesNotKill) {
   const Built b = build(
       "int f() {\n"
@@ -501,17 +479,6 @@ TEST(FlowDeterminism, OneHopPointerIntoComparatorIsCaught) {
   EXPECT_EQ(count_rule(r, "pointer-compare"), 0u) << dump(r);
 }
 
-TEST(FlowDeterminism, TaintedSeedFires) {
-  const AnalysisResult r = lint(
-      "src/part/fix.cpp",
-      "void f(Rng& rng) {\n"
-      "  const auto t = std::chrono::steady_clock::now();\n"
-      "  const auto ticks = t;\n"
-      "  rng.reseed(ticks);\n"
-      "}\n");
-  EXPECT_EQ(count_rule(r, "tainted-seed"), 1u) << dump(r);
-}
-
 TEST(FlowDeterminism, AllowCommentSuppressesComparator) {
   const AnalysisResult r = lint(
       "src/part/fix.cpp",
@@ -550,101 +517,6 @@ TEST(FlowDeterminism, ValueComparatorIsClean) {
 // ---------------------------------------------------------------------
 // dead-store rules
 
-TEST(DeadStore, OverwrittenAssignmentFires) {
-  const AnalysisResult r = lint("tools/fix.cpp",
-                                "int f(int a) {\n"
-                                "  int x = 0;\n"
-                                "  x = a + 1;\n"
-                                "  x = a + 2;\n"
-                                "  return x;\n"
-                                "}\n");
-  EXPECT_EQ(count_rule(r, "dead-store"), 1u) << dump(r);
-}
-
-TEST(DeadStore, AllowCommentSuppresses) {
-  const AnalysisResult r = lint(
-      "tools/fix.cpp",
-      "int f(int a) {\n"
-      "  int x = 0;\n"
-      "  x = a + 1;  // det-lint: allow(dead-store)\n"
-      "  x = a + 2;\n"
-      "  return x;\n"
-      "}\n");
-  EXPECT_EQ(count_rule(r, "dead-store"), 0u) << dump(r);
-  EXPECT_GE(r.suppressed, 1u);
-}
-
-TEST(DeadStore, UsedOnEveryPathIsClean) {
-  const AnalysisResult r = lint("tools/fix.cpp",
-                                "int f(int a) {\n"
-                                "  int x = 0;\n"
-                                "  x = a + 1;\n"
-                                "  return x;\n"
-                                "}\n");
-  EXPECT_EQ(count_rule(r, "dead-store"), 0u) << dump(r);
-}
-
-TEST(DeadStore, AddressTakenVarIsExempt) {
-  const AnalysisResult r = lint("tools/fix.cpp",
-                                "int f(int a) {\n"
-                                "  int x = 0;\n"
-                                "  register_watch(&x);\n"
-                                "  x = a + 1;\n"
-                                "  return 0;\n"
-                                "}\n");
-  EXPECT_EQ(count_rule(r, "dead-store"), 0u) << dump(r);
-}
-
-TEST(UseBeforeInit, MaybeUninitializedReadFires) {
-  const AnalysisResult r = lint("tools/fix.cpp",
-                                "int f(int a) {\n"
-                                "  int x;\n"
-                                "  if (a > 0) {\n"
-                                "    x = 1;\n"
-                                "  }\n"
-                                "  return x;\n"
-                                "}\n");
-  EXPECT_EQ(count_rule(r, "use-before-init"), 1u) << dump(r);
-}
-
-TEST(UseBeforeInit, AssignedOnAllPathsIsClean) {
-  const AnalysisResult r = lint("tools/fix.cpp",
-                                "int f(int a) {\n"
-                                "  int x;\n"
-                                "  if (a > 0) {\n"
-                                "    x = 1;\n"
-                                "  } else {\n"
-                                "    x = 2;\n"
-                                "  }\n"
-                                "  return x;\n"
-                                "}\n");
-  EXPECT_EQ(count_rule(r, "use-before-init"), 0u) << dump(r);
-}
-
-TEST(UseBeforeInit, OutParamInitIsClean) {
-  const AnalysisResult r = lint("tools/fix.cpp",
-                                "int f() {\n"
-                                "  int x;\n"
-                                "  read_value(&x);\n"
-                                "  return x;\n"
-                                "}\n");
-  EXPECT_EQ(count_rule(r, "use-before-init"), 0u) << dump(r);
-}
-
-TEST(UseBeforeInit, AllowCommentSuppresses) {
-  const AnalysisResult r = lint(
-      "tools/fix.cpp",
-      "int f(int a) {\n"
-      "  int x;\n"
-      "  if (a > 0) {\n"
-      "    x = 1;\n"
-      "  }\n"
-      "  return x;  // det-lint: allow(use-before-init)\n"
-      "}\n");
-  EXPECT_EQ(count_rule(r, "use-before-init"), 0u) << dump(r);
-  EXPECT_GE(r.suppressed, 1u);
-}
-
 // ---------------------------------------------------------------------
 // Rule filter + SARIF shape
 
@@ -658,29 +530,30 @@ TEST(RuleFilter, FamilyNameSelectsAllDataflowRules) {
   const AnalysisResult fam = lint("src/part/fix.cpp", code, {"index-width"});
   EXPECT_EQ(count_rule(fam, "narrowing-cast"), 1u) << dump(fam);
   // ...and a disjoint family filter turns them off.
-  const AnalysisResult off = lint("src/part/fix.cpp", code, {"dead-store"});
+  const AnalysisResult off =
+      lint("src/part/fix.cpp", code, {"flow-determinism"});
   EXPECT_EQ(count_rule(off, "narrowing-cast"), 0u) << dump(off);
 }
 
 TEST(SarifOutput, DataflowFindingGoldenShape) {
-  const AnalysisResult r = lint("tools/fix.cpp",
-                                "int f(int a) {\n"
-                                "  int x = 0;\n"
-                                "  x = a + 1;\n"
-                                "  x = a + 2;\n"
-                                "  return x;\n"
+  const AnalysisResult r = lint("src/hypergraph/fix.cpp",
+                                "void f(const Hypergraph& h) {\n"
+                                "  const std::size_t n = h.num_vertices();\n"
+                                "  const auto v = static_cast<unsigned>(n);\n"
+                                "  use(v);\n"
                                 "}\n",
-                                {"dead-store"});
+                                {"index-width"});
   ASSERT_EQ(r.findings.size(), 1u) << dump(r);
   const std::string s = render_sarif(r);
   EXPECT_NE(s.find("sarif-schema-2.1.0"), std::string::npos);
-  EXPECT_NE(s.find("\"ruleId\": \"dead-store\""), std::string::npos);
-  EXPECT_NE(s.find("\"uri\": \"tools/fix.cpp\""), std::string::npos);
+  EXPECT_NE(s.find("\"ruleId\": \"narrowing-cast\""), std::string::npos);
+  EXPECT_NE(s.find("\"uri\": \"src/hypergraph/fix.cpp\""),
+            std::string::npos);
   EXPECT_NE(s.find("\"startLine\": 3"), std::string::npos);
-  // The driver catalog advertises the new families.
+  // The driver catalog advertises both dataflow families, and only them.
   EXPECT_NE(s.find("\"family\": \"index-width\""), std::string::npos);
   EXPECT_NE(s.find("\"family\": \"flow-determinism\""), std::string::npos);
-  EXPECT_NE(s.find("\"family\": \"dead-store\""), std::string::npos);
+  EXPECT_EQ(s.find("\"family\": \"dead-store\""), std::string::npos);
 }
 
 }  // namespace

@@ -170,6 +170,43 @@ TEST(Contraction, ProjectionRoundTrip) {
   EXPECT_NE(fine[0], fine[2]);
 }
 
+Weight recount_max_weighted_degree(const Hypergraph& h) {
+  Weight best = 0;
+  for (std::size_t v = 0; v < h.num_vertices(); ++v) {
+    Weight wdeg = 0;
+    for (const EdgeId e : h.incident_edges(static_cast<VertexId>(v))) {
+      wdeg += h.edge_weight(e);
+    }
+    best = std::max(best, wdeg);
+  }
+  return best;
+}
+
+TEST(HypergraphBuilder, MaxWeightedDegreeMatchesRecount) {
+  // Vertex 1 sits on {0,1} (weight 2) and {1,2,3} (weight 5): 7.
+  HypergraphBuilder b(4);
+  b.add_edge({0, 1}, 2);
+  b.add_edge({1, 2, 3}, 5);
+  b.add_edge({0, 3}, 1);
+  const Hypergraph h = b.finalize();
+  EXPECT_EQ(h.max_weighted_degree(), 7);
+  EXPECT_EQ(h.max_weighted_degree(), recount_max_weighted_degree(h));
+
+  // Contraction merges parallel nets, so coarse weighted degrees are
+  // sums of fine net weights; the finalized bound must follow them.
+  const Hypergraph g = generate_netlist(preset("small"));
+  EXPECT_EQ(g.max_weighted_degree(), recount_max_weighted_degree(g));
+  std::vector<VertexId> clusters(g.num_vertices());
+  for (std::size_t v = 0; v < clusters.size(); ++v) {
+    clusters[v] = static_cast<VertexId>(v / 4 * 4);
+  }
+  const ContractionResult r = contract(g, clusters);
+  EXPECT_LT(r.coarse.num_vertices(), g.num_vertices());
+  EXPECT_EQ(r.coarse.max_weighted_degree(),
+            recount_max_weighted_degree(r.coarse));
+  EXPECT_EQ(HypergraphBuilder(3).finalize().max_weighted_degree(), 0);
+}
+
 TEST(Generator, RespectsPresetShape) {
   const GenConfig config = preset("small");
   Hypergraph h = generate_netlist(config);

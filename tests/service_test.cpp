@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -528,6 +529,50 @@ TEST(ServiceProtocol, ParseSubmitValidates) {
       R"({"op":"submit","instance":{"preset":"tiny"},"tolerance":2})");
   expect_reject(
       R"({"op":"submit","instance":{"preset":"tiny"},"deadline_ms":-5})");
+}
+
+TEST(ServiceJson, AsIntFallsBackOutsideInt64Range) {
+  EXPECT_EQ(JsonValue::number(1e300).as_int(7), 7);
+  EXPECT_EQ(JsonValue::number(-1e300).as_int(7), 7);
+  EXPECT_EQ(JsonValue::number(0x1p63).as_int(7), 7);
+  EXPECT_EQ(JsonValue::number(-0x1p63).as_int(7),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(JsonValue::number(std::numeric_limits<double>::quiet_NaN())
+                .as_int(7),
+            7);
+  EXPECT_EQ(JsonValue::number(-3.99).as_int(7), -3);
+}
+
+TEST(ServiceProtocol, IntegerFieldsRejectFractionsAndHugeValues) {
+  const auto why_rejected = [](const std::string& member) {
+    JsonValue request;
+    const std::string text =
+        R"({"op":"submit","instance":{"preset":"tiny"},)" + member + "}";
+    EXPECT_TRUE(parse_json(text, request, nullptr)) << text;
+    SubmitRequest out;
+    std::string why;
+    EXPECT_FALSE(parse_submit(request, out, &why)) << text;
+    return why;
+  };
+  EXPECT_EQ(why_rejected(R"("k":2.5)"), "k must be an integer in [2, 64]");
+  EXPECT_EQ(why_rejected(R"("k":1e300)"), "k must be an integer in [2, 64]");
+  EXPECT_EQ(why_rejected(R"("k":-1e300)"), "k must be an integer in [2, 64]");
+  EXPECT_EQ(why_rejected(R"("starts":3.99)"),
+            "starts must be an integer in [1, 4096]");
+  EXPECT_EQ(why_rejected(R"("vcycles":1e19)"),
+            "vcycles must be an integer in [0, 64]");
+
+  // An integral number written with a fraction or exponent is still an
+  // integer.
+  JsonValue request;
+  ASSERT_TRUE(parse_json(
+      R"({"op":"submit","instance":{"preset":"tiny"},"k":4.0,"starts":2e0})",
+      request, nullptr));
+  SubmitRequest out;
+  std::string error;
+  ASSERT_TRUE(parse_submit(request, out, &error)) << error;
+  EXPECT_EQ(out.k, 4u);
+  EXPECT_EQ(out.starts, 2u);
 }
 
 TEST(ServiceProtocol, ResultCacheKeySensitivity) {

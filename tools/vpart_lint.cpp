@@ -1,7 +1,6 @@
 // vpart_lint: static analyzer for the repo's methodology contracts —
-// determinism, knob completeness, lock discipline, hot-path purity, the
-// parallel-round protocol, and the CFG/dataflow families index-width,
-// flow-determinism and dead-store.
+// determinism, knob completeness, lock discipline, hot-path purity, and
+// the CFG/dataflow families index-width and flow-determinism.
 //
 // Usage:
 //   vpart_lint [options] [path ...]
@@ -12,7 +11,7 @@
 //   --format FMT       human | sarif (default: human)
 //   --output FILE      write the report to FILE instead of stdout
 //   --rules a,b,...    run only these rules or families
-//                      (e.g. --rules hotpath,lock,round)
+//                      (e.g. --rules hotpath,lock)
 //   --list-rules       print the rule catalog and exit
 //
 // Exit codes: 0 clean, 1 findings, 2 usage/configuration error —
