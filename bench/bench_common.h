@@ -1,5 +1,5 @@
-// Shared helpers of the bench binaries: bench_experiments, bench_kway
-// and bench_service.
+// Shared helpers of the bench binaries: bench_experiments and
+// bench_service.
 //
 // Every bench, and every experiment of bench_experiments, accepts:
 //   --cases ibm01,ibm02,...   instance presets (default per bench)

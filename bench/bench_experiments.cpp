@@ -1,7 +1,7 @@
 // One binary for every experiment that run_engine can express: the
 // paper's Tables 1-5, the Sec. 3.2 BSF, Pareto, pruning and significance
-// reports, the suite summary, the engine tier, the fixed-terminal and
-// noise studies and five ablations.
+// reports, the suite summary, the engine tier, the fixed-terminal,
+// noise and k-way studies and five ablations.
 //
 //   bench_experiments --experiment NAME|all [common flags] [its flags]
 //
@@ -14,8 +14,8 @@
 // (Tables 4/5) whose numbers the row's cells average, and may adapt its
 // spec to each case's graph.  Every cell is one run_engine call per
 // spec, so every answer is audited by check_solution.  The report
-// entries (bsf, pareto, noise, pruning, significance) hand each table and
-// every case to a report instead.
+// entries (bsf, pareto, noise, pruning, significance, kway) hand each
+// table and every case to a report instead.
 //
 // A flag the selected experiment does not read is a usage error; `all`
 // runs every entry at its defaults and accepts only the common
@@ -744,6 +744,51 @@ std::vector<Table> clustering(const BenchOptions& opt, const CliArgs&) {
   return tables;
 }
 
+/// k-way partitioning (Sec. 4 names "the difficulty of multi-way
+/// partitioning" a fundamental gap): ml recursive bisection, one row per
+/// k, 10% per-part tolerance.
+std::vector<Table> kway(const BenchOptions& opt, const CliArgs&) {
+  Table table{.title = "k-way: recursive bisection and the direct k-way "
+                       "polish, 10% tolerance"};
+  for (const std::size_t k : {4, 8, 16}) {
+    EngineSpec spec = multistart_spec(opt, "ml", our_lifo(), 0.10);
+    spec.k = k;
+    table.rows.push_back({"k=" + std::to_string(k), {spec}});
+  }
+  return {table};
+}
+
+/// Per case and row: the served answer (run_engine: recursive bisection,
+/// then the direct k-way polish) with its CPU, the unpolished RB cut of
+/// the same kway_config, and the share of that cut the polish recovers.
+void kway_report(const std::vector<Case>& cases, const Table& table,
+                 const BenchOptions& opt) {
+  TextTable out({"case", "k", "served cut", "CPU s", "RB cut", "recovered"});
+  for (const Case& c : cases) {
+    for (const Row& row : table.rows) {
+      const EngineSpec& spec = row.specs.front();
+      const CpuTimer timer;
+      const EngineResult served = run_engine(spec, c.graph);
+      const double cpu = timer.elapsed();
+      if (!served.error.empty()) {
+        throw std::runtime_error(row.label + " on " + c.label + ": " +
+                                 served.error);
+      }
+      KwayConfig unpolished = kway_config(spec);
+      unpolished.refine_passes = 0;
+      const Weight rb_cut = recursive_bisection(c.graph, unpolished).cut;
+      const double recovered =
+          rb_cut > 0 ? 100.0 * static_cast<double>(rb_cut - served.cut) /
+                           static_cast<double>(rb_cut)
+                     : 0.0;
+      out.add_row({c.label, std::to_string(spec.k), std::to_string(served.cut),
+                   fmt_fixed(cpu, 3), std::to_string(rb_cut),
+                   fmt_fixed(recovered, 1) + "%"});
+    }
+  }
+  emit(out, opt, table.title);
+}
+
 const std::vector<Experiment>& experiments() {
   static const std::vector<Experiment> registry = [] {
     const std::string first3 = "ibm01,ibm02,ibm03";
@@ -826,6 +871,11 @@ const std::vector<Experiment>& experiments() {
          "with and without the corking fix on re-seeded generator twins",
          "ibm01", 20, 0.5, {"threads", "instances"}, noise, noise_report,
          noise_cases},
+        {"kway",
+         "k-way study (Sec. 4): ml recursive bisection at k = 4, 8, 16, "
+         "the served cut against the unpolished RB cut; --runs starts per "
+         "bisection",
+         first3, 2, 0.5, {}, kway, kway_report},
     };
   }();
   return registry;

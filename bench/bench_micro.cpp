@@ -108,14 +108,11 @@ void BM_KwayPolish(benchmark::State& state) {
   config.refine_passes = 0;
   const std::vector<PartId> rb_parts = recursive_bisection(h, config).parts;
   const KwayProblem p = KwayProblem::uniform(h, config.k, config.tolerance);
-  KwayFmConfig polish;
-  polish.max_passes = 2;
   for (auto _ : state) {
     KwayState s(h, config.k);
     s.assign(rb_parts);
-    KwayFmRefiner refiner(p, polish);
-    Rng rng(config.seed);
-    benchmark::DoNotOptimize(refiner.refine(s, rng));
+    KwayFmRefiner refiner(p, /*max_passes=*/2);
+    benchmark::DoNotOptimize(refiner.refine(s));
   }
 }
 BENCHMARK(BM_KwayPolish)->Unit(benchmark::kMillisecond);

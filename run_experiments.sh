@@ -7,9 +7,9 @@ cmake -B build -G Ninja
 cmake --build build
 ctest --test-dir build 2>&1 | tee test_output.txt
 # Every registry experiment once (the significance verdicts
-# EXPERIMENTS.md cites included), then the binary it cannot express yet
-# (bench_kway) and the microbenchmark and daemon benches.
+# EXPERIMENTS.md cites included), then the microbenchmark and daemon
+# benches.
 build/bench/bench_experiments --experiment all 2>&1 | tee bench_output.txt
-(for b in bench_kway bench_micro bench_service; do
+(for b in bench_micro bench_service; do
   echo "##### build/bench/$b"; "build/bench/$b"; echo
 done) 2>&1 | tee -a bench_output.txt

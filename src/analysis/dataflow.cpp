@@ -1,76 +1,9 @@
 #include "src/analysis/dataflow.h"
 
-#include <algorithm>
 #include <map>
 #include <set>
 
 namespace vlsipart::analysis {
-
-bool BitSet::merge_union(const BitSet& other) {
-  bool changed = false;
-  for (std::size_t i = 0; i < w_.size() && i < other.w_.size(); ++i) {
-    const std::uint64_t next = w_[i] | other.w_[i];
-    changed |= next != w_[i];
-    w_[i] = next;
-  }
-  return changed;
-}
-
-bool BitSet::transfer(const BitSet& in, const BitSet& gen,
-                      const BitSet& kill) {
-  bool changed = false;
-  for (std::size_t i = 0; i < w_.size(); ++i) {
-    const std::uint64_t next = gen.w_[i] | (in.w_[i] & ~kill.w_[i]);
-    changed |= next != w_[i];
-    w_[i] = next;
-  }
-  return changed;
-}
-
-DataflowResult solve_forward(const Cfg& cfg, const GenKill& problem,
-                             std::size_t num_facts) {
-  const std::size_t n = cfg.blocks.size();
-  DataflowResult r;
-  r.in.assign(n, BitSet(num_facts));
-  r.out.assign(n, BitSet(num_facts));
-
-  // Reverse postorder so most facts flow in one sweep.
-  std::vector<int> order;
-  std::vector<char> seen(n, 0);
-  std::vector<std::pair<int, std::size_t>> stack{{cfg.entry, 0}};
-  seen[cfg.entry] = 1;
-  while (!stack.empty()) {
-    auto& [b, next] = stack.back();
-    if (next < cfg.blocks[b].succs.size()) {
-      const int s = cfg.blocks[b].succs[next++];
-      if (!seen[s]) {
-        seen[s] = 1;
-        stack.push_back({s, 0});
-      }
-    } else {
-      order.push_back(b);
-      stack.pop_back();
-    }
-  }
-  std::reverse(order.begin(), order.end());
-
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const int b : order) {
-      if (b != cfg.entry) {
-        BitSet in(num_facts);
-        for (const int p : cfg.blocks[b].preds) in.merge_union(r.out[p]);
-        r.in[b] = std::move(in);
-      }
-      changed |= r.out[b].transfer(r.in[b], problem.gen[b], problem.kill[b]);
-    }
-  }
-  return r;
-}
-
-// ---------------------------------------------------------------------
-// Reaching definitions
 
 namespace {
 
@@ -102,22 +35,21 @@ bool is_assign_punct(const Token& t) {
          t.is_punct("<<=") || t.is_punct(">>=");
 }
 
-class ReachBuilder {
+class DefCollector {
  public:
-  ReachBuilder(const std::vector<Token>& tokens, const ParsedFile& parsed,
+  DefCollector(const std::vector<Token>& tokens, const ParsedFile& parsed,
                int fn, const Cfg& cfg)
       : T(tokens), parsed_(parsed), fn_(fn), cfg_(cfg) {}
 
-  ReachingDefs run() {
+  LocalDefs run() {
     collect_lambda_ranges();
     collect_params();
     for (std::size_t s = 0; s < cfg_.stmts.size(); ++s) {
       collect_declarations(static_cast<int>(s));
     }
     for (std::size_t s = 0; s < cfg_.stmts.size(); ++s) {
-      collect_defs_uses(static_cast<int>(s));
+      collect_defs(static_cast<int>(s));
     }
-    solve();
     return std::move(r_);
   }
 
@@ -204,7 +136,6 @@ class ReachBuilder {
     info.name = T[name_tok].text;
     info.type_name = type_name;
     info.is_pointer = pointer;
-    info.is_param = true;
     const int var = add_var(std::move(info));
     Def d;
     d.var = var;
@@ -309,7 +240,6 @@ class ReachBuilder {
       info.name = T[name_tok].text;
       info.type_name = type_name;
       info.is_pointer = pointer;
-      info.decl_stmt = s;
       const int var = add_var(std::move(info));
       Def d;
       d.var = var;
@@ -376,13 +306,15 @@ class ReachBuilder {
     return false;
   }
 
-  void collect_defs_uses(int s) {
+  /// Definitions in one statement: assignments, ++/--, and conservative
+  /// writes through '&name' or a bare call argument (a potential
+  /// out-parameter).
+  void collect_defs(int s) {
     const CfgStmt& stmt = cfg_.stmts[s];
     for (std::size_t k = stmt.begin; k < stmt.end; ++k) {
       if (T[k].kind != TokenKind::kIdentifier) continue;
       const auto it = var_of_.find(T[k].text);
       if (it == var_of_.end()) continue;
-      const int var = it->second;
       if (in_lambda(k)) continue;
       if (k > stmt.begin &&
           (T[k - 1].is_punct(".") || T[k - 1].is_punct("->") ||
@@ -391,128 +323,20 @@ class ReachBuilder {
       }
       if (decl_name_tokens_.count(k) != 0) continue;  // the decl itself
 
-      const bool next_assign =
-          k + 1 < stmt.end && is_assign_punct(T[k + 1]);
+      const bool assigned = k + 1 < stmt.end && is_assign_punct(T[k + 1]);
       const bool incr = (k + 1 < stmt.end && (T[k + 1].is_punct("++") ||
                                               T[k + 1].is_punct("--"))) ||
                         (k > stmt.begin && (T[k - 1].is_punct("++") ||
                                             T[k - 1].is_punct("--")));
       const bool addr = k > stmt.begin && T[k - 1].is_punct("&") &&
                         is_address_of(k - 1);
-      const bool streamed =
-          k > stmt.begin && T[k - 1].is_punct(">>");
-
-      if (next_assign && T[k + 1].is_punct("=")) {
+      if (assigned || incr || addr ||
+          is_bare_call_arg(k, stmt.begin, stmt.end)) {
         Def d;
-        d.var = var;
+        d.var = it->second;
         d.stmt = s;
         d.token = k;
         add_def(d);
-        continue;  // pure definition, the name itself is not read
-      }
-      if (next_assign || incr) {  // compound assignment reads then writes
-        Def d;
-        d.var = var;
-        d.stmt = s;
-        d.token = k;
-        add_def(d);
-        add_use(var, s, k);
-        continue;
-      }
-      if (addr || streamed || is_bare_call_arg(k, stmt.begin, stmt.end)) {
-        // May be written through the pointer / reference: a
-        // conservative definition that also counts as a use.
-        if (addr) r_.vars[var].address_taken = true;
-        Def d;
-        d.var = var;
-        d.stmt = s;
-        d.token = k;
-        d.conservative = true;
-        add_def(d);
-        add_use(var, s, k);
-        continue;
-      }
-      add_use(var, s, k);
-    }
-  }
-
-  void add_use(int var, int s, std::size_t token) {
-    Use u;
-    u.var = var;
-    u.stmt = s;
-    u.token = token;
-    r_.uses.push_back(u);
-  }
-
-  void solve() {
-    const std::size_t nd = r_.defs.size();
-    GenKill gk;
-    gk.gen.assign(cfg_.blocks.size(), BitSet(nd));
-    gk.kill.assign(cfg_.blocks.size(), BitSet(nd));
-
-    // Defs of the same variable, for kill sets.
-    std::vector<std::vector<int>> defs_of_var(r_.vars.size());
-    for (std::size_t d = 0; d < nd; ++d) {
-      defs_of_var[r_.defs[d].var].push_back(static_cast<int>(d));
-    }
-    std::vector<std::vector<int>> defs_in_stmt(cfg_.stmts.size());
-    for (std::size_t d = 0; d < nd; ++d) {
-      if (r_.defs[d].stmt >= 0) {
-        defs_in_stmt[r_.defs[d].stmt].push_back(static_cast<int>(d));
-      } else {
-        gk.gen[cfg_.entry].set(d);  // parameters reach from entry
-      }
-    }
-
-    auto apply = [&](BitSet& gen, BitSet& kill, int d) {
-      const Def& def = r_.defs[d];
-      if (!def.conservative) {
-        // A strong definition kills every other def of the variable.
-        for (const int other : defs_of_var[def.var]) {
-          if (other == d) continue;
-          gen.reset(other);
-          kill.set(other);
-        }
-        kill.reset(d);
-      }
-      gen.set(d);
-    };
-    for (std::size_t b = 0; b < cfg_.blocks.size(); ++b) {
-      for (const int s : cfg_.blocks[b].stmts) {
-        for (const int d : defs_in_stmt[s]) {
-          apply(gk.gen[b], gk.kill[b], d);
-        }
-      }
-    }
-
-    const DataflowResult flow = solve_forward(cfg_, gk, nd);
-
-    // Statement-level IN: replay each block.
-    r_.in_stmt.assign(cfg_.stmts.size(), BitSet(nd));
-    for (std::size_t b = 0; b < cfg_.blocks.size(); ++b) {
-      BitSet live = flow.in[b];
-      for (const int s : cfg_.blocks[b].stmts) {
-        r_.in_stmt[s] = live;
-        for (const int d : defs_in_stmt[s]) {
-          const Def& def = r_.defs[d];
-          if (!def.conservative) {
-            for (const int other : defs_of_var[def.var]) {
-              if (other != d) live.reset(other);
-            }
-          }
-          live.set(d);
-        }
-      }
-    }
-
-    // Def-use chains: a use sees the defs of its variable reaching its
-    // statement (parameters reach everywhere their bit survives).
-    r_.defs_of_use.assign(r_.uses.size(), {});
-    for (std::size_t u = 0; u < r_.uses.size(); ++u) {
-      const Use& use = r_.uses[u];
-      const BitSet& live = r_.in_stmt[use.stmt];
-      for (const int d : defs_of_var[use.var]) {
-        if (live.test(d)) r_.defs_of_use[u].push_back(d);
       }
     }
   }
@@ -521,7 +345,7 @@ class ReachBuilder {
   const ParsedFile& parsed_;
   int fn_;
   const Cfg& cfg_;
-  ReachingDefs r_;
+  LocalDefs r_;
   std::map<std::string, int> var_of_;
   std::set<std::size_t> decl_name_tokens_;
   std::vector<std::pair<std::size_t, std::size_t>> lambda_ranges_;
@@ -529,17 +353,17 @@ class ReachBuilder {
 
 }  // namespace
 
-int ReachingDefs::var_index(const std::string& name) const {
+int LocalDefs::var_index(const std::string& name) const {
   for (std::size_t i = 0; i < vars.size(); ++i) {
     if (vars[i].name == name) return static_cast<int>(i);
   }
   return -1;
 }
 
-ReachingDefs compute_reaching_defs(const std::vector<Token>& tokens,
-                                   const ParsedFile& parsed, int fn,
-                                   const Cfg& cfg) {
-  return ReachBuilder(tokens, parsed, fn, cfg).run();
+LocalDefs collect_local_defs(const std::vector<Token>& tokens,
+                             const ParsedFile& parsed, int fn,
+                             const Cfg& cfg) {
+  return DefCollector(tokens, parsed, fn, cfg).run();
 }
 
 }  // namespace vlsipart::analysis

@@ -1,4 +1,4 @@
-// Dataflow rule families over the CFG + reaching-definitions engine.
+// Dataflow rule families over the CFG and the local-definition list.
 //
 // Two clients of src/analysis/{cfg,dataflow}, both intraprocedural:
 //
@@ -126,7 +126,7 @@ class DataflowPass {
     if (def.body_end <= def.body_begin + 1) return;
     cfg_ = build_cfg(T, parsed_, fn);
     if (cfg_.stmts.empty()) return;
-    rd_ = compute_reaching_defs(T, parsed_, fn, cfg_);
+    rd_ = collect_local_defs(T, parsed_, fn, cfg_);
     fn_ = fn;
     collect_guards();
 
@@ -581,7 +581,7 @@ class DataflowPass {
   std::vector<Finding>& out_;
   ParsedFile parsed_;
   Cfg cfg_;
-  ReachingDefs rd_;
+  LocalDefs rd_;
   int fn_ = -1;
   bool index_scope_ = false;
   bool flow_scope_ = false;

@@ -14,7 +14,10 @@
 //     algorithms, malloc family, IO, lock methods).
 //   * Banned tokens inside a reached body (`new`, `throw`, mutex/lock
 //     types, stream objects) are flagged with the root-to-offender
-//     call chain in the message.
+//     call chain in the message, and so is a standard container
+//     constructed with arguments, declared or as a temporary
+//     (`std::vector<EdgeId> copy(nets.begin(), nets.end())`, a count or
+//     a copy): the constructor allocates.
 //   * `// hot-path: allow(<reason>)` on the line (or the line above)
 //     suppresses a site AND prunes call edges from that line — the
 //     reason documents an amortized or cold branch (e.g. geometric
@@ -68,6 +71,43 @@ const std::set<std::string>& banned_idents() {
       "ifstream",   "fstream",     "stringstream", "ostringstream",
       "istringstream"};
   return kSet;
+}
+
+/// Owning standard containers: declaring one with constructor arguments
+/// (a range, a count, a copy) allocates.
+const std::set<std::string>& container_types() {
+  static const std::set<std::string> kSet = {
+      "vector", "deque", "list", "forward_list", "set", "multiset", "map",
+      "multimap", "unordered_set", "unordered_multiset", "unordered_map",
+      "unordered_multimap", "string", "basic_string"};
+  return kSet;
+}
+
+/// True when T[i] names a container type constructed here with
+/// arguments: declared (`vector<...> name(args)`, `name{args}`) or as a
+/// temporary (`auto copy = vector<...>(args)`).  References, pointers
+/// and default construction do not allocate.
+bool constructs_container(const std::vector<Token>& T, std::size_t i) {
+  if (container_types().count(T[i].text) == 0) return false;
+  // A temporary needs `std::` or template arguments to be told apart
+  // from a call of a function named `set` or `list`.
+  bool type_spelled =
+      i >= 2 && T[i - 1].is_punct("::") && T[i - 2].is_ident("std");
+  std::size_t j = i + 1;
+  if (j < T.size() && T[j].is_punct("<")) {
+    j = match_close(T, j, "<", ">") + 1;
+    type_spelled = true;
+  }
+  if (j < T.size() && T[j].kind == TokenKind::kIdentifier) {
+    ++j;  // the declared name
+  } else if (!type_spelled) {
+    return false;
+  }
+  if (j + 1 >= T.size()) return false;
+  const Token& open = T[j];
+  if (open.is_punct("(")) return !T[j + 1].is_punct(")");
+  if (open.is_punct("{")) return !T[j + 1].is_punct("}");
+  return false;
 }
 
 /// Per-line `hot-path:` annotations of one unit.
@@ -222,6 +262,12 @@ class HotPathPass {
       if (in_hole) continue;
       const Token& t = T[i];
       if (t.kind != TokenKind::kIdentifier) continue;
+      if (constructs_container(T, i)) {
+        if (!allowed(unit, t.line)) {
+          report(f, t.line, t.col, t.text + " constructed with arguments");
+        }
+        continue;
+      }
       if (banned_idents().count(t.text) == 0) continue;
       if (call_tokens.count(i) != 0) continue;  // handled as call site
       if (allowed(unit, t.line)) continue;

@@ -146,4 +146,13 @@ std::vector<PartId> project_partition(
   return fine;
 }
 
+Weight cluster_weight_cap(const Hypergraph& h, std::size_t coarsen_to,
+                          Weight max_cluster_weight) {
+  if (max_cluster_weight > 0) return max_cluster_weight;
+  const Weight cap = std::max<Weight>(
+      1, h.total_vertex_weight() /
+             static_cast<Weight>(std::max<std::size_t>(coarsen_to, 32)));
+  return std::max(cap, h.max_vertex_weight());
+}
+
 }  // namespace vlsipart

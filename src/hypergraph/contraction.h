@@ -68,6 +68,15 @@ ContractionResult contract(const Hypergraph& h,
                            const std::vector<VertexId>& cluster_of,
                            ContractionMemory* memory = nullptr);
 
+/// Weight cap of a coarse cluster: `max_cluster_weight` when positive,
+/// else total weight / max(coarsen_to, 32).  Clusters then stay small
+/// enough that the coarsest graph keeps movable mass for FM to
+/// rebalance and coarse vertices stay well below a typical (2%) balance
+/// window.  Never below the heaviest vertex: macros are indivisible.
+/// The multilevel coarseners and n-level contraction all cap with it.
+Weight cluster_weight_cap(const Hypergraph& h, std::size_t coarsen_to,
+                          Weight max_cluster_weight);
+
 /// Project a coarse 2-way assignment back onto the fine hypergraph.
 std::vector<PartId> project_partition(
     const std::vector<VertexId>& fine_to_coarse,

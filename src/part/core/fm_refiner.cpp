@@ -73,8 +73,8 @@ void FmRefiner::lookahead_vector(const PartitionState& state, VertexId v,
   out.assign(depth - 1, 0);  // hot-path: allow(reused scratch, bounded by lookahead depth)
   for (const EdgeId e : h.incident_edges(v)) {
     const Weight w = h.edge_weight(e);
-    const std::uint32_t locked_from = locked_in_[from][e];
-    const std::uint32_t locked_to = locked_in_[to][e];
+    const std::uint32_t locked_from = locked_pins_[from][e];
+    const std::uint32_t locked_to = locked_pins_[to][e];
     // Binding number beta_X(n): free pins of n in X, infinite (never
     // counted) when X holds a locked pin of n [30].
     if (locked_from == 0) {
@@ -96,8 +96,8 @@ void FmRefiner::lookahead_vector(const PartitionState& state, VertexId v,
   }
 }
 
-VertexId FmRefiner::lookahead_pick(const PartitionState& state,
-                                   VertexId head) const {
+VertexId FmRefiner::best_lookahead_move(const PartitionState& state,
+                                        VertexId head) const {
   VertexId best = kInvalidVertex;
   std::vector<Gain>& best_vec = la_best_vec_;
   std::vector<Gain>& vec = la_vec_;
@@ -124,7 +124,7 @@ void FmRefiner::run_in_pass_audit(const PartitionState& state) const {
   view.container = &container_;
   view.initial_gain = initial_gain_;
   view.locked = locked_;
-  view.locked_in = use_lookahead_ ? &locked_in_ : nullptr;
+  view.locked_in = use_lookahead_ ? &locked_pins_ : nullptr;
   audit_mid_pass(view);  // hot-path: allow(audit mode only, disabled in timed runs)
 }
 
@@ -162,7 +162,7 @@ FmRefiner::Candidate FmRefiner::select_from_side(const PartitionState& state,
       // Krishnamurthy tie-breaking [30]: among the (equal-key) moves at
       // the top of this bucket, take the legal one with the largest
       // level-2..r lookahead vector.
-      const VertexId pick = lookahead_pick(state, v);
+      const VertexId pick = best_lookahead_move(state, v);
       if (pick != kInvalidVertex) {
         cand.v = pick;
         cand.key = key;
@@ -232,8 +232,8 @@ FmPassStats FmRefiner::run_pass(PartitionState& state, PassCarry& carry,
   move_order_.clear();
   current_trace_.clear();
   if (use_lookahead_) {
-    locked_in_[0].assign(h.num_edges(), 0);  // hot-path: allow(per-pass reset of reused buffer)
-    locked_in_[1].assign(h.num_edges(), 0);  // hot-path: allow(per-pass reset of reused buffer)
+    locked_pins_[0].assign(h.num_edges(), 0);  // hot-path: allow(per-pass reset of reused buffer)
+    locked_pins_[1].assign(h.num_edges(), 0);  // hot-path: allow(per-pass reset of reused buffer)
     // Fixed and excluded vertices never move: treat them as locked so
     // binding numbers see them as immovable pins.
     for (VertexId vid = 0; vid < n; ++vid) {
@@ -243,7 +243,7 @@ FmPassStats FmRefiner::run_pass(PartitionState& state, PassCarry& carry,
            h.vertex_weight(vid) > problem_->balance.window());
       if (!immovable) continue;
       for (const EdgeId e : h.incident_edges(vid)) {
-        ++locked_in_[state.part(vid)][e];
+        ++locked_pins_[state.part(vid)][e];
       }
     }
   }
@@ -329,7 +329,7 @@ FmPassStats FmRefiner::run_pass(PartitionState& state, PassCarry& carry,
     if (use_lookahead_) {
       // v is now locked on its destination side.
       for (const EdgeId e : nets) {
-        ++locked_in_[from ^ 1][e];
+        ++locked_pins_[from ^ 1][e];
       }
     }
     state.move(v, [&](EdgeId e, std::uint32_t old_from,

@@ -178,7 +178,8 @@ class FmRefiner {
   /// Within the bucket starting at `head`, pick the legal move with the
   /// lexicographically largest lookahead vector (scanning at most
   /// lookahead_scan_limit entries).  kInvalidVertex if none is legal.
-  VertexId lookahead_pick(const PartitionState& state, VertexId head) const;
+  VertexId best_lookahead_move(const PartitionState& state,
+                               VertexId head) const;
 
   /// Imbalance of a part-0 weight: 0 when feasible, else distance to the
   /// window.  Used so passes started from an infeasible projection (in
@@ -195,7 +196,7 @@ class FmRefiner {
   Gain max_abs_gain_ = 0;
   /// Per-net locked pin counts by side; maintained only when lookahead
   /// tie-breaking is active (binding numbers need free-vs-locked).
-  std::array<std::vector<std::uint32_t>, 2> locked_in_;
+  std::array<std::vector<std::uint32_t>, 2> locked_pins_;
   bool use_lookahead_ = false;
   /// Cut-after-each-move trajectory of the pass in flight (only when
   /// config_.record_trace).
@@ -207,8 +208,9 @@ class FmRefiner {
   std::vector<Gain> initial_gain_;
   /// Radix-sort scratch for CLIP's initial-gain bucket order.
   std::vector<VertexId> sort_scratch_;
-  /// Lookahead-selection scratch (lookahead_pick is called per selection;
-  /// the vectors are members so the per-call allocation disappears).
+  /// Lookahead-selection scratch (best_lookahead_move is called per
+  /// selection; the vectors are members so the per-call allocation
+  /// disappears).
   mutable std::vector<Gain> la_vec_;
   mutable std::vector<Gain> la_best_vec_;
 };

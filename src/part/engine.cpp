@@ -4,7 +4,7 @@
 #include <memory>
 #include <utility>
 
-#include "src/part/kway/recursive_bisection.h"
+#include "src/util/logging.h"
 
 namespace vlsipart {
 namespace {
@@ -65,6 +65,17 @@ std::unique_ptr<Bipartitioner> make_bipartitioner(const EngineSpec& spec,
   return std::make_unique<FlatFmPartitioner>(fm);
 }
 
+/// The FM policy `kind` refines with: spec.fm, plus CLIP keys and the
+/// corking fix for clip.
+FmConfig engine_fm(const EngineSpec& spec, EngineKind kind) {
+  FmConfig fm = spec.fm;
+  if (kind == EngineKind::kClip) {
+    fm.clip = true;
+    fm.exclude_oversized = true;
+  }
+  return fm;
+}
+
 std::string fixed_error(const std::vector<PartId>& fixed, std::size_t k,
                         const Hypergraph& h) {
   if (fixed.empty()) return {};
@@ -108,6 +119,21 @@ std::string engine_spec_error(const std::string& engine, std::size_t k) {
   return {};
 }
 
+KwayConfig kway_config(const EngineSpec& spec) {
+  const EngineInfo* info = find_engine(spec.engine);
+  VP_CHECK(info != nullptr, "kway_config: unregistered engine");
+  KwayConfig config;
+  config.k = spec.k;
+  config.tolerance = spec.tolerance;
+  config.use_ml = info->kind == EngineKind::kMl;
+  config.fm = engine_fm(spec, info->kind);
+  config.ml = spec.ml;
+  config.starts_per_level = spec.starts;
+  config.seed = spec.seed;
+  config.threads = thread_budget(spec);
+  return config;
+}
+
 EngineResult run_engine(const EngineSpec& spec, const Hypergraph& h,
                         std::vector<PartId> fixed) {
   EngineResult out;
@@ -115,11 +141,7 @@ EngineResult run_engine(const EngineSpec& spec, const Hypergraph& h,
   if (out.error.empty()) out.error = fixed_error(fixed, spec.k, h);
   if (!out.error.empty()) return out;
   const EngineKind kind = find_engine(spec.engine)->kind;
-  FmConfig fm = spec.fm;
-  if (kind == EngineKind::kClip) {
-    fm.clip = true;
-    fm.exclude_oversized = true;
-  }
+  const FmConfig fm = engine_fm(spec, kind);
   // The round refiner has no CLIP mode: flat, ml and evo would run LIFO
   // keys under a CLIP label.  nlevel refines serially and keeps them.
   if (fm.clip && fm.refine_threads > 1 && kind != EngineKind::kNlevel) {
@@ -131,16 +153,7 @@ EngineResult run_engine(const EngineSpec& spec, const Hypergraph& h,
 
   std::string violation;
   if (spec.k > 2) {
-    KwayConfig config;
-    config.k = spec.k;
-    config.tolerance = spec.tolerance;
-    config.use_ml = kind == EngineKind::kMl;
-    config.fm = fm;
-    config.ml = spec.ml;
-    config.starts_per_level = spec.starts;
-    config.seed = spec.seed;
-    config.threads = thread_budget(spec);
-    KwayResult r = recursive_bisection(h, config);
+    KwayResult r = recursive_bisection(h, kway_config(spec));
     violation = check_kway(h, r.parts, spec.k, spec.tolerance);
     out.cut = r.cut;
     out.parts = std::move(r.parts);

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/part/evo/evo_partitioner.h"
+#include "src/part/kway/recursive_bisection.h"
 #include "src/part/nlevel/nlevel_partitioner.h"
 
 namespace vlsipart {
@@ -62,6 +63,13 @@ struct EngineResult {
   std::string error;
   MultistartResult multistart;  ///< k = 2 per-start record
 };
+
+/// The recursive-bisection configuration run_engine runs for k > 2: the
+/// spec's k, tolerance, starts per bisection, seed and thread budget,
+/// its ml settings, and its FM policy as the engine refines (clip adds
+/// CLIP keys and the corking fix).  The direct k-way polish keeps
+/// KwayConfig's default pass count.  spec.engine must be registered.
+KwayConfig kway_config(const EngineSpec& spec);
 
 /// Build the engine, run it under run_hmetis_like (ml), run_multistart
 /// (other bipartitioners) or recursive_bisection (k > 2) with the thread

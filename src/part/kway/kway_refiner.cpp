@@ -16,9 +16,9 @@ constexpr std::size_t kPinPrefetchDistance = 8;
 constexpr std::size_t kPinPrefetchMinPins = 16;
 }  // namespace
 
-KwayFmRefiner::KwayFmRefiner(const KwayProblem& problem, KwayFmConfig config)
+KwayFmRefiner::KwayFmRefiner(const KwayProblem& problem, int max_passes)
     : problem_(&problem),
-      config_(config),
+      max_passes_(max_passes),
       pool_(problem.graph->num_vertices()) {
   max_abs_gain_ = problem.graph->max_weighted_degree();
   const std::size_t n = problem.graph->num_vertices();
@@ -26,71 +26,6 @@ KwayFmRefiner::KwayFmRefiner(const KwayProblem& problem, KwayFmConfig config)
   best_.assign(n, Target{});
   fresh_at_.assign(n, 0);
   locked_.assign(n, 0);
-  use_lookahead_ = config_.lookahead_depth > 1;
-}
-
-void KwayFmRefiner::level_gains(const KwayState& state, VertexId v,
-                                std::vector<Gain>& out) const {
-  // Level gains of the direction (v: from -> to), computed on the
-  // from/to two-block projection of each net — the natural restriction
-  // of Krishnamurthy's binding numbers [30] to one k-way move direction,
-  // as in Sanchis's k-way extension [32].  Exactly the 2-way definition
-  // when k = 2.
-  const Hypergraph& h = *problem_->graph;
-  const PartId from = state.part(v);
-  const PartId to = target_[v];
-  const auto depth = static_cast<std::size_t>(config_.lookahead_depth);
-  const std::size_t k = state.k();
-  out.assign(depth - 1, 0);  // hot-path: allow(reused scratch, bounded by lookahead depth)
-  for (const EdgeId e : h.incident_edges(v)) {
-    // Nets with pins outside {from, to} cannot be uncut by from/to
-    // moves alone; skip them.
-    const std::uint32_t in_from = state.pins_in(e, from);
-    const std::uint32_t in_to = state.pins_in(e, to);
-    bool outside = false;
-    for (PartId p = 0; p < static_cast<PartId>(k); ++p) {
-      if (p != from && p != to && state.pins_in(e, p) > 0) {
-        outside = true;
-        break;
-      }
-    }
-    if (outside) continue;
-    const Weight w = h.edge_weight(e);
-    const std::size_t base = static_cast<std::size_t>(e) * k;
-    const std::uint32_t locked_from = locked_in_[base + from];
-    const std::uint32_t locked_to = locked_in_[base + to];
-    if (locked_from == 0) {
-      const std::uint32_t free_from = in_from;
-      if (in_to > 0 && free_from >= 2 && free_from <= depth) {
-        out[free_from - 2] += w;
-      }
-    }
-    if (locked_to == 0) {
-      const std::uint32_t free_to = in_to;
-      if (free_to >= 1 && free_to + 1 <= depth) {
-        out[free_to - 1] -= w;
-      }
-    }
-  }
-}
-
-VertexId KwayFmRefiner::lookahead_pick(const KwayState& state,
-                                       VertexId head) const {
-  VertexId best = kInvalidVertex;
-  std::vector<Gain> best_vec;
-  std::vector<Gain> vec;
-  std::size_t scanned = 0;
-  for (VertexId v = head;
-       v != kInvalidVertex && scanned < config_.lookahead_scan_limit;
-       v = pool_.next(v), ++scanned) {
-    if (!target_legal(state, v, target_[v])) continue;
-    level_gains(state, v, vec);
-    if (best == kInvalidVertex || vec > best_vec) {
-      best = v;
-      best_vec = vec;
-    }
-  }
-  return best;
 }
 
 void KwayFmRefiner::pool_insert(VertexId v, Gain key, PartId target) {
@@ -126,8 +61,7 @@ KwayFmRefiner::Target KwayFmRefiner::best_target(const KwayState& state,
 }
 
 // hot-path: root
-Weight KwayFmRefiner::run_pass(KwayState& state, Rng& rng) {
-  (void)rng;  // deterministic pass; parameter kept for parity/extension
+Weight KwayFmRefiner::run_pass(KwayState& state) {
   const Hypergraph& h = *problem_->graph;
   const std::size_t n = h.num_vertices();
 
@@ -135,18 +69,6 @@ Weight KwayFmRefiner::run_pass(KwayState& state, Rng& rng) {
   std::fill(locked_.begin(), locked_.end(), 0);
   std::fill(fresh_at_.begin(), fresh_at_.end(), 0);
   move_order_.clear();
-  if (use_lookahead_) {
-    locked_in_.assign(h.num_edges() * state.k(), 0);  // hot-path: allow(per-pass reset of reused buffer)
-    // Fixed vertices never move: binding numbers see them as locked.
-    for (std::size_t v = 0; v < n; ++v) {
-      const auto vid = static_cast<VertexId>(v);
-      if (!problem_->is_fixed(vid)) continue;
-      for (const EdgeId e : h.incident_edges(vid)) {
-        ++locked_in_[static_cast<std::size_t>(e) * state.k() +
-                     state.part(vid)];
-      }
-    }
-  }
 
   for (std::size_t v = 0; v < n; ++v) {
     const auto vid = static_cast<VertexId>(v);
@@ -158,17 +80,10 @@ Weight KwayFmRefiner::run_pass(KwayState& state, Rng& rng) {
   const Weight cut_before = state.cut();
   Weight best_cut = cut_before;
   std::size_t best_prefix = 0;
-  std::size_t moves_since_best = 0;
 
   while (!pool_.empty()) {
-    VertexId v = pool_top_head();
+    const VertexId v = pool_top_head();
     if (v == kInvalidVertex) break;
-    if (use_lookahead_) {
-      // Sanchis level-gain tie-breaking among the top bucket's legal
-      // candidates; fall back to the head when none has a legal target.
-      const VertexId pick = lookahead_pick(state, v);
-      if (pick != kInvalidVertex) v = pick;
-    }
 
     PartId to = target_[v];
     if (!target_legal(state, v, to)) {
@@ -193,11 +108,6 @@ Weight KwayFmRefiner::run_pass(KwayState& state, Rng& rng) {
     const PartId from = state.part(v);
     state.move(v, to);
     move_order_.push_back({v, from});  // hot-path: allow(move log, geometric growth amortized over passes)
-    if (use_lookahead_) {
-      for (const EdgeId e : h.incident_edges(v)) {
-        ++locked_in_[static_cast<std::size_t>(e) * state.k() + to];
-      }
-    }
 
     // Exact update of every free neighbor's best candidate.  A pin's gain
     // toward any target changes only on a net whose from count fell to
@@ -239,13 +149,6 @@ Weight KwayFmRefiner::run_pass(KwayState& state, Rng& rng) {
     if (cut < best_cut) {
       best_cut = cut;
       best_prefix = move_order_.size();
-      moves_since_best = 0;
-    } else {
-      ++moves_since_best;
-      if (config_.max_moves_past_best > 0 &&
-          moves_since_best >= config_.max_moves_past_best) {
-        break;
-      }
     }
   }
 
@@ -255,18 +158,16 @@ Weight KwayFmRefiner::run_pass(KwayState& state, Rng& rng) {
   return cut_before - state.cut();
 }
 
-KwayFmResult KwayFmRefiner::refine(KwayState& state, Rng& rng) {
+KwayFmResult KwayFmRefiner::refine(KwayState& state) {
   KwayFmResult result;
   result.initial_cut = state.cut();
   int passes = 0;
   while (true) {
-    const std::size_t moves_before = move_order_.size();
-    const Weight improvement = run_pass(state, rng);
-    (void)moves_before;
+    const Weight improvement = run_pass(state);
     result.total_moves += move_order_.size();
     ++passes;
     if (improvement <= 0) break;
-    if (config_.max_passes > 0 && passes >= config_.max_passes) break;
+    if (max_passes_ > 0 && passes >= max_passes_) break;
   }
   result.passes = static_cast<std::size_t>(passes);
   result.final_cut = state.cut();

@@ -10,9 +10,14 @@
 // source or destination part crossed a 0/1/2 threshold, the only nets
 // on which any gain changes.  A clock net that stays spread over its
 // parts thus costs a pass over its pins per move, not a best-target
-// search per pin.  (Sanchis's full scheme adds Krishnamurthy level
-// gains per direction; this implementation is the standard first-order
-// variant, which is what later k-way partitioners adopted.)
+// search per pin.
+//
+// Sanchis's full scheme adds Krishnamurthy level gains per direction.
+// They are not kept: as a tie-break among equal first-order gains they
+// matched the plain polish in 42 of 60 recursive-bisection cells
+// (ibm01-03, k = 2-16, seeds 1-5), were 1 cut worse in 10 and better in
+// 8 (EXPERIMENTS.md, k-way).  First-order k-way FM is also what later
+// k-way partitioners kept.
 //
 // Used to polish recursive-bisection solutions: RB fixes the block
 // hierarchy top-down and cannot move a vertex between cousin blocks;
@@ -23,25 +28,8 @@
 
 #include "src/part/core/bucket_array.h"
 #include "src/part/kway/kway_state.h"
-#include "src/util/rng.h"
 
 namespace vlsipart {
-
-struct KwayFmConfig {
-  /// Stop after this many passes even if still improving; <= 0 = until
-  /// no improvement.
-  int max_passes = -1;
-  /// Abandon a pass after this many consecutive non-improving moves
-  /// (0 = full pass).
-  std::size_t max_moves_past_best = 0;
-  /// Sanchis level gains [32]: 1 = first-order only; r > 1 breaks ties
-  /// among equal-gain candidates at the top bucket by comparing
-  /// Krishnamurthy-style level-2..r gains of the stored (vertex, target)
-  /// directions lexicographically.
-  int lookahead_depth = 1;
-  /// Bucket-scan bound when lookahead tie-breaking is active.
-  std::size_t lookahead_scan_limit = 8;
-};
 
 struct KwayFmResult {
   Weight initial_cut = 0;
@@ -52,10 +40,12 @@ struct KwayFmResult {
 
 class KwayFmRefiner {
  public:
-  KwayFmRefiner(const KwayProblem& problem, KwayFmConfig config);
+  /// Stop after `max_passes` passes even if still improving; <= 0 runs
+  /// passes until one does not improve.
+  KwayFmRefiner(const KwayProblem& problem, int max_passes);
 
   /// Refine in place; never worsens the cut, preserves feasibility.
-  KwayFmResult refine(KwayState& state, Rng& rng);
+  KwayFmResult refine(KwayState& state);
 
  private:
   struct MoveRecord {
@@ -75,19 +65,10 @@ class KwayFmRefiner {
                      bool require_legal) const;
   bool target_legal(const KwayState& state, VertexId v, PartId to) const;
 
-  /// Level-2..r gains of moving v toward target_[v] (binding numbers
-  /// over free/locked per-part pin counts, Sanchis [32]).
-  void level_gains(const KwayState& state, VertexId v,
-                   std::vector<Gain>& out) const;
-  /// Among the first lookahead_scan_limit pool entries of the top
-  /// bucket, the one with the lexicographically largest level-gain
-  /// vector whose stored target is legal; kInvalidVertex if none.
-  VertexId lookahead_pick(const KwayState& state, VertexId head) const;
-
-  Weight run_pass(KwayState& state, Rng& rng);
+  Weight run_pass(KwayState& state);
 
   const KwayProblem* problem_;
-  KwayFmConfig config_;
+  int max_passes_;
   Gain max_abs_gain_ = 0;
 
   /// Candidate moves live in the same SoA bucket kernel the 2-way
@@ -105,10 +86,6 @@ class KwayFmRefiner {
   /// recomputed: a pin on several changed nets is recomputed once.
   std::vector<std::uint32_t> fresh_at_;
   std::vector<std::uint8_t> locked_;
-  /// Per-(edge, part) locked pin counts (e * k + p); maintained only
-  /// when level-gain tie-breaking is active.
-  std::vector<std::uint32_t> locked_in_;
-  bool use_lookahead_ = false;
 
   void pool_insert(VertexId v, Gain key, PartId target);
   VertexId pool_top_head() const;

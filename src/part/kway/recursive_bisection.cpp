@@ -48,11 +48,7 @@ class KwayDriver {
           KwayProblem::uniform(h_, config_.k, config_.tolerance);
       KwayState state(h_, config_.k);
       state.assign(result_.parts);
-      KwayFmConfig refine_config;
-      refine_config.max_passes = config_.refine_passes;
-      KwayFmRefiner refiner(problem, refine_config);
-      Rng rng(config_.seed ^ 0x4B57A9ULL);
-      refiner.refine(state, rng);
+      KwayFmRefiner(problem, config_.refine_passes).refine(state);
       // Keep the polish only if it did not break the RB balance.
       if (check_kway(h_, state.parts(), config_.k, config_.tolerance)
               .empty()) {

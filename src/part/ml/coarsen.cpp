@@ -6,29 +6,14 @@
 #include "src/util/logging.h"
 
 namespace vlsipart {
-namespace {
-
-Weight derived_max_cluster_weight(const Hypergraph& h,
-                                  const CoarsenConfig& config) {
-  if (config.max_cluster_weight > 0) return config.max_cluster_weight;
-  // Keep clusters small enough that (a) the coarsest graph still has
-  // enough movable mass for FM to rebalance and (b) coarse vertices stay
-  // well below the balance window a typical (2%) run uses.  Never below
-  // the largest single vertex — macros are indivisible anyway.
-  const Weight cap = std::max<Weight>(
-      1, h.total_vertex_weight() /
-             static_cast<Weight>(std::max<std::size_t>(config.coarsen_to, 32)));
-  return std::max(cap, h.max_vertex_weight());
-}
-
-}  // namespace
 
 CoarsenLevel coarsen_once(const Hypergraph& h, const CoarsenConfig& config,
                           const std::vector<PartId>& fixed,
                           const std::vector<PartId>& parts, Rng& rng,
                           ContractionMemory* memory) {
   const std::size_t n = h.num_vertices();
-  const Weight max_cw = derived_max_cluster_weight(h, config);
+  const Weight max_cw =
+      cluster_weight_cap(h, config.coarsen_to, config.max_cluster_weight);
 
   // cluster_of[v] = representative vertex id of v's cluster.
   std::vector<VertexId> cluster_of(n);
@@ -124,20 +109,18 @@ CoarsenLevel coarsen_once(const Hypergraph& h, const CoarsenConfig& config,
   return level;
 }
 
-std::vector<CoarsenLevel> build_hierarchy(const Hypergraph& h,
-                                          const CoarsenConfig& config,
-                                          const std::vector<PartId>& fixed,
-                                          const std::vector<PartId>& parts,
-                                          Rng& rng,
-                                          ContractionMemory* memory) {
+std::vector<CoarsenLevel> build_levels(const Hypergraph& h,
+                                       const CoarsenConfig& config,
+                                       const std::vector<PartId>& fixed,
+                                       const std::vector<PartId>& parts,
+                                       const LevelBuilder& build_level) {
   std::vector<CoarsenLevel> levels;
   const Hypergraph* current = &h;
   std::vector<PartId> current_fixed = fixed;
   std::vector<PartId> current_parts = parts;
 
   while (current->num_vertices() > config.coarsen_to) {
-    CoarsenLevel level = coarsen_once(*current, config, current_fixed,
-                                      current_parts, rng, memory);
+    CoarsenLevel level = build_level(*current, current_fixed, current_parts);
     const double reduction =
         static_cast<double>(level.coarse.num_vertices()) /
         static_cast<double>(current->num_vertices());
@@ -159,6 +142,21 @@ std::vector<CoarsenLevel> build_hierarchy(const Hypergraph& h,
     current = &levels.back().coarse;
   }
   return levels;
+}
+
+std::vector<CoarsenLevel> build_hierarchy(const Hypergraph& h,
+                                          const CoarsenConfig& config,
+                                          const std::vector<PartId>& fixed,
+                                          const std::vector<PartId>& parts,
+                                          Rng& rng,
+                                          ContractionMemory* memory) {
+  return build_levels(
+      h, config, fixed, parts,
+      [&](const Hypergraph& g, const std::vector<PartId>& level_fixed,
+          const std::vector<PartId>& level_parts) {
+        return coarsen_once(g, config, level_fixed, level_parts, rng,
+                            memory);
+      });
 }
 
 std::vector<PartId> project_fixed(const std::vector<PartId>& fine_fixed,

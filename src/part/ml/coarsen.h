@@ -10,6 +10,7 @@
 // losslessly through every level).
 #pragma once
 
+#include <functional>
 #include <vector>
 
 #include "src/hypergraph/contraction.h"
@@ -38,7 +39,8 @@ struct CoarsenConfig {
   std::size_t coarsen_to = 120;
   /// Abort coarsening when a level shrinks by less than this factor.
   double min_reduction = 0.95;
-  /// Clusters never exceed this weight (0 = derive from total weight).
+  /// Clusters never exceed this weight (0 = derive from total weight:
+  /// cluster_weight_cap).
   Weight max_cluster_weight = 0;
   /// Nets larger than this do not contribute to ratings (huge clock-
   /// class nets carry no clustering signal and are expensive to scan).
@@ -72,8 +74,24 @@ CoarsenLevel coarsen_once(const Hypergraph& h, const CoarsenConfig& config,
                           const std::vector<PartId>& parts, Rng& rng,
                           ContractionMemory* memory = nullptr);
 
-/// Full hierarchy: repeatedly coarsen until coarsen_to or stall.
-/// levels[0] maps the input graph to levels[0].coarse, etc.
+/// Builds one level of `graph` whose fixed vertices and parts (each
+/// empty or one entry per vertex) are `fixed` and `parts`.
+using LevelBuilder = std::function<CoarsenLevel(
+    const Hypergraph& graph, const std::vector<PartId>& fixed,
+    const std::vector<PartId>& parts)>;
+
+/// The hierarchy loop of both coarseners: build levels with
+/// `build_level` until at most coarsen_to vertices remain or a level
+/// shrinks by less than min_reduction (that level is dropped), pushing
+/// fixed vertices, and under respect_parts the parts, down each kept
+/// level.  levels[0] maps the input graph to levels[0].coarse, etc.
+std::vector<CoarsenLevel> build_levels(const Hypergraph& h,
+                                       const CoarsenConfig& config,
+                                       const std::vector<PartId>& fixed,
+                                       const std::vector<PartId>& parts,
+                                       const LevelBuilder& build_level);
+
+/// Full hierarchy of coarsen_once levels (build_levels' loop).
 std::vector<CoarsenLevel> build_hierarchy(const Hypergraph& h,
                                           const CoarsenConfig& config,
                                           const std::vector<PartId>& fixed,

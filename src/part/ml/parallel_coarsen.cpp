@@ -7,20 +7,6 @@
 #include "src/util/shard.h"
 
 namespace vlsipart {
-namespace {
-
-// Same derivation as the serial coarsener (coarsen.cpp): never below the
-// largest single vertex, roughly total/coarsen_to otherwise.
-Weight parallel_max_cluster_weight(const Hypergraph& h,
-                                   const CoarsenConfig& config) {
-  if (config.max_cluster_weight > 0) return config.max_cluster_weight;
-  const Weight cap = std::max<Weight>(
-      1, h.total_vertex_weight() /
-             static_cast<Weight>(std::max<std::size_t>(config.coarsen_to, 32)));
-  return std::max(cap, h.max_vertex_weight());
-}
-
-}  // namespace
 
 CoarsenLevel parallel_coarsen_once(const Hypergraph& h,
                                    const CoarsenConfig& config,
@@ -29,7 +15,8 @@ CoarsenLevel parallel_coarsen_once(const Hypergraph& h,
                                    ThreadPool* pool,
                                    ContractionMemory* memory) {
   const std::size_t n = h.num_vertices();
-  const Weight max_cw = parallel_max_cluster_weight(h, config);
+  const Weight max_cw =
+      cluster_weight_cap(h, config.coarsen_to, config.max_cluster_weight);
   const std::size_t shards =
       pool != nullptr ? std::max<std::size_t>(1, pool->num_threads()) : 1;
 
@@ -177,33 +164,13 @@ std::vector<CoarsenLevel> parallel_build_hierarchy(
     const Hypergraph& h, const CoarsenConfig& config,
     const std::vector<PartId>& fixed, const std::vector<PartId>& parts,
     ThreadPool* pool, ContractionMemory* memory) {
-  std::vector<CoarsenLevel> levels;
-  const Hypergraph* current = &h;
-  std::vector<PartId> current_fixed = fixed;
-  std::vector<PartId> current_parts = parts;
-
-  while (current->num_vertices() > config.coarsen_to) {
-    CoarsenLevel level = parallel_coarsen_once(*current, config, current_fixed,
-                                               current_parts, pool, memory);
-    const double reduction =
-        static_cast<double>(level.coarse.num_vertices()) /
-        static_cast<double>(current->num_vertices());
-    if (reduction > config.min_reduction) break;  // stalled
-    if (!current_fixed.empty()) {
-      current_fixed = project_fixed(current_fixed, level.fine_to_coarse,
-                                    level.coarse.num_vertices());
-    }
-    if (config.respect_parts && !current_parts.empty()) {
-      std::vector<PartId> coarse_parts(level.coarse.num_vertices(), kNoPart);
-      for (std::size_t v = 0; v < current_parts.size(); ++v) {
-        coarse_parts[level.fine_to_coarse[v]] = current_parts[v];
-      }
-      current_parts = std::move(coarse_parts);
-    }
-    levels.push_back(std::move(level));
-    current = &levels.back().coarse;
-  }
-  return levels;
+  return build_levels(
+      h, config, fixed, parts,
+      [&](const Hypergraph& g, const std::vector<PartId>& level_fixed,
+          const std::vector<PartId>& level_parts) {
+        return parallel_coarsen_once(g, config, level_fixed, level_parts,
+                                     pool, memory);
+      });
 }
 
 }  // namespace vlsipart

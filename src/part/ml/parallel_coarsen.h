@@ -50,8 +50,7 @@ CoarsenLevel parallel_coarsen_once(const Hypergraph& h,
                                    ThreadPool* pool,
                                    ContractionMemory* memory = nullptr);
 
-/// Full hierarchy via parallel_coarsen_once; same stall/projection rules
-/// as build_hierarchy.
+/// Full hierarchy of parallel_coarsen_once levels (build_levels' loop).
 std::vector<CoarsenLevel> parallel_build_hierarchy(
     const Hypergraph& h, const CoarsenConfig& config,
     const std::vector<PartId>& fixed, const std::vector<PartId>& parts,

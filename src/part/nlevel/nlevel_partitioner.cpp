@@ -6,21 +6,6 @@
 
 namespace vlsipart {
 
-namespace {
-
-/// Same derivation rule as CoarsenConfig (coarsen.cpp): clusters stay
-/// well below the balance window and never below the heaviest vertex.
-Weight derived_max_cluster_weight(const Hypergraph& h,
-                                  const NlevelConfig& config) {
-  if (config.max_cluster_weight > 0) return config.max_cluster_weight;
-  const Weight cap = std::max<Weight>(
-      1, h.total_vertex_weight() /
-             static_cast<Weight>(std::max<std::size_t>(config.coarsen_to, 32)));
-  return std::max(cap, h.max_vertex_weight());
-}
-
-}  // namespace
-
 NlevelPartitioner::NlevelPartitioner(NlevelConfig config)
     : config_(config) {}
 
@@ -339,7 +324,8 @@ Weight NlevelPartitioner::run(const PartitionProblem& problem, Rng& rng,
   audit_ = AuditConfig::resolve(config_.refine.audit);
 
   graph_.bind(h);
-  coarsen(problem, derived_max_cluster_weight(h, config_));
+  coarsen(problem, cluster_weight_cap(h, config_.coarsen_to,
+                                      config_.max_cluster_weight));
   solve_coarsest(problem, rng);
 
   // Partition bookkeeping at cluster granularity.

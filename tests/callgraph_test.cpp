@@ -305,6 +305,62 @@ TEST(HotPathRule, AllowPrunesCallEdge) {
   EXPECT_EQ(hotpath_count(r), 0u) << dump_findings(r);
 }
 
+// The mutant of DESIGN.md §12 that no rule, test or warning caught: a
+// per-move copy of the incident nets, spelled as a range constructor.
+TEST(HotPathRule, RangeConstructedContainerFires) {
+  const AnalysisResult r = analyze_buffers(
+      {SourceBuffer{"src/part/core/fm_refiner.cpp",
+                    "// hot-path: root\n"
+                    "void FmRefiner::run_pass() {\n"
+                    "  const auto nets = h.incident_edges(v);\n"
+                    "  const std::vector<EdgeId> net_copy(nets.begin(), "
+                    "nets.end());\n"
+                    "}\n"}},
+      {}, AnalyzerOptions{});
+  ASSERT_EQ(hotpath_count(r), 1u) << dump_findings(r);
+  EXPECT_EQ(r.findings[0].line, 4);
+  EXPECT_NE(r.findings[0].message.find("vector constructed with arguments"),
+            std::string::npos)
+      << r.findings[0].message;
+}
+
+TEST(HotPathRule, SizedBracedAndTemporaryContainersFire) {
+  const AnalysisResult r = lint(
+      "// hot-path: root\n"
+      "void run_pass() {\n"
+      "  std::vector<std::pair<int, int>> scratch(n);\n"
+      "  std::set<int> seen{1, 2};\n"
+      "  std::string label(name);\n"
+      "  auto copy = std::vector<EdgeId>(nets.begin(), nets.end());\n"
+      "}\n");
+  EXPECT_EQ(hotpath_count(r), 4u) << dump_findings(r);
+}
+
+TEST(HotPathRule, ContainerReferencesAndEmptyDeclarationsAreClean) {
+  const AnalysisResult r = lint(
+      "// hot-path: root\n"
+      "void run_pass(const std::vector<int>& nets) {\n"
+      "  const std::vector<int>& view(nets);\n"
+      "  std::vector<int>* p = nullptr;\n"
+      "  std::vector<int> empty;\n"
+      "  std::vector<int> braced{};\n"
+      "  std::map<int, int>::const_iterator it(begin_);\n"
+      "  set(1);\n"
+      "  table.list(2);\n"
+      "}\n");
+  EXPECT_EQ(hotpath_count(r), 0u) << dump_findings(r);
+}
+
+TEST(HotPathRule, AllowSuppressesContainerConstruction) {
+  const AnalysisResult r = lint(
+      "// hot-path: root\n"
+      "void run_pass() {\n"
+      "  std::vector<int> once(n);  // hot-path: allow(cold first call)\n"
+      "}\n");
+  EXPECT_EQ(hotpath_count(r), 0u) << dump_findings(r);
+  EXPECT_GE(r.suppressed, 1u);
+}
+
 TEST(HotPathRule, UnreachedFunctionIsNotChecked) {
   const AnalysisResult r = lint(
       "// hot-path: root\n"

@@ -1,6 +1,6 @@
-// Dataflow-engine tests: CFG construction over the structured control
-// flow the heuristic parser recognizes, reaching definitions with
-// def-use chains, and a firing / suppressed / clean fixture for every
+// Dataflow-rule tests: CFG construction over the structured control
+// flow the heuristic parser recognizes, the local-definition list the
+// rules read, and a firing / suppressed / clean fixture for every
 // dataflow rule family (index-width, flow-determinism) — including the
 // one-hop pointer-to-comparator flow the token-level determinism rules
 // cannot see.  Ends with a golden SARIF shape check.
@@ -252,135 +252,80 @@ TEST(CfgBuild, NestedScopesAndLambdaBodiesStayOpaque) {
 }
 
 // ---------------------------------------------------------------------
-// Reaching definitions
+// Local definitions: the def list the dataflow rules walk
 
-ReachingDefs reach(const Built& b) {
-  return compute_reaching_defs(b.lexed.tokens, b.parsed, b.fn, b.cfg);
+LocalDefs defs_of(const Built& b) {
+  return collect_local_defs(b.lexed.tokens, b.parsed, b.fn, b.cfg);
 }
 
-/// Lines of the defs reaching the use of `var` on `line` (param defs
-/// report line 0).
-std::vector<int> def_lines_at_use(const Built& b, const ReachingDefs& rd,
-                                  const std::string& var, int line) {
-  const int v = rd.var_index(var);
-  EXPECT_GE(v, 0);
+/// Lines of every def of `var` in token order (parameter defs report
+/// line 0).
+std::vector<int> def_lines(const Built& b, const LocalDefs& ld,
+                           const std::string& var) {
+  const int v = ld.var_index(var);
+  EXPECT_GE(v, 0) << var;
   std::vector<int> lines;
-  for (std::size_t u = 0; u < rd.uses.size(); ++u) {
-    if (rd.uses[u].var != v) continue;
-    if (b.lexed.tokens[rd.uses[u].token].line != line) continue;
-    for (const int d : rd.defs_of_use[u]) {
-      lines.push_back(rd.defs[d].stmt < 0
-                          ? 0
-                          : b.lexed.tokens[rd.defs[d].token].line);
-    }
+  for (const Def& d : ld.defs) {
+    if (d.var != v) continue;
+    lines.push_back(d.stmt < 0 ? 0 : b.lexed.tokens[d.token].line);
   }
-  std::sort(lines.begin(), lines.end());
-  lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
   return lines;
 }
 
-// ---------------------------------------------------------------------
-// BitSet: the solver's fact container (union meet, gen/kill transfer)
-
-TEST(BitSetTest, MergeUnionReportsChange) {
-  BitSet a(130);
-  BitSet b(130);
-  a.set(3);
-  b.set(3);
-  EXPECT_FALSE(a.merge_union(b));  // nothing new
-  b.set(129);
-  EXPECT_TRUE(a.merge_union(b));
-  EXPECT_TRUE(a.test(3));
-  EXPECT_TRUE(a.test(129));
-  EXPECT_FALSE(a.test(64));
-  EXPECT_FALSE(a.merge_union(b));  // fixed point reached
-}
-
-TEST(BitSetTest, TransferIsGenOrInMinusKill) {
-  BitSet in(70), gen(70), kill(70), out(70);
-  in.set(1);
-  in.set(65);
-  kill.set(65);
-  gen.set(2);
-  EXPECT_TRUE(out.transfer(in, gen, kill));
-  EXPECT_TRUE(out.test(1));
-  EXPECT_TRUE(out.test(2));
-  EXPECT_FALSE(out.test(65));
-  EXPECT_FALSE(out.transfer(in, gen, kill));  // same inputs, no change
-  gen.set(65);  // gen wins over kill
-  EXPECT_TRUE(out.transfer(in, gen, kill));
-  EXPECT_TRUE(out.test(65));
-}
-
-TEST(ReachingDefsTest, LinearKillThenUse) {
-  const Built b = build(
-      "int f(int a) {\n"
-      "  int x = 1;\n"
-      "  x = a;\n"
-      "  return x;\n"
-      "}\n");
-  const ReachingDefs rd = reach(b);
-  // The reassignment kills the initializer: only line 3 reaches line 4.
-  EXPECT_EQ(def_lines_at_use(b, rd, "x", 4), (std::vector<int>{3}));
-}
-
-TEST(ReachingDefsTest, BranchesMergeBothDefs) {
-  const Built b = build(
-      "int f(int a) {\n"
-      "  int x = 0;\n"
-      "  if (a > 0) {\n"
-      "    x = 1;\n"
-      "  } else {\n"
-      "    x = 2;\n"
-      "  }\n"
-      "  return x;\n"
-      "}\n");
-  const ReachingDefs rd = reach(b);
-  // Both branch defs reach the join; the killed initializer does not.
-  EXPECT_EQ(def_lines_at_use(b, rd, "x", 8), (std::vector<int>{4, 6}));
-}
-
-TEST(ReachingDefsTest, LoopCarriesDefAroundBackEdge) {
+TEST(LocalDefsTest, DeclarationsAssignmentsAndIncrementsAreDefs) {
   const Built b = build(
       "int f(int n) {\n"
       "  int i = 0;\n"
       "  while (i < n) {\n"
-      "    i = i + 1;\n"
+      "    i += 2;\n"
+      "    ++i;\n"
       "  }\n"
       "  return i;\n"
       "}\n");
-  const ReachingDefs rd = reach(b);
-  // At the loop-header use, the initial def and the loop-body def both
-  // reach (the latter via the back edge); same at the final use.
-  EXPECT_EQ(def_lines_at_use(b, rd, "i", 3), (std::vector<int>{2, 4}));
-  EXPECT_EQ(def_lines_at_use(b, rd, "i", 6), (std::vector<int>{2, 4}));
+  const LocalDefs ld = defs_of(b);
+  // Reads (lines 3 and 7) are not defs.
+  EXPECT_EQ(def_lines(b, ld, "i"), (std::vector<int>{2, 4, 5}));
 }
 
-TEST(ReachingDefsTest, ParamsDefineAtEntry) {
+TEST(LocalDefsTest, ParamsDefineAtEntry) {
   const Built b = build(
       "int f(int a) {\n"
       "  return a + 1;\n"
       "}\n");
-  const ReachingDefs rd = reach(b);
-  const int v = rd.var_index("a");
-  ASSERT_GE(v, 0);
-  EXPECT_TRUE(rd.vars[v].is_param);
-  EXPECT_EQ(def_lines_at_use(b, rd, "a", 2), (std::vector<int>{0}));
+  const LocalDefs ld = defs_of(b);
+  EXPECT_EQ(def_lines(b, ld, "a"), (std::vector<int>{0}));
 }
 
-TEST(ReachingDefsTest, ConservativeOutParamDefDoesNotKill) {
+TEST(LocalDefsTest, AddressTakenAndOutParamsAreDefs) {
   const Built b = build(
       "int f() {\n"
       "  int x = 1;\n"
       "  fill(&x);\n"
+      "  read_into(x);\n"
       "  return x;\n"
       "}\n");
-  const ReachingDefs rd = reach(b);
-  // The &x write is a may-def: both it and the initializer reach.
-  EXPECT_EQ(def_lines_at_use(b, rd, "x", 4), (std::vector<int>{2, 3}));
-  const int v = rd.var_index("x");
-  ASSERT_GE(v, 0);
-  EXPECT_TRUE(rd.vars[v].address_taken);
+  const LocalDefs ld = defs_of(b);
+  // '&x' and a bare call argument may write x.
+  EXPECT_EQ(def_lines(b, ld, "x"), (std::vector<int>{2, 3, 4}));
+}
+
+TEST(LocalDefsTest, PointerDeclaratorsAndTypesAreRecorded) {
+  const Built b = build(
+      "void f(const Item* items) {\n"
+      "  std::size_t n = count(items);\n"
+      "  unsigned long m = n;\n"
+      "}\n");
+  const LocalDefs ld = defs_of(b);
+  const int items = ld.var_index("items");
+  const int n = ld.var_index("n");
+  const int m = ld.var_index("m");
+  ASSERT_GE(items, 0);
+  ASSERT_GE(n, 0);
+  ASSERT_GE(m, 0);
+  EXPECT_TRUE(ld.vars[items].is_pointer);
+  EXPECT_EQ(ld.vars[n].type_name, "size_t");
+  EXPECT_FALSE(ld.vars[n].is_pointer);
+  EXPECT_EQ(ld.vars[m].type_name, "long");
 }
 
 // ---------------------------------------------------------------------

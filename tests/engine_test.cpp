@@ -67,6 +67,27 @@ TEST(Engine, KwayIdenticalAnswersAtEveryThreadBudget) {
   }
 }
 
+// k > 2 is recursive bisection under kway_config(spec), the one place
+// a spec becomes a KwayConfig: the served answer equals the config run
+// by hand, so a study that varies the config (bench_experiments' kway
+// report, with the polish off) varies what run_engine serves.
+TEST(Engine, KwayAnswerIsRecursiveBisectionOfItsConfig) {
+  const Hypergraph h = generate_netlist(preset("small"));
+  for (const char* engine : {"ml", "flat", "clip"}) {
+    for (const std::size_t k : {4u, 8u}) {
+      const EngineSpec spec = small_spec(engine, k, 2);
+      const KwayConfig config = kway_config(spec);
+      EXPECT_EQ(config.use_ml, std::string(engine) == "ml") << engine;
+      EXPECT_EQ(config.fm.clip, std::string(engine) == "clip") << engine;
+      const EngineResult served = run_engine(spec, h);
+      ASSERT_EQ(served.error, "") << engine << " k=" << k;
+      const KwayResult direct = recursive_bisection(h, config);
+      EXPECT_EQ(served.cut, direct.cut) << engine << " k=" << k;
+      EXPECT_EQ(served.parts, direct.parts) << engine << " k=" << k;
+    }
+  }
+}
+
 // The initial-solution generator is one FM policy field: run_engine
 // hands fm.initial_scheme to every engine, so each answer equals the
 // engine built by hand with BFS starts.

@@ -174,13 +174,11 @@ struct GoldenRow {
 /// moves, both cuts and the full polished assignment.
 std::uint64_t kway_polish_digest(const Hypergraph& h, std::size_t k,
                                  const std::vector<PartId>& rb_parts,
-                                 const KwayFmConfig& cfg, Weight* final_cut) {
+                                 int max_passes, Weight* final_cut) {
   const KwayProblem p = KwayProblem::uniform(h, k, 0.10);
   KwayState state(h, k);
   state.assign(rb_parts);
-  KwayFmRefiner refiner(p, cfg);
-  Rng rng(97531);
-  const KwayFmResult r = refiner.refine(state, rng);
+  const KwayFmResult r = KwayFmRefiner(p, max_passes).refine(state);
 
   Digest d;
   d.add(r.passes);
@@ -212,23 +210,15 @@ const std::vector<GoldenRow> kKwayGolden = {
     {"medium-k4", "rb-polish", 0xd6524509ee7e6670ULL, 187},
     {"medium-k4", "polish-p2", 0x1bb4f3b188ea380aULL, 187},
     {"medium-k4", "polish-full", 0x1bb4f3b188ea380aULL, 187},
-    {"medium-k4", "polish-la3", 0xb256f2e6e8c3dd14ULL, 187},
-    {"medium-k4", "polish-mpb64", 0xfb08a9ed040a1e83ULL, 187},
     {"medium-k8", "rb-polish", 0x8361bad701a9b175ULL, 311},
     {"medium-k8", "polish-p2", 0x650906d6111df957ULL, 311},
     {"medium-k8", "polish-full", 0x650906d6111df957ULL, 311},
-    {"medium-k8", "polish-la3", 0x9bbc2a2c0f7c9c1fULL, 311},
-    {"medium-k8", "polish-mpb64", 0xc1b0a23606ff20b2ULL, 315},
     {"ibm01-k4", "rb-polish", 0xa96fd073ba9aa4a2ULL, 180},
     {"ibm01-k4", "polish-p2", 0x9b6199f6546fbe82ULL, 180},
     {"ibm01-k4", "polish-full", 0x9b6199f6546fbe82ULL, 180},
-    {"ibm01-k4", "polish-la3", 0x6148787fb7329536ULL, 180},
-    {"ibm01-k4", "polish-mpb64", 0x7ae80f9ad294b1f6ULL, 180},
     {"ibm01-k8", "rb-polish", 0xafbaa5c9b703cfa6ULL, 258},
     {"ibm01-k8", "polish-p2", 0x9215d8dd777fdd04ULL, 258},
     {"ibm01-k8", "polish-full", 0x90e1e295a85c56deULL, 258},
-    {"ibm01-k8", "polish-la3", 0x901625d714e1d12bULL, 258},
-    {"ibm01-k8", "polish-mpb64", 0xca965018390f832cULL, 260},
     // clang-format on
 };
 
@@ -315,17 +305,9 @@ TEST(FmGoldenTrace, KwayPolish) {
   const bool print = print_mode();
   struct PolishSpec {
     const char* label;
-    KwayFmConfig cfg;
+    int max_passes;
   };
-  std::vector<PolishSpec> polishes(4);
-  polishes[0].label = "polish-p2";
-  polishes[0].cfg.max_passes = 2;
-  polishes[1].label = "polish-full";
-  polishes[2].label = "polish-la3";
-  polishes[2].cfg.max_passes = 2;
-  polishes[2].cfg.lookahead_depth = 3;
-  polishes[3].label = "polish-mpb64";
-  polishes[3].cfg.max_moves_past_best = 64;
+  const PolishSpec polishes[] = {{"polish-p2", 2}, {"polish-full", 0}};
 
   std::size_t row = 0;
   const auto check = [&](const std::string& instance, const std::string& label,
@@ -366,7 +348,7 @@ TEST(FmGoldenTrace, KwayPolish) {
       for (const PolishSpec& spec : polishes) {
         Weight cut = 0;
         const std::uint64_t digest =
-            kway_polish_digest(h, k, rb_parts, spec.cfg, &cut);
+            kway_polish_digest(h, k, rb_parts, spec.max_passes, &cut);
         check(instance, spec.label, digest, cut);
       }
     }

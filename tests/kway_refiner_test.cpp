@@ -104,9 +104,8 @@ TEST(KwayRefiner, NeverWorsensAndStaysFeasible) {
   KwayState state(h, k);
   state.assign(initial.parts);
   const Weight before = state.cut();
-  KwayFmRefiner refiner(problem, KwayFmConfig{});
-  Rng rng(1);
-  const KwayFmResult r = refiner.refine(state, rng);
+  KwayFmRefiner refiner(problem, /*max_passes=*/0);
+  const KwayFmResult r = refiner.refine(state);
   EXPECT_LE(state.cut(), before);
   EXPECT_EQ(r.final_cut, state.cut());
   EXPECT_EQ(r.initial_cut, before);
@@ -138,7 +137,6 @@ TEST(KwayRefiner, RespectsFixedVertices) {
   problem.fixed.assign(h.num_vertices(), kNoPart);
   problem.fixed[1] = 2;
   problem.fixed[4] = 0;
-  Rng rng(5);
   std::vector<PartId> parts(h.num_vertices());
   for (std::size_t v = 0; v < parts.size(); ++v) {
     parts[v] = static_cast<PartId>(v % 3);
@@ -147,74 +145,21 @@ TEST(KwayRefiner, RespectsFixedVertices) {
   parts[4] = 0;
   KwayState state(h, 3);
   state.assign(parts);
-  KwayFmRefiner refiner(problem, KwayFmConfig{});
-  refiner.refine(state, rng);
+  KwayFmRefiner(problem, /*max_passes=*/0).refine(state);
   EXPECT_EQ(state.part(1), 2);
   EXPECT_EQ(state.part(4), 0);
-}
-
-TEST(KwayRefiner, LevelGainInvariantsHoldAcrossDepths) {
-  const Hypergraph h = generate_netlist(preset("small"));
-  const KwayProblem problem = KwayProblem::uniform(h, 4, 0.25);
-  KwayConfig rb;
-  rb.k = 4;
-  rb.tolerance = 0.25;
-  rb.refine_passes = 0;
-  const KwayResult initial = recursive_bisection(h, rb);
-  for (const int depth : {1, 2, 3}) {
-    KwayState state(h, 4);
-    state.assign(initial.parts);
-    const Weight before = state.cut();
-    KwayFmConfig config;
-    config.lookahead_depth = depth;
-    KwayFmRefiner refiner(problem, config);
-    Rng rng(3);
-    refiner.refine(state, rng);
-    EXPECT_LE(state.cut(), before) << "depth " << depth;
-    state.audit();
-    EXPECT_EQ(check_kway_solution(problem, state.parts()), "")
-        << "depth " << depth;
-  }
-}
-
-TEST(KwayRefiner, LevelGainsChangeDecisions) {
-  // Refine from random assignments: the top bucket then holds many
-  // tied candidates, which is where level-gain tie-breaking acts.
-  const Hypergraph h = generate_netlist(preset("small"));
-  const KwayProblem problem = KwayProblem::uniform(h, 4, 0.30);
-  int differs = 0;
-  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    Rng init(seed);
-    std::vector<PartId> parts(h.num_vertices());
-    for (auto& p : parts) p = static_cast<PartId>(init.below(4));
-    auto run_depth = [&](int depth) {
-      KwayState state(h, 4);
-      state.assign(parts);
-      KwayFmConfig config;
-      config.lookahead_depth = depth;
-      config.lookahead_scan_limit = 16;
-      KwayFmRefiner refiner(problem, config);
-      Rng rng(seed);
-      refiner.refine(state, rng);
-      return state.cut();
-    };
-    if (run_depth(1) != run_depth(3)) ++differs;
-  }
-  EXPECT_GE(differs, 2);
 }
 
 TEST(KwayRefiner, DeterministicForSeed) {
   const Hypergraph h = generate_netlist(preset("tiny"));
   KwayProblem problem = KwayProblem::uniform(h, 4, 0.5);
   auto run = [&]() {
-    Rng rng(9);
     std::vector<PartId> parts(h.num_vertices());
     Rng init(2);
     for (auto& p : parts) p = static_cast<PartId>(init.below(4));
     KwayState state(h, 4);
     state.assign(parts);
-    KwayFmRefiner refiner(problem, KwayFmConfig{});
-    refiner.refine(state, rng);
+    KwayFmRefiner(problem, /*max_passes=*/0).refine(state);
     return state.parts();
   };
   EXPECT_EQ(run(), run());

@@ -115,6 +115,42 @@ TEST(Coarsen, HierarchyReachesTarget) {
   }
 }
 
+// One cap rule for the serial and parallel coarseners and n-level: the
+// configured weight, else total / max(coarsen_to, 32), never below the
+// heaviest vertex.
+TEST(Coarsen, ClusterWeightCapRule) {
+  const Hypergraph h = generate_netlist(preset("small"));
+  const Weight total = h.total_vertex_weight();
+  EXPECT_EQ(cluster_weight_cap(h, 120, 77), 77);
+  EXPECT_EQ(cluster_weight_cap(h, 120, 0),
+            std::max<Weight>(total / 120, h.max_vertex_weight()));
+  EXPECT_EQ(cluster_weight_cap(h, 8, 0),
+            std::max<Weight>(total / 32, h.max_vertex_weight()));
+  EXPECT_EQ(cluster_weight_cap(h, total, 0), h.max_vertex_weight());
+}
+
+// The shared hierarchy loop keeps every level that shrinks enough and
+// drops the first one that stalls, whatever builds the levels.
+TEST(Coarsen, BuildLevelsDropsTheStalledLevel) {
+  const Hypergraph h = generate_netlist(preset("medium"));
+  CoarsenConfig config;
+  config.coarsen_to = 10;
+  Rng rng(7);
+  std::size_t built = 0;
+  const auto levels = build_levels(
+      h, config, {}, {},
+      [&](const Hypergraph& g, const std::vector<PartId>& fixed,
+          const std::vector<PartId>& parts) {
+        ++built;
+        CoarsenConfig one = config;
+        // The third level may merge nothing: a stall.
+        if (built == 3) one.max_cluster_weight = 1;
+        return coarsen_once(g, one, fixed, parts, rng);
+      });
+  EXPECT_EQ(built, 3u);
+  EXPECT_EQ(levels.size(), 2u);
+}
+
 TEST(Coarsen, ProjectFixedDetectsConflicts) {
   std::vector<PartId> fine_fixed = {0, kNoPart, 1};
   std::vector<VertexId> map = {0, 0, 1};
