@@ -1,7 +1,7 @@
 // Google-benchmark microbenchmarks for the performance-critical kernels:
 // gain-container operations, incremental partition-state moves, one FM
-// pass, the k-way polish, one coarsening level, and the .hgr reader and
-// writer.  These
+// pass, the k-way polish, one coarsening level, the .hgr reader and
+// writer, and a vpartd reply with parts through the JSON layer.  These
 // guard the "Do make it fast enough / Do measure CPU time" maxims [19] —
 // a slow testbed invalidates runtime-regime conclusions.
 #include <benchmark/benchmark.h>
@@ -24,6 +24,8 @@
 #include "src/part/ml/parallel_coarsen.h"
 #include "src/part/nlevel/nlevel_graph.h"
 #include "src/part/nlevel/nlevel_partitioner.h"
+#include "src/service/client.h"
+#include "src/service/json.h"
 #include "src/util/prefetch.h"
 #include "src/util/thread_pool.h"
 
@@ -396,6 +398,43 @@ void BM_HmetisWrite(benchmark::State& state) {
                           static_cast<std::int64_t>(text.size()));
 }
 BENCHMARK(BM_HmetisWrite)->Unit(benchmark::kMillisecond);
+
+// A vpartd result reply carrying the 63,184 parts of ibm18@0.3, as a
+// result-cache hit with parts serves it: the server builds the reply
+// object and dumps it, the client parses the text and reads the reply.
+void BM_JsonPartsRoundTrip(benchmark::State& state) {
+  constexpr std::size_t kParts = 63184;
+  std::vector<PartId> parts(kParts);
+  Rng rng(18);
+  for (PartId& p : parts) p = static_cast<PartId>(rng.below(2));
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    service::JsonValue reply = service::JsonValue::object();
+    reply.set("ok", service::JsonValue::boolean(true));
+    reply.set("job", service::JsonValue::integer(1));
+    reply.set("state", service::JsonValue::string("done"));
+    reply.set("cut", service::JsonValue::integer(1234));
+    reply.set("cache", service::JsonValue::string("result"));
+    reply.set("queue_wait_s", service::JsonValue::number(1.5e-5));
+    reply.set("run_s", service::JsonValue::number(0.0));
+    reply.set("run_cpu_s", service::JsonValue::number(0.0));
+    service::JsonValue array = service::JsonValue::array();
+    for (const PartId p : parts) array.push(service::JsonValue::integer(p));
+    reply.set("parts", std::move(array));
+    const std::string text = reply.dump();
+    service::JsonValue parsed;
+    if (!service::parse_json(text, parsed, nullptr)) {
+      state.SkipWithError("reply did not parse");
+      break;
+    }
+    const service::PartitionReply back = service::parse_reply(parsed);
+    benchmark::DoNotOptimize(back.parts.data());
+    bytes = text.size();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_JsonPartsRoundTrip)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace vlsipart

@@ -17,7 +17,8 @@
 //     call chain in the message, and so is a standard container
 //     constructed with arguments, declared or as a temporary
 //     (`std::vector<EdgeId> copy(nets.begin(), nets.end())`, a count or
-//     a copy): the constructor allocates.
+//     a copy, also `std::vector<EdgeId> copy = nets;`): the constructor
+//     allocates.
 //   * `// hot-path: allow(<reason>)` on the line (or the line above)
 //     suppresses a site AND prunes call edges from that line — the
 //     reason documents an amortized or cold branch (e.g. geometric
@@ -84,9 +85,9 @@ const std::set<std::string>& container_types() {
 }
 
 /// True when T[i] names a container type constructed here with
-/// arguments: declared (`vector<...> name(args)`, `name{args}`) or as a
-/// temporary (`auto copy = vector<...>(args)`).  References, pointers
-/// and default construction do not allocate.
+/// arguments: declared (`vector<...> name(args)`, `name{args}`,
+/// `name = other;`) or as a temporary (`auto copy = vector<...>(args)`).
+/// References, pointers and default construction do not allocate.
 bool constructs_container(const std::vector<Token>& T, std::size_t i) {
   if (container_types().count(T[i].text) == 0) return false;
   // A temporary needs `std::` or template arguments to be told apart
@@ -98,7 +99,8 @@ bool constructs_container(const std::vector<Token>& T, std::size_t i) {
     j = match_close(T, j, "<", ">") + 1;
     type_spelled = true;
   }
-  if (j < T.size() && T[j].kind == TokenKind::kIdentifier) {
+  const bool declared = j < T.size() && T[j].kind == TokenKind::kIdentifier;
+  if (declared) {
     ++j;  // the declared name
   } else if (!type_spelled) {
     return false;
@@ -107,7 +109,10 @@ bool constructs_container(const std::vector<Token>& T, std::size_t i) {
   const Token& open = T[j];
   if (open.is_punct("(")) return !T[j + 1].is_punct(")");
   if (open.is_punct("{")) return !T[j + 1].is_punct("}");
-  return false;
+  // Copy-initialised from a named container (`vector<...> c = nets;`).
+  // A move, a call or any other expression may not copy, so it passes.
+  return declared && open.is_punct("=") && j + 2 < T.size() &&
+         T[j + 1].kind == TokenKind::kIdentifier && T[j + 2].is_punct(";");
 }
 
 /// Per-line `hot-path:` annotations of one unit.
@@ -264,7 +269,8 @@ class HotPathPass {
       if (t.kind != TokenKind::kIdentifier) continue;
       if (constructs_container(T, i)) {
         if (!allowed(unit, t.line)) {
-          report(f, t.line, t.col, t.text + " constructed with arguments");
+          report(f, t.line, t.col,
+                 t.text + " constructed with arguments or copied");
         }
         continue;
       }

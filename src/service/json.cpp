@@ -1,92 +1,218 @@
 #include "src/service/json.h"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
+#include <limits>
+#include <system_error>
 
 namespace vlsipart::service {
 
+namespace {
+
+constexpr auto kInt64Max =
+    static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max());
+
+const std::vector<JsonValue>& no_items() {
+  static const std::vector<JsonValue> empty;
+  return empty;
+}
+
+const std::vector<JsonValue::Member>& no_members() {
+  static const std::vector<JsonValue::Member> empty;
+  return empty;
+}
+
+}  // namespace
+
+JsonValue::JsonValue(const JsonValue& other) : uint_(other.uint_) {
+  switch (other.kind_) {
+    case Kind::kString:
+      string_ = new std::string(*other.string_);
+      break;
+    case Kind::kArray:
+      items_ = new std::vector<JsonValue>(*other.items_);
+      break;
+    case Kind::kObject:
+      members_ = new std::vector<Member>(*other.members_);
+      break;
+    default:
+      break;
+  }
+  kind_ = other.kind_;
+}
+
+JsonValue& JsonValue::operator=(const JsonValue& other) {
+  if (this != &other) *this = JsonValue(other);
+  return *this;
+}
+
+void JsonValue::release() noexcept {
+  switch (kind_) {
+    case Kind::kString:
+      delete string_;
+      break;
+    case Kind::kArray:
+      delete items_;
+      break;
+    case Kind::kObject:
+      delete members_;
+      break;
+    default:
+      break;
+  }
+  kind_ = Kind::kNull;
+  uint_ = 0;
+}
+
+void JsonValue::become(Kind kind) {
+  if (kind_ == kind) return;
+  release();
+  if (kind == Kind::kArray) {
+    items_ = new std::vector<JsonValue>();
+  } else {
+    members_ = new std::vector<Member>();
+  }
+  kind_ = kind;
+}
+
 JsonValue JsonValue::boolean(bool v) {
   JsonValue out;
-  out.type_ = Type::kBool;
+  out.kind_ = Kind::kBool;
   out.bool_ = v;
   return out;
 }
 
 JsonValue JsonValue::number(double v) {
   JsonValue out;
-  out.type_ = Type::kNumber;
-  out.number_ = v;
+  out.kind_ = Kind::kDouble;
+  out.double_ = v;
   return out;
 }
 
 JsonValue JsonValue::integer(std::int64_t v) {
-  return number(static_cast<double>(v));
+  JsonValue out;
+  out.kind_ = Kind::kInt;
+  out.int_ = v;
+  return out;
+}
+
+JsonValue JsonValue::unsigned_integer(std::uint64_t v) {
+  if (v <= kInt64Max) return integer(static_cast<std::int64_t>(v));
+  JsonValue out;
+  out.kind_ = Kind::kUint;
+  out.uint_ = v;
+  return out;
 }
 
 JsonValue JsonValue::string(std::string v) {
   JsonValue out;
-  out.type_ = Type::kString;
-  out.string_ = std::move(v);
+  out.string_ = new std::string(std::move(v));
+  out.kind_ = Kind::kString;
   return out;
 }
 
 JsonValue JsonValue::array() {
   JsonValue out;
-  out.type_ = Type::kArray;
+  out.become(Kind::kArray);
   return out;
 }
 
 JsonValue JsonValue::object() {
   JsonValue out;
-  out.type_ = Type::kObject;
+  out.become(Kind::kObject);
   return out;
 }
 
+JsonValue::Type JsonValue::type() const {
+  switch (kind_) {
+    case Kind::kNull: return Type::kNull;
+    case Kind::kBool: return Type::kBool;
+    case Kind::kString: return Type::kString;
+    case Kind::kArray: return Type::kArray;
+    case Kind::kObject: return Type::kObject;
+    default: return Type::kNumber;
+  }
+}
+
 bool JsonValue::as_bool(bool fallback) const {
-  return type_ == Type::kBool ? bool_ : fallback;
+  return kind_ == Kind::kBool ? bool_ : fallback;
 }
 
 double JsonValue::as_number(double fallback) const {
-  return type_ == Type::kNumber ? number_ : fallback;
+  switch (kind_) {
+    case Kind::kInt: return static_cast<double>(int_);
+    case Kind::kUint: return static_cast<double>(uint_);
+    case Kind::kDouble: return double_;
+    default: return fallback;
+  }
 }
 
 std::int64_t JsonValue::as_int(std::int64_t fallback) const {
+  if (kind_ == Kind::kInt) return int_;
   // [-2^63, 2^63) is exactly the doubles the cast below is defined for;
-  // NaN fails both comparisons.
-  if (type_ != Type::kNumber || !(number_ >= -0x1p63 && number_ < 0x1p63)) {
+  // NaN fails both comparisons.  A kUint is above INT64_MAX.
+  if (kind_ != Kind::kDouble || !(double_ >= -0x1p63 && double_ < 0x1p63)) {
     return fallback;
   }
-  return static_cast<std::int64_t>(number_);
+  return static_cast<std::int64_t>(double_);
+}
+
+std::optional<std::uint64_t> JsonValue::as_uint() const {
+  switch (kind_) {
+    case Kind::kInt:
+      if (int_ < 0) return std::nullopt;
+      return static_cast<std::uint64_t>(int_);
+    case Kind::kUint:
+      return uint_;
+    case Kind::kDouble:
+      // [0, 2^64) holds exactly the doubles the cast is defined for.
+      if (!(double_ >= 0.0 && double_ < 0x1p64) ||
+          double_ != std::floor(double_)) {
+        return std::nullopt;
+      }
+      return static_cast<std::uint64_t>(double_);
+    default:
+      return std::nullopt;
+  }
 }
 
 std::string JsonValue::as_string(std::string fallback) const {
-  return type_ == Type::kString ? string_ : std::move(fallback);
+  return kind_ == Kind::kString ? *string_ : std::move(fallback);
 }
 
 const JsonValue* JsonValue::find(std::string_view key) const {
+  if (kind_ != Kind::kObject) return nullptr;
   const JsonValue* found = nullptr;
-  for (const auto& [name, value] : members_) {
+  for (const auto& [name, value] : *members_) {
     if (name == key) found = &value;
   }
   return found;
 }
 
 JsonValue& JsonValue::set(std::string key, JsonValue value) {
-  type_ = Type::kObject;
-  members_.emplace_back(std::move(key), std::move(value));
+  become(Kind::kObject);
+  members_->emplace_back(std::move(key), std::move(value));
   return *this;
 }
 
+const std::vector<JsonValue::Member>& JsonValue::members() const {
+  return kind_ == Kind::kObject ? *members_ : no_members();
+}
+
 JsonValue& JsonValue::push(JsonValue value) {
-  type_ = Type::kArray;
-  items_.push_back(std::move(value));
+  become(Kind::kArray);
+  items_->push_back(std::move(value));
   return *this;
+}
+
+const std::vector<JsonValue>& JsonValue::items() const {
+  return kind_ == Kind::kArray ? *items_ : no_items();
 }
 
 namespace {
 
 void dump_string(const std::string& s, std::string& out) {
+  static constexpr char kHex[] = "0123456789abcdef";
   out += '"';
   for (const char c : s) {
     switch (c) {
@@ -97,10 +223,9 @@ void dump_string(const std::string& s, std::string& out) {
       case '\t': out += "\\t"; break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
+          out += "\\u00";
+          out += kHex[(c >> 4) & 0xF];
+          out += kHex[c & 0xF];
         } else {
           out += c;
         }
@@ -109,41 +234,51 @@ void dump_string(const std::string& s, std::string& out) {
   out += '"';
 }
 
-void dump_number(double v, std::string& out) {
+template <class T>
+void dump_chars(T v, std::string& out) {
+  char buf[32];  // a double's shortest form is at most 24 characters
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v);
+  out.append(buf, r.ptr);
+}
+
+void dump_double(double v, std::string& out) {
   if (!std::isfinite(v)) {  // not representable in JSON
     out += "null";
-    return;
-  }
-  char buf[40];
-  // Integers print without a fraction so ids and cuts stay greppable.
-  if (v == std::floor(v) && std::fabs(v) < 9.0e15) {
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
+  } else if (v == std::floor(v) && std::fabs(v) < 1e17) {
+    // Integral doubles print their integer digits, so ids and cuts stay
+    // greppable whichever constructor built them.
+    dump_chars(static_cast<std::int64_t>(v), out);
   } else {
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    dump_chars(v, out);
   }
-  out += buf;
 }
 
 }  // namespace
 
 void JsonValue::dump_to(std::string& out) const {
-  switch (type_) {
-    case Type::kNull:
+  switch (kind_) {
+    case Kind::kNull:
       out += "null";
       break;
-    case Type::kBool:
+    case Kind::kBool:
       out += bool_ ? "true" : "false";
       break;
-    case Type::kNumber:
-      dump_number(number_, out);
+    case Kind::kInt:
+      dump_chars(int_, out);
       break;
-    case Type::kString:
-      dump_string(string_, out);
+    case Kind::kUint:
+      dump_chars(uint_, out);
       break;
-    case Type::kArray: {
+    case Kind::kDouble:
+      dump_double(double_, out);
+      break;
+    case Kind::kString:
+      dump_string(*string_, out);
+      break;
+    case Kind::kArray: {
       out += '[';
       bool first = true;
-      for (const JsonValue& item : items_) {
+      for (const JsonValue& item : *items_) {
         if (!first) out += ',';
         first = false;
         item.dump_to(out);
@@ -151,10 +286,10 @@ void JsonValue::dump_to(std::string& out) const {
       out += ']';
       break;
     }
-    case Type::kObject: {
+    case Kind::kObject: {
       out += '{';
       bool first = true;
-      for (const auto& [key, value] : members_) {
+      for (const auto& [key, value] : *members_) {
         if (!first) out += ',';
         first = false;
         dump_string(key, out);
@@ -177,9 +312,14 @@ namespace {
 
 constexpr int kMaxDepth = 64;
 
-class Parser {
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+}  // namespace
+
+/// A friend of JsonValue, so arrays and objects are parsed in place.
+class JsonParser {
  public:
-  Parser(std::string_view text, std::string* error)
+  JsonParser(std::string_view text, std::string* error)
       : text_(text), error_(error) {}
 
   bool parse_document(JsonValue& out) {
@@ -262,16 +402,15 @@ class Parser {
       ++pos_;
       return true;
     }
+    std::vector<JsonValue::Member>& members = *out.members_;
     while (true) {
       skip_whitespace();
-      std::string key;
-      if (!parse_string(key)) return false;
+      JsonValue::Member& member = members.emplace_back();
+      if (!parse_string(member.first)) return false;
       skip_whitespace();
       if (!consume(':')) return false;
       skip_whitespace();
-      JsonValue value;
-      if (!parse_value(value, depth + 1)) return false;
-      out.set(std::move(key), std::move(value));
+      if (!parse_value(member.second, depth + 1)) return false;
       skip_whitespace();
       if (pos_ >= text_.size()) return fail("unterminated object");
       if (text_[pos_] == ',') {
@@ -290,11 +429,10 @@ class Parser {
       ++pos_;
       return true;
     }
+    std::vector<JsonValue>& items = *out.items_;
     while (true) {
       skip_whitespace();
-      JsonValue value;
-      if (!parse_value(value, depth + 1)) return false;
-      out.push(std::move(value));
+      if (!parse_value(items.emplace_back(), depth + 1)) return false;
       skip_whitespace();
       if (pos_ >= text_.size()) return fail("unterminated array");
       if (text_[pos_] == ',') {
@@ -349,16 +487,19 @@ class Parser {
     ++pos_;
     out.clear();
     while (true) {
+      // Copy the run of plain characters up to the next quote, escape
+      // or control character in one append.
+      const std::size_t run = pos_;
+      while (pos_ < text_.size() && text_[pos_] != '"' &&
+             text_[pos_] != '\\' &&
+             static_cast<unsigned char>(text_[pos_]) >= 0x20) {
+        ++pos_;
+      }
+      out.append(text_, run, pos_ - run);
       if (pos_ >= text_.size()) return fail("unterminated string");
       const char c = text_[pos_++];
       if (c == '"') return true;
-      if (c != '\\') {
-        if (static_cast<unsigned char>(c) < 0x20) {
-          return fail("raw control character in string");
-        }
-        out += c;
-        continue;
-      }
+      if (c != '\\') return fail("raw control character in string");
       if (pos_ >= text_.size()) return fail("unterminated escape");
       const char e = text_[pos_++];
       switch (e) {
@@ -393,26 +534,64 @@ class Parser {
     }
   }
 
+  /// Advance over a run of digits; false when there is none.
+  bool skip_digits() {
+    const std::size_t start = pos_;
+    while (pos_ < text_.size() && is_digit(text_[pos_])) ++pos_;
+    return pos_ != start;
+  }
+
+  /// JSON's number grammar: -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?
+  /// An integer token is kept exact when an int64_t or a uint64_t holds
+  /// it; every other token is a double.
   bool parse_number(JsonValue& out) {
     const std::size_t start = pos_;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if ((c >= '0' && c <= '9') || c == '-' || c == '+' || c == '.' ||
-          c == 'e' || c == 'E') {
+    if (text_[pos_] == '-') ++pos_;
+    if (pos_ >= text_.size() || !is_digit(text_[pos_])) {
+      return fail(pos_ == start ? "unexpected character" : "malformed number");
+    }
+    if (text_[pos_] == '0') {
+      ++pos_;
+    } else {
+      skip_digits();
+    }
+    bool integral = true;
+    if (pos_ < text_.size() && text_[pos_] == '.') {
+      ++pos_;
+      integral = false;
+      if (!skip_digits()) return fail("malformed number");
+    }
+    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+      ++pos_;
+      integral = false;
+      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
         ++pos_;
+      }
+      if (!skip_digits()) return fail("malformed number");
+    }
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
+    if (integral) {
+      if (*first == '-') {
+        std::int64_t v = 0;
+        if (std::from_chars(first, last, v).ec == std::errc()) {
+          out = JsonValue::integer(v);
+          return true;
+        }
       } else {
-        break;
+        std::uint64_t v = 0;
+        if (std::from_chars(first, last, v).ec == std::errc()) {
+          out = JsonValue::unsigned_integer(v);
+          return true;
+        }
       }
     }
-    if (pos_ == start) return fail("unexpected character");
-    const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size() || !std::isfinite(value)) {
+    double v = 0.0;
+    if (std::from_chars(first, last, v).ec != std::errc()) {
       pos_ = start;
       return fail("malformed number");
     }
-    out = JsonValue::number(value);
+    out = JsonValue::number(v);
     return true;
   }
 
@@ -421,12 +600,10 @@ class Parser {
   std::string* error_;
 };
 
-}  // namespace
-
 bool parse_json(std::string_view text, JsonValue& out, std::string* error) {
   out = JsonValue();
   if (error != nullptr) error->clear();
-  Parser parser(text, error);
+  JsonParser parser(text, error);
   JsonValue parsed;
   if (!parser.parse_document(parsed)) return false;
   out = std::move(parsed);

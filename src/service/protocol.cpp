@@ -1,6 +1,8 @@
 #include "src/service/protocol.h"
 
 #include <cstdio>
+#include <limits>
+#include <optional>
 
 #include "src/part/engine.h"
 #include "src/service/hash.h"
@@ -53,27 +55,27 @@ bool InstanceSpec::validate(std::string* error) const {
 
 namespace {
 
-bool get_size(const JsonValue& request, const char* key,
-              std::size_t fallback, std::size_t min, std::size_t max,
-              std::size_t& out, std::string* error) {
-  const JsonValue* v = request.find(key);
-  if (v == nullptr) {
-    out = fallback;
-    return true;
-  }
-  const std::int64_t value = v->as_int(-1);
-  if (!v->is_number() || static_cast<double>(value) != v->as_number() ||
-      value < static_cast<std::int64_t>(min) ||
-      value > static_cast<std::int64_t>(max)) {
+/// Reads `key` of `object` as an exact integer in [min, max] into `out`
+/// (whose type holds max), or `fallback` when absent.
+template <class T>
+bool get_uint(const JsonValue& object, const char* key,
+              std::uint64_t fallback, std::uint64_t min, std::uint64_t max,
+              T& out, std::string* error) {
+  const JsonValue* v = object.find(key);
+  const std::optional<std::uint64_t> value =
+      v == nullptr ? fallback : v->as_uint();
+  if (!value || *value < min || *value > max) {
     if (error != nullptr) {
       *error = std::string(key) + " must be an integer in [" +
                std::to_string(min) + ", " + std::to_string(max) + "]";
     }
     return false;
   }
-  out = static_cast<std::size_t>(value);
+  out = static_cast<T>(*value);
   return true;
 }
+
+constexpr std::uint64_t kMaxSeed = std::numeric_limits<std::uint64_t>::max();
 
 }  // namespace
 
@@ -91,8 +93,9 @@ bool parse_submit(const JsonValue& request, SubmitRequest& out,
   if (const JsonValue* v = instance->find("scale")) {
     out.instance.scale = v->as_number(-1.0);
   }
-  if (const JsonValue* v = instance->find("gen_seed")) {
-    out.instance.gen_seed = static_cast<std::uint64_t>(v->as_int(0));
+  if (!get_uint(*instance, "gen_seed", 0, 0, kMaxSeed, out.instance.gen_seed,
+                error)) {
+    return false;
   }
   if (const JsonValue* v = instance->find("hgr_path")) {
     out.instance.hgr_path = v->as_string();
@@ -102,11 +105,11 @@ bool parse_submit(const JsonValue& request, SubmitRequest& out,
   }
   if (!out.instance.validate(error)) return false;
 
-  if (!get_size(request, "k", 2, 2, 64, out.k, error)) return false;
-  if (!get_size(request, "starts", 4, 1, 4096, out.starts, error)) {
+  if (!get_uint(request, "k", 2, 2, 64, out.k, error)) return false;
+  if (!get_uint(request, "starts", 4, 1, 4096, out.starts, error)) {
     return false;
   }
-  if (!get_size(request, "vcycles", 1, 0, 64, out.vcycles, error)) {
+  if (!get_uint(request, "vcycles", 1, 0, 64, out.vcycles, error)) {
     return false;
   }
   if (const JsonValue* v = request.find("tolerance")) {
@@ -124,21 +127,20 @@ bool parse_submit(const JsonValue& request, SubmitRequest& out,
     if (error != nullptr) *error = why;
     return false;
   }
-  if (!get_size(request, "population", 6, 1, 64, out.population, error)) {
+  if (!get_uint(request, "population", 6, 1, 64, out.population, error)) {
     return false;
   }
-  if (!get_size(request, "generations", 8, 0, 256, out.generations, error)) {
+  if (!get_uint(request, "generations", 8, 0, 256, out.generations, error)) {
     return false;
   }
-  if (const JsonValue* v = request.find("seed")) {
-    out.seed = static_cast<std::uint64_t>(v->as_int(1));
+  if (!get_uint(request, "seed", 1, 0, kMaxSeed, out.seed, error)) {
+    return false;
   }
-  if (const JsonValue* v = request.find("deadline_ms")) {
-    out.deadline_ms = v->as_int(-1);
-    if (out.deadline_ms < 0) {
-      if (error != nullptr) *error = "deadline_ms must be >= 0";
-      return false;
-    }
+  if (!get_uint(request, "deadline_ms", 0, 0,
+                static_cast<std::uint64_t>(
+                    std::numeric_limits<std::int64_t>::max()),
+                out.deadline_ms, error)) {
+    return false;
   }
   if (const JsonValue* v = request.find("include_parts")) {
     out.include_parts = v->as_bool();
@@ -154,8 +156,8 @@ JsonValue submit_to_json(const SubmitRequest& request) {
   if (!request.instance.preset.empty()) {
     instance.set("preset", JsonValue::string(request.instance.preset));
     instance.set("scale", JsonValue::number(request.instance.scale));
-    instance.set("gen_seed", JsonValue::integer(static_cast<std::int64_t>(
-                                 request.instance.gen_seed)));
+    instance.set("gen_seed",
+                 JsonValue::unsigned_integer(request.instance.gen_seed));
   } else if (!request.instance.hgr_path.empty()) {
     instance.set("hgr_path", JsonValue::string(request.instance.hgr_path));
   } else {
@@ -176,8 +178,7 @@ JsonValue submit_to_json(const SubmitRequest& request) {
           JsonValue::integer(static_cast<std::int64_t>(request.population)));
   out.set("generations",
           JsonValue::integer(static_cast<std::int64_t>(request.generations)));
-  out.set("seed",
-          JsonValue::integer(static_cast<std::int64_t>(request.seed)));
+  out.set("seed", JsonValue::unsigned_integer(request.seed));
   if (request.deadline_ms > 0) {
     out.set("deadline_ms", JsonValue::integer(request.deadline_ms));
   }

@@ -324,6 +324,35 @@ TEST(HotPathRule, RangeConstructedContainerFires) {
       << r.findings[0].message;
 }
 
+// The same copy, spelled as a copy-initialisation.
+TEST(HotPathRule, CopyInitialisedContainerFires) {
+  const AnalysisResult r = analyze_buffers(
+      {SourceBuffer{"src/part/core/fm_refiner.cpp",
+                    "// hot-path: root\n"
+                    "void FmRefiner::run_pass() {\n"
+                    "  const std::vector<EdgeId>& nets = incident_;\n"
+                    "  std::vector<EdgeId> net_copy = nets;\n"
+                    "}\n"}},
+      {}, AnalyzerOptions{});
+  ASSERT_EQ(hotpath_count(r), 1u) << dump_findings(r);
+  EXPECT_EQ(r.findings[0].line, 4);
+  EXPECT_NE(r.findings[0].message.find("vector constructed with arguments"),
+            std::string::npos)
+      << r.findings[0].message;
+}
+
+TEST(HotPathRule, MovedCalledAndReferenceInitialisedContainersAreClean) {
+  const AnalysisResult r = lint(
+      "// hot-path: root\n"
+      "void run_pass(std::vector<int>& nets) {\n"
+      "  std::vector<int> taken = std::move(nets);\n"
+      "  std::vector<int> made = make_scratch();\n"
+      "  const std::vector<int>& view = nets;\n"
+      "  std::string* name = label;\n"
+      "}\n");
+  EXPECT_EQ(hotpath_count(r), 0u) << dump_findings(r);
+}
+
 TEST(HotPathRule, SizedBracedAndTemporaryContainersFire) {
   const AnalysisResult r = lint(
       "// hot-path: root\n"

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "src/gen/netlist_gen.h"
 #include "src/part/core/multistart.h"
 #include "src/part/core/partitioner.h"
+#include "src/part/engine.h"
 #include "src/part/evo/evo_partitioner.h"
 #include "src/part/kway/recursive_bisection.h"
 #include "src/part/ml/ml_partitioner.h"
@@ -219,6 +221,50 @@ TEST_F(ServiceFixture, ServiceResultCacheHitReturnsIdenticalResult) {
   const PartitionReply other = client.submit_and_wait(tiny_request(8));
   ASSERT_TRUE(other.ok);
   EXPECT_NE(other.cache, "result");
+}
+
+// Front-end equivalence: a vpartd submit answers exactly what
+// run_engine() answers for the same spec, also for a seed above 2^53,
+// which a double on the wire would round.
+TEST_F(ServiceFixture, SubmitReturnsRunEnginePartsExactly) {
+  std::vector<SubmitRequest> requests;
+  for (const std::uint64_t seed : {std::uint64_t{1}, (std::uint64_t{1} << 53) + 1}) {
+    for (const EngineInfo& info : engine_registry()) {
+      SubmitRequest req = tiny_request(seed, info.name);
+      req.population = 3;
+      req.generations = 2;
+      requests.push_back(req);
+    }
+    for (const char* engine : {"ml", "flat", "clip"}) {
+      SubmitRequest req = tiny_request(seed, engine);
+      req.k = 4;
+      req.tolerance = 0.10;
+      requests.push_back(req);
+    }
+  }
+  const Endpoint endpoint = start(test_config(2));
+  ServiceClient client;
+  ASSERT_TRUE(client.connect(endpoint)) << client.error();
+  const Hypergraph h = generate_netlist(preset("tiny").scaled(0.5));
+  for (const SubmitRequest& req : requests) {
+    EngineSpec spec;
+    spec.engine = req.engine;
+    spec.k = req.k;
+    spec.tolerance = req.tolerance;
+    spec.starts = req.starts;
+    spec.vcycles = req.vcycles;
+    spec.seed = req.seed;
+    spec.evo.population = req.population;
+    spec.evo.generations = req.generations;
+    const EngineResult want = run_engine(spec, h);
+    ASSERT_TRUE(want.error.empty()) << want.error;
+    const PartitionReply reply = client.submit_and_wait(req);
+    ASSERT_TRUE(reply.ok) << reply.error << ": " << reply.message;
+    EXPECT_EQ(reply.parts, want.parts)
+        << req.engine << " k=" << req.k << " seed=" << req.seed;
+    EXPECT_EQ(reply.cut, want.cut)
+        << req.engine << " k=" << req.k << " seed=" << req.seed;
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -573,6 +619,103 @@ TEST(ServiceProtocol, IntegerFieldsRejectFractionsAndHugeValues) {
   ASSERT_TRUE(parse_submit(request, out, &error)) << error;
   EXPECT_EQ(out.k, 4u);
   EXPECT_EQ(out.starts, 2u);
+}
+
+TEST(ServiceJson, IntegersStayExactAndValuesRoundTrip) {
+  JsonValue arr = JsonValue::array();
+  arr.push(JsonValue::integer(std::numeric_limits<std::int64_t>::min()));
+  arr.push(JsonValue::integer(std::numeric_limits<std::int64_t>::max()));
+  arr.push(JsonValue::unsigned_integer(
+      std::numeric_limits<std::uint64_t>::max()));
+  arr.push(JsonValue::unsigned_integer((std::uint64_t{1} << 53) + 1));
+  arr.push(JsonValue::number(0.1));
+  arr.push(JsonValue::number(-2.5e-300));
+  arr.push(JsonValue::number(1e17));
+  arr.push(JsonValue::number(9.5e15));
+  arr.push(JsonValue::string("tab\t \"q\" \x01"));
+  arr.push(JsonValue());
+  const std::string text = arr.dump();
+  EXPECT_EQ(text,
+            "[-9223372036854775808,9223372036854775807,"
+            "18446744073709551615,9007199254740993,0.1,-2.5e-300,1e+17,"
+            "9500000000000000,\"tab\\t \\\"q\\\" \\u0001\",null]");
+  JsonValue parsed;
+  std::string error;
+  ASSERT_TRUE(parse_json(text, parsed, &error)) << error;
+  EXPECT_EQ(parsed.dump(), text);
+  const std::vector<JsonValue>& items = parsed.items();
+  ASSERT_EQ(items.size(), 10u);
+  EXPECT_EQ(items[0].as_int(), std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(items[1].as_int(), std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(items[2].as_uint(), std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(items[2].as_int(7), 7);  // above INT64_MAX
+  EXPECT_EQ(items[3].as_uint(), (std::uint64_t{1} << 53) + 1);
+  EXPECT_EQ(items[4].as_number(), 0.1);
+  EXPECT_EQ(items[5].as_number(), -2.5e-300);
+  EXPECT_EQ(items[6].as_number(), 1e17);
+  EXPECT_EQ(items[8].as_string(), "tab\t \"q\" \x01");
+
+  // 2^64 is no integer any more: it reads as a double.
+  ASSERT_TRUE(parse_json("18446744073709551616", parsed, &error)) << error;
+  EXPECT_TRUE(parsed.is_number());
+  EXPECT_EQ(parsed.as_uint(), std::nullopt);
+  EXPECT_EQ(parsed.as_number(), 0x1p64);
+  // Not JSON numbers.
+  for (const char* bad : {"+1", "01", ".5", "1.", "1e", "-", "--1", "1e+"}) {
+    EXPECT_FALSE(parse_json(bad, parsed, &error)) << bad;
+  }
+}
+
+TEST(ServiceProtocol, SeedsRoundTripExactly) {
+  for (const std::uint64_t seed :
+       {(std::uint64_t{1} << 53) + 1, std::numeric_limits<std::uint64_t>::max()}) {
+    SubmitRequest req = tiny_request(seed);
+    req.instance.gen_seed = seed;
+    JsonValue wire;
+    std::string error;
+    ASSERT_TRUE(parse_json(submit_to_json(req).dump(), wire, &error))
+        << error;
+    SubmitRequest back;
+    ASSERT_TRUE(parse_submit(wire, back, &error)) << error;
+    EXPECT_EQ(back.seed, seed);
+    EXPECT_EQ(back.instance.gen_seed, seed);
+  }
+
+  const auto why_rejected = [](const std::string& seed,
+                               const std::string& gen_seed) {
+    JsonValue request;
+    const std::string text =
+        R"({"op":"submit","instance":{"preset":"tiny","gen_seed":)" +
+        gen_seed + R"(},"seed":)" + seed + "}";
+    EXPECT_TRUE(parse_json(text, request, nullptr)) << text;
+    SubmitRequest out;
+    std::string why;
+    EXPECT_FALSE(parse_submit(request, out, &why)) << text;
+    return why;
+  };
+  for (const char* bad : {"-1", "1.5", "1e300", "18446744073709551616"}) {
+    EXPECT_EQ(why_rejected(bad, "0"),
+              "seed must be an integer in [0, 18446744073709551615]")
+        << bad;
+    EXPECT_EQ(why_rejected("1", bad),
+              "gen_seed must be an integer in [0, 18446744073709551615]")
+        << bad;
+  }
+}
+
+TEST(ServiceProtocol, DeadlineIsAnExactInteger) {
+  for (const char* bad : {"-5", "2.5", "1e300"}) {
+    JsonValue request;
+    ASSERT_TRUE(parse_json(
+        std::string(R"({"op":"submit","instance":{"preset":"tiny"},)") +
+            R"("deadline_ms":)" + bad + "}",
+        request, nullptr));
+    SubmitRequest out;
+    std::string why;
+    EXPECT_FALSE(parse_submit(request, out, &why)) << bad;
+    EXPECT_EQ(why,
+              "deadline_ms must be an integer in [0, 9223372036854775807]");
+  }
 }
 
 TEST(ServiceProtocol, ResultCacheKeySensitivity) {
