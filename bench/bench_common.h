@@ -87,7 +87,7 @@ inline BenchOptions parse_options(int argc, char** argv,
   opt.runs = static_cast<std::size_t>(args.get_int(
       "runs", opt.full ? 100 : static_cast<std::int64_t>(default_runs)));
   opt.scale = args.get_double("scale", opt.full ? 1.0 : default_scale);
-  opt.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  opt.seed = args.get_uint("seed", 1);
   opt.threads = static_cast<std::size_t>(args.get_int("threads", 1));
   opt.csv = args.get_bool("csv");
   opt.json = args.get("json", "");

@@ -712,8 +712,7 @@ std::vector<Table> clustering(const BenchOptions& opt, const CliArgs&) {
   const EngineSpec base = multistart_spec(opt, "ml", our_lifo(), 0.02);
   std::vector<Table> tables = {sweep("Coarsest-level target size"),
                                sweep("Maximum cluster weight"),
-                               sweep("Heavy-edge rating net-size cap"),
-                               sweep("Clustering scheme")};
+                               sweep("Heavy-edge rating net-size cap")};
   for (const std::size_t target : {40, 120, 400, 1200}) {
     EngineSpec spec = base;
     spec.ml.coarsen.coarsen_to = target;
@@ -735,12 +734,6 @@ std::vector<Table> clustering(const BenchOptions& opt, const CliArgs&) {
     spec.ml.coarsen.max_rated_net_size = cap;
     tables[2].rows.push_back({"rate nets <= " + std::to_string(cap), {spec}});
   }
-  EngineSpec first_choice = base;
-  first_choice.ml.coarsen.scheme = CoarsenScheme::kFirstChoice;
-  EngineSpec matching = base;
-  matching.ml.coarsen.scheme = CoarsenScheme::kHeavyEdgeMatching;
-  tables[3].rows = {{"first-choice clustering", {first_choice}},
-                    {"heavy-edge matching (pairs)", {matching}}};
   return tables;
 }
 

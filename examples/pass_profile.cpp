@@ -66,7 +66,7 @@ static int run(int argc, char** argv) {
   args.check_known({"case", "max-points", "scale", "seed", "tolerance"});
   const std::string case_name = args.get("case", "ibm01");
   const double scale = args.get_double("scale", 0.25);
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  const std::uint64_t seed = args.get_uint("seed", 1);
   const double tolerance = args.get_double("tolerance", 0.02);
   const auto max_points =
       static_cast<std::size_t>(args.get_int("max-points", 400));

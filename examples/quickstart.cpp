@@ -20,7 +20,7 @@ static int run(int argc, char** argv) {
   const std::string case_name = args.get("case", "small");
   const double tolerance = args.get_double("tolerance", 0.02);
   const auto starts = static_cast<std::size_t>(args.get_int("starts", 4));
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  const std::uint64_t seed = args.get_uint("seed", 1);
   const double scale = args.get_double("scale", 1.0);
 
   // 1. Build (or load) a hypergraph.  Generated instances follow the

@@ -37,7 +37,7 @@ static int run(int argc, char** argv) {
   config.tolerance = args.get_double("tolerance", 0.10);
   config.starts_per_region =
       static_cast<std::size_t>(args.get_int("starts", 2));
-  config.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  config.seed = args.get_uint("seed", config.seed);
 
   const PlacementReport report = topdown_place(h, config);
 

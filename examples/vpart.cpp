@@ -85,12 +85,6 @@ Enum parse_choice(const CliArgs& args, const std::string& flag,
                            "): " + value);
 }
 
-/// Overwrite an integer knob with --flag when it is given.
-template <typename T>
-void int_flag(const CliArgs& args, const std::string& flag, T& field) {
-  field = static_cast<T>(args.get_int(flag, static_cast<std::int64_t>(field)));
-}
-
 /// The full FM policy surface from flags (defaults = FmConfig defaults).
 void fm_config_from_args(const CliArgs& args, FmConfig& fm) {
   fm.tie_break = parse_choice(args, "tie-break",
@@ -202,7 +196,7 @@ int run(int argc, char** argv) {
   int_flag(args, "starts", spec.starts);
   int_flag(args, "threads", spec.threads);
   int_flag(args, "vcycles", spec.vcycles);
-  int_flag(args, "seed", spec.seed);
+  spec.seed = args.get_uint("seed", spec.seed);
   fm_config_from_args(args, spec.fm);
   engine_configs_from_args(args, spec);
 

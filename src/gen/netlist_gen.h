@@ -5,7 +5,9 @@
 // generates seeded synthetic instances that match the suite's *published
 // statistical profile* — the attributes Sec. 2.1 of the paper identifies
 // as the salient ones:
-//   * |E| close to |V|; average degree and net size between 3 and 5;
+//   * |E| close to |V|; about 2.7-3.1 nets per cell and 2.7-2.8 pins
+//     per net on the presets (the published suite runs 3 to 5; ROADMAP
+//     item 7);
 //   * a small number of extremely large nets (clock/reset class);
 //   * wide variation in cell areas, including large macro cells whose
 //     area exceeds a 2% balance tolerance window (this is what triggers
@@ -35,7 +37,7 @@ struct GenConfig {
   std::size_t num_nets = 11000;  // before pad nets and huge nets
 
   // Net-size distribution: size = 2 + TruncGeom(p), truncated at max.
-  double net_size_geom_p = 0.55;    // gives mean size near 3.6
+  double net_size_geom_p = 0.55;    // gives mean size near 2.8
   std::size_t max_net_size = 18;
 
   // Locality: pin offsets from the net center follow a Pareto(1, alpha)

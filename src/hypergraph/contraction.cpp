@@ -146,6 +146,20 @@ std::vector<PartId> project_partition(
   return fine;
 }
 
+std::vector<PartId> project_fixed(const std::vector<PartId>& fine_fixed,
+                                  const std::vector<VertexId>& fine_to_coarse,
+                                  std::size_t num_coarse) {
+  std::vector<PartId> coarse_fixed(num_coarse, kNoPart);
+  for (std::size_t v = 0; v < fine_fixed.size(); ++v) {
+    if (fine_fixed[v] == kNoPart) continue;
+    PartId& slot = coarse_fixed[fine_to_coarse[v]];
+    VP_CHECK(slot == kNoPart || slot == fine_fixed[v],
+             "fixed vertices of different parts merged");
+    slot = fine_fixed[v];
+  }
+  return coarse_fixed;
+}
+
 Weight cluster_weight_cap(const Hypergraph& h, std::size_t coarsen_to,
                           Weight max_cluster_weight) {
   if (max_cluster_weight > 0) return max_cluster_weight;

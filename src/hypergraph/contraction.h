@@ -77,6 +77,13 @@ ContractionResult contract(const Hypergraph& h,
 Weight cluster_weight_cap(const Hypergraph& h, std::size_t coarsen_to,
                           Weight max_cluster_weight);
 
+/// Push fixed-vertex constraints one level down: a coarse vertex is fixed
+/// to p iff it contains a fine vertex fixed to p.  The coarseners never
+/// merge a fixed vertex, so a cluster mixing two parts is a bug (checked).
+std::vector<PartId> project_fixed(const std::vector<PartId>& fine_fixed,
+                                  const std::vector<VertexId>& fine_to_coarse,
+                                  std::size_t num_coarse);
+
 /// Project a coarse 2-way assignment back onto the fine hypergraph.
 std::vector<PartId> project_partition(
     const std::vector<VertexId>& fine_to_coarse,

@@ -59,32 +59,4 @@ Subhypergraph extract_subhypergraph(const Hypergraph& h,
   return sub;
 }
 
-Components connected_components(const Hypergraph& h) {
-  Components result;
-  result.component_of.assign(h.num_vertices(), ~0u);
-  std::vector<VertexId> stack;
-  for (std::size_t seed = 0; seed < h.num_vertices(); ++seed) {
-    if (result.component_of[seed] != ~0u) continue;
-    const auto id = static_cast<std::uint32_t>(result.num_components++);
-    std::size_t size = 0;
-    stack.push_back(static_cast<VertexId>(seed));
-    result.component_of[seed] = id;
-    while (!stack.empty()) {
-      const VertexId v = stack.back();
-      stack.pop_back();
-      ++size;
-      for (const EdgeId e : h.incident_edges(v)) {
-        for (const VertexId u : h.pins(e)) {
-          if (result.component_of[u] == ~0u) {
-            result.component_of[u] = id;
-            stack.push_back(u);
-          }
-        }
-      }
-    }
-    result.sizes.push_back(size);
-  }
-  return result;
-}
-
 }  // namespace vlsipart

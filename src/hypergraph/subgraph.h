@@ -1,10 +1,8 @@
-// Induced sub-hypergraphs and connectivity utilities.
+// Induced sub-hypergraphs.
 //
 // Top-down flows (recursive bisection, placement) repeatedly restrict a
 // netlist to a block of cells: nets are projected onto their internal
-// pins and dropped when fewer than two remain.  Connected components are
-// a standard instance-hygiene check (a disconnected benchmark can make
-// cuts of 0 trivially achievable and skew comparisons).
+// pins and dropped when fewer than two remain.
 #pragma once
 
 #include <span>
@@ -31,16 +29,5 @@ struct Subhypergraph {
 /// internal pins are dropped.  Vertex and edge weights carry over.
 Subhypergraph extract_subhypergraph(const Hypergraph& h,
                                     std::span<const VertexId> vertices);
-
-/// Connected components over the "share a net" relation.
-/// Returns component id per vertex, dense in [0, num_components).
-struct Components {
-  std::vector<std::uint32_t> component_of;
-  std::size_t num_components = 0;
-  /// Vertex count of each component.
-  std::vector<std::size_t> sizes;
-};
-
-Components connected_components(const Hypergraph& h);
 
 }  // namespace vlsipart

@@ -100,7 +100,8 @@ struct FmConfig {
 
   /// Early pass termination: abandon a pass after this many consecutive
   /// moves without improving the best-seen cut (0 = classic full pass).
-  /// Used by multilevel refinement for speed.
+  /// Only the serial FM pass reads it, and only vpart's
+  /// --max-moves-past-best sets it: every engine default is 0.
   std::size_t max_moves_past_best = 0;
 
   /// Record the per-move cut trajectory of every pass into

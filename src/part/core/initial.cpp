@@ -136,4 +136,25 @@ std::vector<PartId> make_initial(const PartitionProblem& problem,
   return random_initial(problem, rng);
 }
 
+std::vector<PartId> best_of_initial_tries(
+    const PartitionProblem& problem, InitialScheme scheme, std::size_t tries,
+    Rng& rng, const std::function<void(PartitionState&)>& refine) {
+  std::vector<PartId> best_parts;
+  bool best_feasible = false;
+  Weight best_cut = 0;
+  for (std::size_t t = 0; t < std::max<std::size_t>(1, tries); ++t) {
+    PartitionState state(*problem.graph);
+    state.assign(make_initial(problem, scheme, t, rng));
+    refine(state);
+    const bool feasible = check_solution(problem, state.parts()).empty();
+    if (best_parts.empty() ||
+        (feasible && (!best_feasible || state.cut() < best_cut))) {
+      best_parts = state.parts();
+      best_feasible = feasible;
+      best_cut = state.cut();
+    }
+  }
+  return best_parts;
+}
+
 }  // namespace vlsipart

@@ -6,6 +6,7 @@
 // and aim for a feasible (balance-satisfying) start.
 #pragma once
 
+#include <functional>
 #include <vector>
 
 #include "src/part/core/fm_config.h"
@@ -39,5 +40,13 @@ std::vector<PartId> bfs_initial(const PartitionProblem& problem, Rng& rng);
 std::vector<PartId> make_initial(const PartitionProblem& problem,
                                  InitialScheme scheme, std::size_t try_index,
                                  Rng& rng);
+
+/// The coarsest-level solve of the multilevel engines: `tries` (at least
+/// one) starts from make_initial(problem, scheme, t, rng), each refined
+/// in place by `refine`.  The first try is kept until a feasible try
+/// with a lower cut replaces it; returns the kept assignment.
+std::vector<PartId> best_of_initial_tries(
+    const PartitionProblem& problem, InitialScheme scheme, std::size_t tries,
+    Rng& rng, const std::function<void(PartitionState&)>& refine);
 
 }  // namespace vlsipart

@@ -78,13 +78,6 @@ Sample MultistartResult::cut_sample() const {
   return s;
 }
 
-Sample MultistartResult::time_sample() const {
-  Sample s;
-  s.reserve(starts.size());
-  for (const auto& r : starts) s.add(r.cpu_seconds);
-  return s;
-}
-
 MultistartResult run_multistart(const PartitionProblem& problem,
                                 Bipartitioner& partitioner,
                                 std::size_t num_starts, std::uint64_t seed,

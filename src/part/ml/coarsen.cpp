@@ -1,9 +1,6 @@
 #include "src/part/ml/coarsen.h"
 
-#include <algorithm>
 #include <numeric>
-
-#include "src/util/logging.h"
 
 namespace vlsipart {
 
@@ -15,19 +12,19 @@ CoarsenLevel coarsen_once(const Hypergraph& h, const CoarsenConfig& config,
   const Weight max_cw =
       cluster_weight_cap(h, config.coarsen_to, config.max_cluster_weight);
 
-  // cluster_of[v] = representative vertex id of v's cluster.
+  // cluster_of[v] = the vertex v is matched into (v itself if unmatched
+  // or leading its pair): already flat cluster ids for contract().
   std::vector<VertexId> cluster_of(n);
   std::iota(cluster_of.begin(), cluster_of.end(), 0);
-  std::vector<Weight> cluster_weight(n);
-  for (std::size_t v = 0; v < n; ++v) {
-    cluster_weight[v] = h.vertex_weight(static_cast<VertexId>(v));
-  }
+  // A vertex that matched (either side of a pair) is saturated for the
+  // rest of the level.
+  std::vector<std::uint8_t> matched(n, 0);
 
   std::vector<VertexId> order(n);
   std::iota(order.begin(), order.end(), 0);
   rng.shuffle(order);
 
-  // Scatter-accumulate ratings against neighbor clusters.
+  // Scatter-accumulate ratings against unmatched neighbors.
   std::vector<double> rating(n, 0.0);
   std::vector<VertexId> touched;
 
@@ -35,28 +32,8 @@ CoarsenLevel coarsen_once(const Hypergraph& h, const CoarsenConfig& config,
     return !fixed.empty() && fixed[v] != kNoPart;
   };
 
-  // Union-find representative lookup with path halving.  Ratings must be
-  // keyed by the *current* representative — keying by stale cluster
-  // pointers can create pointer cycles (a absorbed into b's old id while
-  // b was absorbed into a), which would never terminate.
-  auto find = [&](VertexId x) {
-    while (cluster_of[x] != x) {
-      cluster_of[x] = cluster_of[cluster_of[x]];
-      x = cluster_of[x];
-    }
-    return x;
-  };
-
-  const bool matching_only =
-      config.scheme == CoarsenScheme::kHeavyEdgeMatching;
-  // In matching mode a representative that already absorbed (or was
-  // absorbed) is saturated and cannot cluster again this level.
-  std::vector<std::uint8_t> matched(n, 0);
-
   for (const VertexId u : order) {
-    if (cluster_of[u] != u) continue;  // already absorbed
-    if (is_fixed(u)) continue;         // fixed vertices stay singletons
-    if (matching_only && matched[u]) continue;
+    if (matched[u] || is_fixed(u)) continue;  // fixed stay singletons
     touched.clear();
     for (const EdgeId e : h.incident_edges(u)) {
       const std::size_t size = h.edge_size(e);
@@ -64,42 +41,30 @@ CoarsenLevel coarsen_once(const Hypergraph& h, const CoarsenConfig& config,
       const double score = static_cast<double>(h.edge_weight(e)) /
                            static_cast<double>(size - 1);
       for (const VertexId w : h.pins(e)) {
-        const VertexId c = find(w);
-        if (c == u) continue;
-        if (is_fixed(c)) continue;
-        if (matching_only && matched[c]) continue;
+        if (w == u || matched[w] || is_fixed(w)) continue;
         if (config.respect_parts && !parts.empty() && parts[w] != parts[u]) {
           continue;
         }
-        if (rating[c] == 0.0) touched.push_back(c);
-        rating[c] += score;
+        if (rating[w] == 0.0) touched.push_back(w);
+        rating[w] += score;
       }
     }
     VertexId best = kInvalidVertex;
     double best_rating = 0.0;
-    const Weight wu = cluster_weight[u];
-    for (const VertexId c : touched) {
-      if (cluster_weight[c] + wu <= max_cw &&
-          (rating[c] > best_rating ||
-           (rating[c] == best_rating && best != kInvalidVertex && c < best))) {
-        best = c;
-        best_rating = rating[c];
+    const Weight wu = h.vertex_weight(u);
+    for (const VertexId w : touched) {
+      if (h.vertex_weight(w) + wu <= max_cw &&
+          (rating[w] > best_rating ||
+           (rating[w] == best_rating && best != kInvalidVertex && w < best))) {
+        best = w;
+        best_rating = rating[w];
       }
     }
-    for (const VertexId c : touched) rating[c] = 0.0;
+    for (const VertexId w : touched) rating[w] = 0.0;
     if (best == kInvalidVertex) continue;
-    // Absorb u into best's cluster.
     cluster_of[u] = best;
-    cluster_weight[best] += wu;
-    if (matching_only) {
-      matched[u] = 1;
-      matched[best] = 1;
-    }
-  }
-
-  // Final full compression so contract() sees flat cluster ids.
-  for (std::size_t v = 0; v < n; ++v) {
-    cluster_of[v] = find(static_cast<VertexId>(v));
+    matched[u] = 1;
+    matched[best] = 1;
   }
 
   ContractionResult contraction = contract(h, cluster_of, memory);
@@ -157,20 +122,6 @@ std::vector<CoarsenLevel> build_hierarchy(const Hypergraph& h,
         return coarsen_once(g, config, level_fixed, level_parts, rng,
                             memory);
       });
-}
-
-std::vector<PartId> project_fixed(const std::vector<PartId>& fine_fixed,
-                                  const std::vector<VertexId>& fine_to_coarse,
-                                  std::size_t num_coarse) {
-  std::vector<PartId> coarse_fixed(num_coarse, kNoPart);
-  for (std::size_t v = 0; v < fine_fixed.size(); ++v) {
-    if (fine_fixed[v] == kNoPart) continue;
-    PartId& slot = coarse_fixed[fine_to_coarse[v]];
-    VP_CHECK(slot == kNoPart || slot == fine_fixed[v],
-             "fixed vertices of different parts merged");
-    slot = fine_fixed[v];
-  }
-  return coarse_fixed;
 }
 
 }  // namespace vlsipart

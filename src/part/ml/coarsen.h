@@ -1,13 +1,14 @@
-// Multilevel coarsening: heavy-edge first-choice clustering.
+// Multilevel coarsening: heavy-edge matching.
 //
 // The "ML" engines of Table 1 and the hMetis-1.5 stand-in of Tables 4-5
 // build a hierarchy of successively coarser hypergraphs [25][26].
-// Vertices are visited in random order; each joins the neighboring
-// cluster with the highest heavy-edge rating
-//     rating(u, C) = sum over shared nets e of  w(e) / (|e| - 1)
-// subject to a maximum cluster weight.  Fixed vertices are never
-// clustered (they remain singletons so fixed constraints project
-// losslessly through every level).
+// Vertices are visited in random order; each unmatched vertex pairs with
+// the unmatched neighbor of highest heavy-edge rating
+//     rating(u, v) = sum over shared nets e of  w(e) / (|e| - 1)
+// subject to a maximum cluster weight, so a level at most halves the
+// vertex count.  Fixed vertices are never clustered (they remain
+// singletons so fixed constraints project losslessly through every
+// level).
 #pragma once
 
 #include <functional>
@@ -19,22 +20,7 @@
 
 namespace vlsipart {
 
-/// Clustering discipline for one coarsening level [25][26]:
-///   kFirstChoice — a visited vertex may join an existing cluster of any
-///     size (subject to the weight cap); aggressive, fewer levels.
-///   kHeavyEdgeMatching — clusters are vertex *pairs* only (classic
-///     matching); conservative, more levels.
-enum class CoarsenScheme : std::uint8_t {
-  kFirstChoice = 0,
-  kHeavyEdgeMatching = 1,
-};
-
 struct CoarsenConfig {
-  /// Matching is the default: on this testbed it consistently beats
-  /// first-choice on cut (see `bench_experiments --experiment
-  /// clustering`) at ~2x the coarsening time — and Sec. 2.2 demands the
-  /// strongest available testbed.
-  CoarsenScheme scheme = CoarsenScheme::kHeavyEdgeMatching;
   /// Stop when the coarsest level has at most this many vertices.
   std::size_t coarsen_to = 120;
   /// Abort coarsening when a level shrinks by less than this factor.
@@ -98,12 +84,5 @@ std::vector<CoarsenLevel> build_hierarchy(const Hypergraph& h,
                                           const std::vector<PartId>& parts,
                                           Rng& rng,
                                           ContractionMemory* memory = nullptr);
-
-/// Push fixed-vertex constraints one level down: a coarse vertex is fixed
-/// to p iff it contains a fine vertex fixed to p (singletons by
-/// construction, so no conflicts are possible).
-std::vector<PartId> project_fixed(const std::vector<PartId>& fine_fixed,
-                                  const std::vector<VertexId>& fine_to_coarse,
-                                  std::size_t num_coarse);
 
 }  // namespace vlsipart

@@ -1,7 +1,9 @@
 #include "src/part/ml/ml_partitioner.h"
 
-#include <limits>
+#include <functional>
+#include <memory>
 
+#include "src/part/core/initial.h"
 #include "src/part/core/parallel_refine.h"
 #include "src/part/ml/parallel_coarsen.h"
 #include "src/util/logging.h"
@@ -69,16 +71,24 @@ Weight MlPartitioner::run_internal(const PartitionProblem& problem, Rng& rng,
 
   // Level refinement dispatch: serial FM at refine_threads=1 (the
   // historical, golden-digest-pinned path), the synchronous-round
-  // parallel engine otherwise.
+  // parallel engine otherwise.  One refiner per problem: the coarsest
+  // level's serves every initial try.  It is shared because
+  // std::function needs a copyable target and the round refiner holds a
+  // mutex.
   const bool par_refine = config_.refine.refine_threads > 1;
-  auto refine_in_place = [&](const PartitionProblem& p, PartitionState& s) {
+  auto refiner_for = [&](const PartitionProblem& p)
+      -> std::function<void(PartitionState&)> {
     if (par_refine) {
-      ParallelFmRefiner refiner(p, config_.refine, acquire_pool());
-      work_.absorb(refiner.refine(s, rng).update_work());
-    } else {
-      FmRefiner refiner(p, config_.refine);
-      work_.absorb(refiner.refine(s, rng).update_work());
+      auto refiner = std::make_shared<ParallelFmRefiner>(p, config_.refine,
+                                                         acquire_pool());
+      return [this, refiner, &rng](PartitionState& s) {
+        work_.absorb(refiner->refine(s, rng).update_work());
+      };
     }
+    auto refiner = std::make_shared<FmRefiner>(p, config_.refine);
+    return [this, refiner, &rng](PartitionState& s) {
+      work_.absorb(refiner->refine(s, rng).update_work());
+    };
   };
 
   PartitionProblem coarse_problem;
@@ -103,42 +113,12 @@ Weight MlPartitioner::run_internal(const PartitionProblem& problem, Rng& rng,
     }
     PartitionState state(*coarsest);
     state.assign(coarse_parts);
-    refine_in_place(coarse_problem, state);
+    refiner_for(coarse_problem)(state);
     coarse_parts = state.parts();
   } else {
-    Weight best = std::numeric_limits<Weight>::max();
-    // The coarsest-level refiner is hoisted out of the tries loop (one
-    // construction, as before) for either engine.
-    std::unique_ptr<FmRefiner> serial_refiner;
-    std::unique_ptr<ParallelFmRefiner> parallel_refiner;
-    if (par_refine) {
-      parallel_refiner = std::make_unique<ParallelFmRefiner>(
-          coarse_problem, config_.refine, acquire_pool());
-    } else {
-      serial_refiner =
-          std::make_unique<FmRefiner>(coarse_problem, config_.refine);
-    }
-    for (std::size_t t = 0; t < std::max<std::size_t>(1, config_.initial_tries);
-         ++t) {
-      std::vector<PartId> trial =
-          make_initial(coarse_problem, config_.refine.initial_scheme, t, rng);
-      PartitionState state(*coarsest);
-      state.assign(trial);
-      if (par_refine) {
-        work_.absorb(parallel_refiner->refine(state, rng).update_work());
-      } else {
-        work_.absorb(serial_refiner->refine(state, rng).update_work());
-      }
-      const bool feasible =
-          check_solution(coarse_problem, state.parts()).empty();
-      const Weight cut = state.cut();
-      if (coarse_parts.empty() || (feasible && cut < best)) {
-        if (feasible || coarse_parts.empty()) {
-          best = feasible ? cut : best;
-          coarse_parts = state.parts();
-        }
-      }
-    }
+    coarse_parts = best_of_initial_tries(
+        coarse_problem, config_.refine.initial_scheme, config_.initial_tries,
+        rng, refiner_for(coarse_problem));
   }
 
   // Uncoarsen + refine.
@@ -164,16 +144,12 @@ Weight MlPartitioner::run_internal(const PartitionProblem& problem, Rng& rng,
                                              << audit_prev_cut << " to "
                                              << state.cut());
     }
-    refine_in_place(level_problem, state);
+    refiner_for(level_problem)(state);
     coarse_parts = state.parts();
     audit_prev_cut = state.cut();
   }
 
   parts = std::move(coarse_parts);
-  if (levels.empty() && !restricted) {
-    // Graph was already small: coarse_parts solved on `fine` directly.
-    return compute_cut(fine, parts);
-  }
   return compute_cut(fine, parts);
 }
 
@@ -192,15 +168,7 @@ Weight MlPartitioner::vcycle(const PartitionProblem& problem, Rng& rng,
                              std::vector<PartId>& parts) {
   VP_CHECK(parts.size() == problem.graph->num_vertices(),
            "v-cycle needs a full assignment");
-  std::vector<PartId> candidate = parts;
-  const Weight before = compute_cut(*problem.graph, parts);
-  const Weight after =
-      run_internal(problem, rng, candidate, /*restricted=*/true);
-  if (after <= before && check_solution(problem, candidate).empty()) {
-    parts = std::move(candidate);
-    return after;
-  }
-  return before;
+  return restricted_cycle(problem, rng, parts, nullptr);
 }
 
 Weight MlPartitioner::vcycle_guided(const PartitionProblem& problem, Rng& rng,
@@ -225,10 +193,16 @@ Weight MlPartitioner::vcycle_guided(const PartitionProblem& problem, Rng& rng,
       p = parts[v];
     }
   }
+  return restricted_cycle(problem, rng, parts, &guide);
+}
+
+Weight MlPartitioner::restricted_cycle(const PartitionProblem& problem,
+                                       Rng& rng, std::vector<PartId>& parts,
+                                       const std::vector<PartId>* guide) {
   std::vector<PartId> candidate = parts;
   const Weight before = compute_cut(*problem.graph, parts);
   const Weight after =
-      run_internal(problem, rng, candidate, /*restricted=*/true, &guide);
+      run_internal(problem, rng, candidate, /*restricted=*/true, guide);
   if (after <= before && check_solution(problem, candidate).empty()) {
     parts = std::move(candidate);
     return after;

@@ -3,10 +3,11 @@
 // evaluated in Tables 4-5 (see DESIGN.md for the substitution note).
 //
 // Pipeline per start:
-//   1. coarsen:   heavy-edge first-choice clustering to ~coarsen_to
-//                 vertices (coarsen.h);
+//   1. coarsen:   heavy-edge matching to ~coarsen_to vertices
+//                 (coarsen.h);
 //   2. initial:   several solutions of the coarsest graph from
-//                 refine.initial_scheme, each FM-refined; keep the best;
+//                 refine.initial_scheme, each FM-refined; keep the best
+//                 (best_of_initial_tries, shared with n-level);
 //   3. uncoarsen: project each level up and FM-refine with the
 //                 configured (LIFO or CLIP) flat engine.
 //
@@ -80,6 +81,13 @@ class MlPartitioner final : public Bipartitioner {
   Weight run_internal(const PartitionProblem& problem, Rng& rng,
                       std::vector<PartId>& parts, bool restricted,
                       const std::vector<PartId>* cluster_guide = nullptr);
+
+  /// The accept step of both V-cycles: run_internal restricted to
+  /// `parts` (clustering by `guide` when non-null) on a copy, adopted
+  /// only when feasible and not worse.  Returns the kept cut.
+  Weight restricted_cycle(const PartitionProblem& problem, Rng& rng,
+                          std::vector<PartId>& parts,
+                          const std::vector<PartId>* guide);
 
   /// Lazily created owned pool, sized max(refine_threads,
   /// coarsen_threads); nullptr while both knobs are 1.  Owned (not

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "src/util/logging.h"
 #include "src/util/shard.h"
 
 namespace vlsipart {
@@ -79,78 +78,16 @@ CoarsenLevel parallel_coarsen_once(const Hypergraph& h,
     for (std::size_t s = 0; s < shards; ++s) rate_shard(s);
   }
 
-  // Phase 2: order-independent resolution of preferences into clusters.
+  // Phase 2: the mutual pairs (pref[v] == u && pref[u] == v) merge,
+  // lowest id leading.  pref is a function of the vertex, so the pairs
+  // are disjoint by construction: there is no resolution order to
+  // depend on, and cluster_of is already flat.
   std::vector<VertexId> cluster_of(n);
   std::iota(cluster_of.begin(), cluster_of.end(), 0);
-
-  if (config.scheme == CoarsenScheme::kHeavyEdgeMatching) {
-    // Mutual pairs only.  pref is a function of the vertex, so the pair
-    // set {v, pref[v]} with pref[pref[v]] == v is disjoint by
-    // construction — there is no resolution order to depend on.
-    for (std::size_t v = 0; v < n; ++v) {
-      const VertexId u = pref[v];
-      if (u == kInvalidVertex || u >= static_cast<VertexId>(v)) continue;
-      if (pref[u] == static_cast<VertexId>(v)) {
-        cluster_of[v] = u;  // lowest id leads
-      }
-    }
-  } else {
-    // First-choice: connected components of the pointer graph
-    // v -> pref[v], leader = lowest id.  Union-find with min-id roots;
-    // the resulting partition is a property of the edge set, not of the
-    // union order.
-    auto find = [&cluster_of](VertexId x) {
-      while (cluster_of[x] != x) {
-        cluster_of[x] = cluster_of[cluster_of[x]];
-        x = cluster_of[x];
-      }
-      return x;
-    };
-    for (std::size_t v = 0; v < n; ++v) {
-      if (pref[v] == kInvalidVertex) continue;
-      const VertexId a = find(static_cast<VertexId>(v));
-      const VertexId b = find(pref[v]);
-      if (a == b) continue;
-      if (a < b) {
-        cluster_of[b] = a;
-      } else {
-        cluster_of[a] = b;
-      }
-    }
-    // Components can chain past the weight cap (a -> b and c -> b merge
-    // three vertices even though only the pairs were checked).  Trim by
-    // an ascending-id sweep: the root is the component's minimum id, so
-    // it is seen first and seeds the running sub-cluster; later members
-    // that no longer fit start a fresh sub-cluster at their own id.
-    // Roots are snapshotted first because the sweep repurposes
-    // cluster_of[] as its output.
-    std::vector<VertexId> root_of(n);
-    for (std::size_t v = 0; v < n; ++v) {
-      root_of[v] = find(static_cast<VertexId>(v));
-    }
-    std::vector<VertexId> sub_leader(n, kInvalidVertex);
-    std::vector<Weight> sub_weight(n, 0);
-    for (std::size_t v = 0; v < n; ++v) {
-      const VertexId root = root_of[v];
-      const Weight wv = h.vertex_weight(static_cast<VertexId>(v));
-      if (sub_leader[root] != kInvalidVertex &&
-          sub_weight[root] + wv <= max_cw) {
-        cluster_of[v] = sub_leader[root];
-        sub_weight[root] += wv;
-      } else {
-        cluster_of[v] = static_cast<VertexId>(v);
-        sub_leader[root] = static_cast<VertexId>(v);
-        sub_weight[root] = wv;
-      }
-    }
-  }
-
-  // Flatten matching-mode pointers (depth <= 1 already; harmless) and
-  // hand the flat cluster ids to the allocation-free contraction.
   for (std::size_t v = 0; v < n; ++v) {
-    VertexId c = cluster_of[v];
-    while (cluster_of[c] != c) c = cluster_of[c];
-    cluster_of[v] = c;
+    const VertexId u = pref[v];
+    if (u == kInvalidVertex || u >= static_cast<VertexId>(v)) continue;
+    if (pref[u] == static_cast<VertexId>(v)) cluster_of[v] = u;
   }
 
   ContractionResult contraction = contract(h, cluster_of, memory);

@@ -1,7 +1,7 @@
 // Deterministic parallel heavy-edge coarsening.
 //
-// The serial coarsener (coarsen.h) grows clusters sequentially in a
-// random visit order — each decision sees the clusters its predecessors
+// The serial coarsener (coarsen.h) matches vertices sequentially in a
+// random visit order — each decision sees the pairs its predecessors
 // formed, so it cannot be parallelized without changing results.  This
 // coarsener restructures the level into two phases with a barrier:
 //
@@ -14,24 +14,16 @@
 //      immutable fine graph, so vertex-range shards race on nothing and
 //      pref[] is a pure function of the graph — independent of the
 //      shard count.
-//   2. RESOLVE (serial, order-independent) — preferences become
-//      clusters without any visit-order dependence:
-//        * kHeavyEdgeMatching: exactly the mutual pairs
-//          (pref[v] == u && pref[u] == v) merge, lowest id leading.
-//          pref is a function, so mutual pairs are disjoint — no
-//          resolution order exists to matter.
-//        * kFirstChoice: the pointer graph v -> pref[v] is split into
-//          connected components by a min-id union pass (the component
-//          partition is order-independent; the leader is the component's
-//          lowest id), then components are trimmed to the weight cap by
-//          an ascending-id greedy sweep — the lone sequential step, and
-//          its order is fixed by vertex ids, not threads.
+//   2. RESOLVE (serial, order-independent) — exactly the mutual pairs
+//      (pref[v] == u && pref[u] == v) merge, lowest id leading.  pref is
+//      a function, so mutual pairs are disjoint — no resolution order
+//      exists to matter.
 //
 // Both phases are deterministic at any thread count, which is what lets
 // the ML pipeline use this level builder under the same bit-identity
 // tests as the parallel refiner.  Note the result intentionally differs
-// from the serial coarsener's (no random visit order, pairwise rather
-// than incremental ratings): coarsen_threads=1 in MlConfig selects the
+// from the serial coarsener's (no random visit order, mutual
+// preferences rather than greedy matching): coarsen_threads=1 in MlConfig selects the
 // serial path, > 1 selects this one.
 #pragma once
 

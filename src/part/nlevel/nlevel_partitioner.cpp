@@ -1,7 +1,5 @@
 #include "src/part/nlevel/nlevel_partitioner.h"
 
-#include <algorithm>
-#include <limits>
 #include <utility>
 
 namespace vlsipart {
@@ -111,40 +109,17 @@ void NlevelPartitioner::solve_coarsest(const PartitionProblem& problem,
   coarse_problem.graph = &cr.coarse;
   coarse_problem.balance = problem.balance;
   if (!problem.fixed.empty()) {
-    // Project fixed constraints onto the clusters (the coarsening never
-    // merges differently-fixed vertices — best_partner skips them).
-    std::vector<PartId> coarse_fixed(cr.coarse.num_vertices(), kNoPart);
-    for (std::size_t v = 0; v < problem.fixed.size(); ++v) {
-      if (problem.fixed[v] == kNoPart) continue;
-      PartId& slot = coarse_fixed[cr.fine_to_coarse[v]];
-      VP_CHECK(slot == kNoPart || slot == problem.fixed[v],
-               "n-level coarsening merged fixed vertices of different parts");
-      slot = problem.fixed[v];
-    }
-    coarse_problem.fixed = std::move(coarse_fixed);
+    // best_partner never merges a fixed vertex.
+    coarse_problem.fixed = project_fixed(problem.fixed, cr.fine_to_coarse,
+                                         cr.coarse.num_vertices());
   }
 
   FmRefiner refiner(coarse_problem, config_.refine);
-  std::vector<PartId> coarse_parts;
-  Weight best = std::numeric_limits<Weight>::max();
-  bool best_feasible = false;
-  for (std::size_t t = 0; t < std::max<std::size_t>(1, config_.initial_tries);
-       ++t) {
-    std::vector<PartId> trial =
-        make_initial(coarse_problem, config_.refine.initial_scheme, t, rng);
-    PartitionState state(cr.coarse);
-    state.assign(trial);
-    work_.absorb(refiner.refine(state, rng).update_work());
-    const bool feasible =
-        check_solution(coarse_problem, state.parts()).empty();
-    const Weight cut = state.cut();
-    if (coarse_parts.empty() ||
-        (feasible && (!best_feasible || cut < best))) {
-      coarse_parts = state.parts();
-      best = cut;
-      best_feasible = feasible;
-    }
-  }
+  const std::vector<PartId> coarse_parts = best_of_initial_tries(
+      coarse_problem, config_.refine.initial_scheme, config_.initial_tries,
+      rng, [&](PartitionState& state) {
+        work_.absorb(refiner.refine(state, rng).update_work());
+      });
 
   // Cluster ids fit VertexId (bind() contract), so a VertexId counter
   // covers the whole range.

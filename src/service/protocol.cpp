@@ -55,15 +55,15 @@ bool InstanceSpec::validate(std::string* error) const {
 
 namespace {
 
-/// Reads `key` of `object` as an exact integer in [min, max] into `out`
-/// (whose type holds max), or `fallback` when absent.
+/// Reads `key` of `object`, when present, as an exact integer in
+/// [min, max] into `out` (whose type holds max); an absent key leaves
+/// `out` at its SubmitRequest default.
 template <class T>
-bool get_uint(const JsonValue& object, const char* key,
-              std::uint64_t fallback, std::uint64_t min, std::uint64_t max,
-              T& out, std::string* error) {
+bool get_uint(const JsonValue& object, const char* key, std::uint64_t min,
+              std::uint64_t max, T& out, std::string* error) {
   const JsonValue* v = object.find(key);
-  const std::optional<std::uint64_t> value =
-      v == nullptr ? fallback : v->as_uint();
+  if (v == nullptr) return true;
+  const std::optional<std::uint64_t> value = v->as_uint();
   if (!value || *value < min || *value > max) {
     if (error != nullptr) {
       *error = std::string(key) + " must be an integer in [" +
@@ -93,7 +93,7 @@ bool parse_submit(const JsonValue& request, SubmitRequest& out,
   if (const JsonValue* v = instance->find("scale")) {
     out.instance.scale = v->as_number(-1.0);
   }
-  if (!get_uint(*instance, "gen_seed", 0, 0, kMaxSeed, out.instance.gen_seed,
+  if (!get_uint(*instance, "gen_seed", 0, kMaxSeed, out.instance.gen_seed,
                 error)) {
     return false;
   }
@@ -105,11 +105,11 @@ bool parse_submit(const JsonValue& request, SubmitRequest& out,
   }
   if (!out.instance.validate(error)) return false;
 
-  if (!get_uint(request, "k", 2, 2, 64, out.k, error)) return false;
-  if (!get_uint(request, "starts", 4, 1, 4096, out.starts, error)) {
+  if (!get_uint(request, "k", 2, 64, out.k, error)) return false;
+  if (!get_uint(request, "starts", 1, 4096, out.starts, error)) {
     return false;
   }
-  if (!get_uint(request, "vcycles", 1, 0, 64, out.vcycles, error)) {
+  if (!get_uint(request, "vcycles", 0, 64, out.vcycles, error)) {
     return false;
   }
   if (const JsonValue* v = request.find("tolerance")) {
@@ -127,16 +127,16 @@ bool parse_submit(const JsonValue& request, SubmitRequest& out,
     if (error != nullptr) *error = why;
     return false;
   }
-  if (!get_uint(request, "population", 6, 1, 64, out.population, error)) {
+  if (!get_uint(request, "population", 1, 64, out.population, error)) {
     return false;
   }
-  if (!get_uint(request, "generations", 8, 0, 256, out.generations, error)) {
+  if (!get_uint(request, "generations", 0, 256, out.generations, error)) {
     return false;
   }
-  if (!get_uint(request, "seed", 1, 0, kMaxSeed, out.seed, error)) {
+  if (!get_uint(request, "seed", 0, kMaxSeed, out.seed, error)) {
     return false;
   }
-  if (!get_uint(request, "deadline_ms", 0, 0,
+  if (!get_uint(request, "deadline_ms", 0,
                 static_cast<std::uint64_t>(
                     std::numeric_limits<std::int64_t>::max()),
                 out.deadline_ms, error)) {

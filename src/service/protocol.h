@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <string>
 
+#include "src/part/evo/evo_partitioner.h"
 #include "src/service/json.h"
 
 namespace vlsipart::service {
@@ -58,6 +59,7 @@ struct InstanceSpec {
   /// "preset:ibm01@0.5#0" or "hgr:/path/circuit.hgr".
   std::string descriptor() const;
   bool validate(std::string* error) const;
+  bool operator==(const InstanceSpec&) const = default;
 };
 
 struct SubmitRequest {
@@ -69,8 +71,8 @@ struct SubmitRequest {
   std::size_t vcycles = 1;    // k == 2, ml engine only
   /// Memetic knobs (evo engine only; ignored — but still part of the
   /// result-cache key — for every other engine).
-  std::size_t population = 6;
-  std::size_t generations = 8;
+  std::size_t population = EvoConfig{}.population;
+  std::size_t generations = EvoConfig{}.generations;
   std::uint64_t seed = 1;
   /// Admission-to-start budget in ms; a job still queued when it expires
   /// is answered with state "expired" instead of running.  0 = none.
@@ -79,6 +81,7 @@ struct SubmitRequest {
   /// Clients may opt out of the result cache (bench cold paths); the
   /// instance cache still applies.
   bool use_result_cache = true;
+  bool operator==(const SubmitRequest&) const = default;
 };
 
 /// Parse + validate the body of a submit request.  Returns false and

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <limits>
 #include <stdexcept>
 
 namespace vlsipart {
@@ -75,6 +77,23 @@ std::int64_t CliArgs::get_int(const std::string& name,
   if (end == text.c_str() || *end != '\0' || errno == ERANGE) {
     throw std::invalid_argument("--" + name + " expects an integer, got '" +
                                 text + "'");
+  }
+  return value;
+}
+
+std::uint64_t CliArgs::get_uint(const std::string& name,
+                               std::uint64_t fallback) const {
+  const auto it = options_.find(name);
+  if (it == options_.end()) return fallback;
+  const std::string& text = it->second;
+  const char* const end = text.data() + text.size();
+  std::uint64_t value = 0;
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || stop != end) {
+    throw std::invalid_argument(
+        "--" + name + " must be an integer in [0, " +
+        std::to_string(std::numeric_limits<std::uint64_t>::max()) +
+        "], got '" + text + "'");
   }
   return value;
 }

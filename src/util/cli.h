@@ -25,6 +25,11 @@ class CliArgs {
   /// an out-of-range value) — a silent 0 from strtoll would otherwise
   /// turn a typo into a wrong experiment.
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
+  /// Unsigned accessor for seeds: a plain decimal in [0, 2^64 - 1], with
+  /// no sign and no overflow; anything else throws std::invalid_argument
+  /// naming that range.
+  std::uint64_t get_uint(const std::string& name,
+                         std::uint64_t fallback) const;
   double get_double(const std::string& name, double fallback) const;
   bool get_bool(const std::string& name, bool fallback = false) const;
 
@@ -63,5 +68,11 @@ class CliArgs {
 /// "<argv[0]>: error: <what>" to stderr and returns 1 instead of ending
 /// the process in an uncaught-exception abort.
 int cli_main(int argc, char** argv, int (*body)(int, char**));
+
+/// Overwrite an integer knob with --flag when it is given.
+template <typename T>
+void int_flag(const CliArgs& args, const std::string& flag, T& field) {
+  field = static_cast<T>(args.get_int(flag, static_cast<std::int64_t>(field)));
+}
 
 }  // namespace vlsipart

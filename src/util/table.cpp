@@ -72,8 +72,4 @@ std::string fmt_min_avg(double min, double avg, int decimals) {
   return fmt_fixed(min, decimals) + "/" + fmt_fixed(avg, decimals);
 }
 
-std::string fmt_cut_cpu(double cut, double cpu, int cpu_decimals) {
-  return fmt_fixed(cut, 1) + "/" + fmt_fixed(cpu, cpu_decimals);
-}
-
 }  // namespace vlsipart

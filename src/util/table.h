@@ -44,8 +44,4 @@ std::string fmt_fixed(double value, int decimals = 1);
 /// "min/avg" cell used throughout Tables 1-3.
 std::string fmt_min_avg(double min, double avg, int decimals = 0);
 
-/// "avgcut/avgcpu" cell used in Tables 4-5.  CPU keeps two decimals by
-/// default since scaled-down default benches run in fractional seconds.
-std::string fmt_cut_cpu(double cut, double cpu, int cpu_decimals = 2);
-
 }  // namespace vlsipart

@@ -2,8 +2,9 @@
 // at exactly one level (starts, evo offspring or RB subtrees) and every
 // engine's answer is bit-identical at every budget; fixed vertices are
 // problem input that the audit checks; each start records its corked
-// passes.  The budgets are fixed numbers, not the host's CPU count, so
-// these tests check the same schedules on any machine.
+// passes; doubling every net weight doubles every answer's cut and
+// moves no vertex.  The budgets are fixed numbers, not the host's CPU
+// count, so these tests check the same schedules on any machine.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -192,16 +193,22 @@ TEST(Engine, CountsCorkedStartsPerStart) {
   EXPECT_EQ(ours.multistart.update_work.zero_move_passes, 0u);
 }
 
-// A random fifth of the vertices fixed at random sides: every engine
-// that honours fixed vertices keeps each one where it was put, and the
-// audit would have failed the run otherwise.
-TEST(Engine, KeepsFixedVerticesOnTheirSides) {
-  const Hypergraph h = generate_netlist(preset("tiny"));
+/// Every fifth vertex of `h` fixed, each at a random side.
+std::vector<PartId> fifth_fixed(const Hypergraph& h) {
   std::vector<PartId> fixed(h.num_vertices(), kNoPart);
   Rng pick(3);
   for (std::size_t v = 0; v < h.num_vertices(); v += 5) {
     fixed[v] = static_cast<PartId>(pick.below(2));
   }
+  return fixed;
+}
+
+// A fifth of the vertices fixed at random sides: every engine that
+// honours fixed vertices keeps each one where it was put, and the audit
+// would have failed the run otherwise.
+TEST(Engine, KeepsFixedVerticesOnTheirSides) {
+  const Hypergraph h = generate_netlist(preset("tiny"));
+  const std::vector<PartId> fixed = fifth_fixed(h);
   for (const char* engine : {"flat", "clip", "ml"}) {
     const EngineResult r = run_engine(small_spec(engine, 2, 3), h, fixed);
     ASSERT_EQ(r.error, "") << engine;
@@ -211,6 +218,62 @@ TEST(Engine, KeepsFixedVerticesOnTheirSides) {
         EXPECT_EQ(r.parts[v], fixed[v]) << engine << " vertex " << v;
       }
     }
+  }
+}
+
+// `h` with every net weight doubled: same vertices, weights and pins.
+Hypergraph with_doubled_net_weights(const Hypergraph& h) {
+  HypergraphBuilder b(h.num_vertices());
+  for (std::size_t v = 0; v < h.num_vertices(); ++v) {
+    const auto id = static_cast<VertexId>(v);
+    b.set_vertex_weight(id, h.vertex_weight(id));
+  }
+  for (std::size_t e = 0; e < h.num_edges(); ++e) {
+    const auto id = static_cast<EdgeId>(e);
+    b.add_edge(h.pins(id), 2 * h.edge_weight(id));
+  }
+  return b.finalize(h.name());
+}
+
+// Metamorphic relation: scaling every net weight by two scales every
+// gain, rating and cut by two exactly, so no decision changes.  Each
+// run must give the same parts as on the original and twice the cut.
+void expect_weight_doubling_invariant(const EngineSpec& spec,
+                                      bool fix_vertices) {
+  for (const Hypergraph& h :
+       {generate_netlist(preset("tiny")), generate_netlist(preset("small")),
+        generate_netlist(preset("ibm01").scaled(0.2))}) {
+    const std::vector<PartId> fixed =
+        fix_vertices ? fifth_fixed(h) : std::vector<PartId>{};
+    const std::string label = spec.engine + " k=" + std::to_string(spec.k) +
+                              " on " + h.name() +
+                              (fix_vertices ? " with fixed vertices" : "");
+    const EngineResult once = run_engine(spec, h, fixed);
+    const EngineResult twice =
+        run_engine(spec, with_doubled_net_weights(h), fixed);
+    ASSERT_EQ(once.error, "") << label;
+    ASSERT_EQ(twice.error, "") << label;
+    EXPECT_EQ(twice.parts, once.parts) << label;
+    EXPECT_EQ(twice.cut, 2 * once.cut) << label;
+  }
+}
+
+TEST(WeightDoubling, EveryEngineAtTwoParts) {
+  for (const std::string& engine : engine_names()) {
+    expect_weight_doubling_invariant(small_spec(engine, 2, 2), false);
+  }
+}
+
+TEST(WeightDoubling, EveryKwayEngineAtFourParts) {
+  for (const std::string& engine : engine_names()) {
+    if (!engine_spec_error(engine, 4).empty()) continue;
+    expect_weight_doubling_invariant(small_spec(engine, 4, 2), false);
+  }
+}
+
+TEST(WeightDoubling, EveryEngineWithFixedVertices) {
+  for (const std::string& engine : engine_names()) {
+    expect_weight_doubling_invariant(small_spec(engine, 2, 2), true);
   }
 }
 

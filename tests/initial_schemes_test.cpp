@@ -101,7 +101,6 @@ TEST(InitialScheme, FlatEngineWithBfsStartsStaysValid) {
 TEST(CoarsenScheme, MatchingHalvesAtMost) {
   const Hypergraph h = generate_netlist(preset("small"));
   CoarsenConfig config;
-  config.scheme = CoarsenScheme::kHeavyEdgeMatching;
   Rng rng(6);
   const CoarsenLevel level = coarsen_once(h, config, {}, {}, rng);
   // Pairs only: at most a 2x reduction.
@@ -114,25 +113,10 @@ TEST(CoarsenScheme, MatchingHalvesAtMost) {
   EXPECT_EQ(level.coarse.total_vertex_weight(), h.total_vertex_weight());
 }
 
-TEST(CoarsenScheme, FirstChoiceShrinksFasterThanMatching) {
-  const Hypergraph h = generate_netlist(preset("small"));
-  Rng r1(7);
-  Rng r2(7);
-  CoarsenConfig fc;
-  fc.scheme = CoarsenScheme::kFirstChoice;
-  CoarsenConfig hem;
-  hem.scheme = CoarsenScheme::kHeavyEdgeMatching;
-  const auto a = coarsen_once(h, fc, {}, {}, r1);
-  const auto b = coarsen_once(h, hem, {}, {}, r2);
-  EXPECT_LT(a.coarse.num_vertices(), b.coarse.num_vertices());
-}
-
 TEST(CoarsenScheme, MlWorksWithMatchingCoarsening) {
   const Hypergraph h = generate_netlist(preset("small"));
   const PartitionProblem p = make_problem(h, 0.1);
-  MlConfig config;
-  config.coarsen.scheme = CoarsenScheme::kHeavyEdgeMatching;
-  MlPartitioner engine(config);
+  MlPartitioner engine(MlConfig{});
   std::vector<PartId> parts;
   Rng rng(8);
   const Weight cut = engine.run(p, rng, parts);

@@ -308,17 +308,12 @@ std::uint64_t hierarchy_digest(const Hypergraph& h,
 TEST(ParallelCoarsen, BitIdenticalAcrossThreadCounts) {
   for (const char* const instance : kInstances) {
     const Hypergraph h = generate_netlist(preset(instance));
-    for (const CoarsenScheme scheme :
-         {CoarsenScheme::kHeavyEdgeMatching, CoarsenScheme::kFirstChoice}) {
-      CoarsenConfig config;
-      config.scheme = scheme;
-      const std::uint64_t ref = hierarchy_digest(h, config, 1);
-      for (const std::size_t t : kThreadCounts) {
-        if (t == 1) continue;
-        EXPECT_EQ(hierarchy_digest(h, config, t), ref)
-            << instance << " scheme " << static_cast<int>(scheme) << " at "
-            << t << " threads";
-      }
+    const CoarsenConfig config;
+    const std::uint64_t ref = hierarchy_digest(h, config, 1);
+    for (const std::size_t t : kThreadCounts) {
+      if (t == 1) continue;
+      EXPECT_EQ(hierarchy_digest(h, config, t), ref)
+          << instance << " at " << t << " threads";
     }
   }
 }
@@ -346,25 +341,21 @@ TEST(ParallelCoarsen, FixedVerticesStaySingletons) {
 TEST(ParallelCoarsen, RespectsExplicitWeightCap) {
   const Hypergraph h = generate_netlist(preset("small"));
   const Weight cap = std::max<Weight>(h.max_vertex_weight(), 40);
-  for (const CoarsenScheme scheme :
-       {CoarsenScheme::kHeavyEdgeMatching, CoarsenScheme::kFirstChoice}) {
-    CoarsenConfig config;
-    config.scheme = scheme;
-    config.max_cluster_weight = cap;
-    ThreadPool pool(2);
-    const CoarsenLevel level = parallel_coarsen_once(h, config, {}, {}, &pool);
-    for (std::size_t c = 0; c < level.coarse.num_vertices(); ++c) {
-      const Weight w = level.coarse.vertex_weight(static_cast<VertexId>(c));
-      // Clusters above the cap may only be single vertices that already
-      // exceeded it on their own.
-      if (w > cap) {
-        std::size_t members = 0;
-        for (const VertexId fc : level.fine_to_coarse) {
-          if (fc == static_cast<VertexId>(c)) ++members;
-        }
-        EXPECT_EQ(members, 1u) << "multi-vertex cluster " << c
-                               << " exceeds cap: " << w << " > " << cap;
+  CoarsenConfig config;
+  config.max_cluster_weight = cap;
+  ThreadPool pool(2);
+  const CoarsenLevel level = parallel_coarsen_once(h, config, {}, {}, &pool);
+  for (std::size_t c = 0; c < level.coarse.num_vertices(); ++c) {
+    const Weight w = level.coarse.vertex_weight(static_cast<VertexId>(c));
+    // Clusters above the cap may only be single vertices that already
+    // exceeded it on their own.
+    if (w > cap) {
+      std::size_t members = 0;
+      for (const VertexId fc : level.fine_to_coarse) {
+        if (fc == static_cast<VertexId>(c)) ++members;
       }
+      EXPECT_EQ(members, 1u) << "multi-vertex cluster " << c
+                             << " exceeds cap: " << w << " > " << cap;
     }
   }
 }

@@ -703,6 +703,32 @@ TEST(ServiceProtocol, SeedsRoundTripExactly) {
   }
 }
 
+TEST(ServiceProtocol, DefaultsLiveInSubmitRequest) {
+  // An absent member keeps SubmitRequest's default: a bare submit parses
+  // to SubmitRequest{} in every field but the instance it names.
+  JsonValue bare;
+  ASSERT_TRUE(parse_json(R"({"op":"submit","instance":{"preset":"tiny"}})",
+                         bare, nullptr));
+  SubmitRequest parsed;
+  std::string error;
+  ASSERT_TRUE(parse_submit(bare, parsed, &error)) << error;
+  SubmitRequest expected;
+  expected.instance.preset = "tiny";
+  EXPECT_EQ(parsed, expected);
+
+  // And those defaults are the engine front door's.
+  const SubmitRequest request;
+  const EngineSpec spec;
+  EXPECT_EQ(request.k, spec.k);
+  EXPECT_EQ(request.tolerance, spec.tolerance);
+  EXPECT_EQ(request.engine, spec.engine);
+  EXPECT_EQ(request.starts, spec.starts);
+  EXPECT_EQ(request.vcycles, spec.vcycles);
+  EXPECT_EQ(request.seed, spec.seed);
+  EXPECT_EQ(request.population, spec.evo.population);
+  EXPECT_EQ(request.generations, spec.evo.generations);
+}
+
 TEST(ServiceProtocol, DeadlineIsAnExactInteger) {
   for (const char* bad : {"-5", "2.5", "1e300"}) {
     JsonValue request;

@@ -105,49 +105,5 @@ TEST(Subgraph, RejectsDuplicatesAndOutOfRange) {
   EXPECT_THROW(extract_subhypergraph(h, oob), std::logic_error);
 }
 
-TEST(Components, SingleComponentGraph) {
-  const Hypergraph h = sample();
-  const Components c = connected_components(h);
-  EXPECT_EQ(c.num_components, 1u);
-  EXPECT_EQ(c.sizes.at(0), 6u);
-}
-
-TEST(Components, DetectsIslands) {
-  HypergraphBuilder b(7);
-  b.add_edge({0, 1});
-  b.add_edge({1, 2});
-  b.add_edge({3, 4});
-  // 5 and 6 share a net; vertex 6 also isolated? No: {5,6} connected.
-  b.add_edge({5, 6});
-  const Hypergraph h = b.finalize();
-  const Components c = connected_components(h);
-  EXPECT_EQ(c.num_components, 3u);
-  EXPECT_EQ(c.component_of[0], c.component_of[2]);
-  EXPECT_NE(c.component_of[0], c.component_of[3]);
-  EXPECT_NE(c.component_of[3], c.component_of[5]);
-  std::size_t total = 0;
-  for (const std::size_t s : c.sizes) total += s;
-  EXPECT_EQ(total, 7u);
-}
-
-TEST(Components, IsolatedVertices) {
-  HypergraphBuilder b(3);
-  b.add_edge({0, 1});
-  const Hypergraph h = b.finalize();
-  const Components c = connected_components(h);
-  EXPECT_EQ(c.num_components, 2u);  // {0,1} and {2}
-}
-
-TEST(Components, GeneratedInstancesAreConnectedEnough) {
-  // Instance hygiene: the synthetic suite must be dominated by one giant
-  // component (disconnected benchmarks make cut comparisons misleading).
-  const Hypergraph h = generate_netlist(preset("small"));
-  const Components c = connected_components(h);
-  std::size_t largest = 0;
-  for (const std::size_t s : c.sizes) largest = std::max(largest, s);
-  EXPECT_GT(static_cast<double>(largest),
-            0.90 * static_cast<double>(h.num_vertices()));
-}
-
 }  // namespace
 }  // namespace vlsipart

@@ -3,6 +3,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <stdexcept>
 
@@ -253,8 +255,6 @@ TEST(TextTable, ArityMismatchThrows) {
 TEST(TableFormat, Helpers) {
   EXPECT_EQ(fmt_fixed(3.14159, 2), "3.14");
   EXPECT_EQ(fmt_min_avg(219, 283.4), "219/283");
-  EXPECT_EQ(fmt_cut_cpu(265.7, 6.4), "265.7/6.40");
-  EXPECT_EQ(fmt_cut_cpu(265.7, 6.4, 1), "265.7/6.4");
 }
 
 TEST(Cli, ParsesAllStyles) {
@@ -306,6 +306,35 @@ TEST(Cli, StrictIntParsing) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("starts"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("12x"), std::string::npos);
+  }
+}
+
+TEST(Cli, UnsignedReadsEveryUint64) {
+  const char* argv[] = {"prog", "--zero", "0", "--max",
+                        "18446744073709551615"};
+  const CliArgs args(5, argv);
+  EXPECT_EQ(args.get_uint("zero", 7), 0u);
+  EXPECT_EQ(args.get_uint("max", 7),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(args.get_uint("missing", 7), 7u);
+}
+
+TEST(Cli, UnsignedRejectsSignsOverflowAndGarbage) {
+  const char* argv[] = {"prog",     "--neg",  "-1",  "--over",
+                        "18446744073709551616", "--plus", "+1",
+                        "--junk",   "12x",    "--bare"};
+  const CliArgs args(10, argv);
+  for (const char* name : {"neg", "over", "plus", "junk", "bare"}) {
+    try {
+      args.get_uint(name, 1);
+      ADD_FAILURE() << "--" << name << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "--" + std::string(name) +
+                    " must be an integer in [0, 18446744073709551615]"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -1,8 +1,12 @@
 # ctest helper: one instance reached three ways -- generated in memory
 # (--case), read back from its .hgr file and from its ISPD98 .netD/.are
-# pair -- must give byte-identical .part files from vpart.
+# pair -- must give byte-identical .part files from vpart at --seed
+# ${SEED} (default 1).
 #   cmake -DMAKE_BENCHMARKS=<path> -DVPART=<path> -DDIR=<work dir>
-#         -P tools/expect_same_parts.cmake
+#         [-DSEED=N] -P tools/expect_same_parts.cmake
+if(NOT DEFINED SEED)
+  set(SEED 1)
+endif()
 set(case ibm01)
 set(scale 0.3)
 file(REMOVE_RECURSE "${DIR}")
@@ -19,7 +23,7 @@ set(hgr_args --hgr "${DIR}/${case}.hgr")
 set(ispd98_args --ispd98 "${DIR}/${case}")
 foreach(source IN LISTS sources)
   execute_process(COMMAND "${VPART}" ${${source}_args} --engine flat
-                          --starts 4 --seed 1 --out "${DIR}/${source}.part"
+                          --starts 4 --seed ${SEED} --out "${DIR}/${source}.part"
                   RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err
                   TIMEOUT 60)
   if(NOT rc STREQUAL "0")

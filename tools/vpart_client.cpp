@@ -82,34 +82,33 @@ int run(int argc, char** argv) {
     return 2;
   }
 
-  SubmitRequest request;
+  SubmitRequest request;  // each flag defaults to the request's default
   if (args.has("hgr")) {
     request.instance.hgr_path = args.get("hgr", "");
   } else if (args.has("ispd98")) {
     request.instance.ispd98_path = args.get("ispd98", "");
   } else {
     request.instance.preset = args.get("case", "ibm01");
-    request.instance.scale = args.get_double("scale", 0.5);
+    request.instance.scale =
+        args.get_double("scale", request.instance.scale);
     request.instance.gen_seed =
-        static_cast<std::uint64_t>(args.get_int("gen-seed", 0));
+        args.get_uint("gen-seed", request.instance.gen_seed);
   }
-  request.k = static_cast<std::size_t>(args.get_int("k", 2));
-  request.tolerance = args.get_double("tolerance", 0.02);
+  int_flag(args, "k", request.k);
+  request.tolerance = args.get_double("tolerance", request.tolerance);
   request.engine = CliArgs::check_known_value(
-      "engine", args.get("engine", "ml"), engine_names());
+      "engine", args.get("engine", request.engine), engine_names());
   if (const std::string why = engine_spec_error(request.engine, request.k);
       !why.empty()) {
     std::fprintf(stderr, "vpart_client: %s\n", why.c_str());
     return 2;
   }
-  request.starts = static_cast<std::size_t>(args.get_int("starts", 4));
-  request.vcycles = static_cast<std::size_t>(args.get_int("vcycles", 1));
-  request.population =
-      static_cast<std::size_t>(args.get_int("population", 6));
-  request.generations =
-      static_cast<std::size_t>(args.get_int("generations", 8));
-  request.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  request.deadline_ms = args.get_int("deadline-ms", 0);
+  int_flag(args, "starts", request.starts);
+  int_flag(args, "vcycles", request.vcycles);
+  int_flag(args, "population", request.population);
+  int_flag(args, "generations", request.generations);
+  request.seed = args.get_uint("seed", request.seed);
+  int_flag(args, "deadline-ms", request.deadline_ms);
   request.include_parts = args.get_bool("parts");
   request.use_result_cache = !args.get_bool("no-result-cache");
 
