@@ -271,17 +271,13 @@ std::vector<Table> suite(const BenchOptions& opt, const CliArgs&) {
       .gmean = true}};
 }
 
-std::vector<Table> engine_tier(const BenchOptions& opt, const CliArgs& args) {
+std::vector<Table> engine_tier(const BenchOptions& opt, const CliArgs&) {
   Table table{.title = "Engine tier (" + std::to_string(opt.runs) +
                        " starts; evo amortized)",
               .label_header = "Engine",
               .cells = {Cell::kBest, Cell::kAvg, Cell::kCpu}};
   for (const EngineInfo& info : engine_registry()) {
     EngineSpec spec = multistart_spec(opt, info.name, our_lifo(), 0.10);
-    spec.fm.refine_threads =
-        static_cast<std::size_t>(args.get_int("refine-threads", 1));
-    spec.ml.coarsen.coarsen_threads =
-        static_cast<std::size_t>(args.get_int("coarsen-threads", 1));
     // Each evo start is a whole population evolution.
     if (info.kind == EngineKind::kEvo) {
       spec.starts = std::max<std::size_t>(1, opt.runs / 4);
@@ -838,8 +834,7 @@ const std::vector<Experiment>& experiments() {
         {"engine_tier",
          "Engine tier: every registry engine, best/avg cut and total CPU, "
          "10% balance",
-         first3, 20, 0.3, {"threads", "refine-threads", "coarsen-threads"},
-         engine_tier},
+         first3, 20, 0.3, {"threads"}, engine_tier},
         {"bsf", "Best-so-far curves (Sec. 3.2, after Barr et al. [5])",
          first3, 30, 0.35, {"threads"}, bsf, bsf_report},
         {"pareto",

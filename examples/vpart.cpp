@@ -26,12 +26,10 @@
 //   --lookahead R   --lookahead-scan N
 //   --max-passes N  --max-moves-past-best N  --exclude-oversized
 //   --audit off|pass|moves  --audit-every N
-//   --refine-threads N  (1 = serial FM; >1 = synchronous-round parallel)
 //   --initial-scheme random|bfs|mixed  (per flat start; per coarsest-
 //                   level try of ml, nlevel, evo and k > 2 bisections)
 // Multilevel knobs (ml engine):
 //   --initial-tries N  --coarsen-to N  --min-reduction X
-//   --coarsen-threads N (1 = serial; >1 = deterministic parallel rating)
 // n-level knobs (nlevel engine; shares --coarsen-to/--initial-tries):
 //   --max-cluster-weight W  --max-rated-net-size N
 //   --local-moves-past-best N  --final-refine 0|1
@@ -125,7 +123,6 @@ void fm_config_from_args(const CliArgs& args, FmConfig& fm) {
                                 {"moves", AuditMode::kPerMoves}},
                                fm.audit.mode);
   int_flag(args, "audit-every", fm.audit.every_moves);
-  int_flag(args, "refine-threads", fm.refine_threads);
   fm.initial_scheme = parse_choice(args, "initial-scheme",
                                    {{"random", InitialScheme::kRandom},
                                     {"bfs", InitialScheme::kBfs},
@@ -142,7 +139,6 @@ void engine_configs_from_args(const CliArgs& args, EngineSpec& spec) {
   int_flag(args, "coarsen-to", ml.coarsen.coarsen_to);
   ml.coarsen.min_reduction =
       args.get_double("min-reduction", ml.coarsen.min_reduction);
-  int_flag(args, "coarsen-threads", ml.coarsen.coarsen_threads);
 
   NlevelConfig& nlevel = spec.nlevel;
   int_flag(args, "coarsen-to", nlevel.coarsen_to);
@@ -169,12 +165,11 @@ int run(int argc, char** argv) {
                     "look-beyond-first", "lookahead", "lookahead-scan",
                     "max-passes", "max-moves-past-best", "audit",
                     "audit-every", "initial-tries", "coarsen-to",
-                    "min-reduction", "refine-threads", "coarsen-threads",
-                    "max-cluster-weight", "max-rated-net-size",
-                    "local-moves-past-best", "final-refine",
-                    "initial-scheme", "population", "generations",
-                    "offspring", "mutation-period", "mutation-size",
-                    "threads"});
+                    "min-reduction", "max-cluster-weight",
+                    "max-rated-net-size", "local-moves-past-best",
+                    "final-refine", "initial-scheme", "population",
+                    "generations", "offspring", "mutation-period",
+                    "mutation-size", "threads"});
   if (args.get_bool("help")) {
     print_help();
     return 0;

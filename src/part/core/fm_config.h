@@ -112,7 +112,10 @@ struct FmConfig {
   /// (bit-identical to historical behavior); > 1 selects the
   /// synchronous-round parallel refiner (parallel_refine.h), whose
   /// results are identical for every thread count — the two engines are
-  /// different heuristics, so 1 vs >1 legitimately differ.
+  /// different heuristics, so 1 vs >1 legitimately differ.  No command
+  /// line sets it and run_engine rejects any value other than 1: it
+  /// stays only for e2ebench's round-engine probe and the parallel tests.
+  // det-lint: allow(knob-completeness)
   std::size_t refine_threads = 1;
 
   /// Runtime invariant audits (off by default).  The engine resolves this

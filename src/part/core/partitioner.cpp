@@ -15,24 +15,12 @@ Weight FlatFmPartitioner::run_start(const PartitionProblem& problem, Rng& rng,
   parts = make_initial(problem, config_.initial_scheme, start_index, rng);
   if (&problem != bound_problem_ || problem.graph != bound_graph_) {
     state_ = std::make_unique<PartitionState>(*problem.graph);
-    if (config_.refine_threads > 1) {
-      if (pool_ == nullptr) {
-        pool_ = std::make_unique<ThreadPool>(config_.refine_threads);
-      }
-      parallel_refiner_ =
-          std::make_unique<ParallelFmRefiner>(problem, config_, pool_.get());
-    } else {
-      refiner_ = std::make_unique<FmRefiner>(problem, config_);
-    }
+    refiner_ = std::make_unique<FmRefiner>(problem, config_);
     bound_problem_ = &problem;
     bound_graph_ = problem.graph;
   }
   state_->assign(parts);
-  if (parallel_refiner_ != nullptr) {
-    work_.absorb(parallel_refiner_->refine(*state_, rng).update_work());
-  } else {
-    work_.absorb(refiner_->refine(*state_, rng).update_work());
-  }
+  work_.absorb(refiner_->refine(*state_, rng).update_work());
   parts = state_->parts();
   return state_->cut();
 }

@@ -13,10 +13,8 @@
 #include "src/part/core/fm_config.h"
 #include "src/part/core/fm_refiner.h"
 #include "src/part/core/initial.h"
-#include "src/part/core/parallel_refine.h"
 #include "src/part/core/partition_state.h"
 #include "src/util/rng.h"
-#include "src/util/thread_pool.h"
 
 namespace vlsipart {
 
@@ -87,11 +85,6 @@ class FlatFmPartitioner final : public Bipartitioner {
   const Hypergraph* bound_graph_ = nullptr;
   std::unique_ptr<PartitionState> state_;
   std::unique_ptr<FmRefiner> refiner_;
-  /// Parallel-path scratch, used instead of refiner_ when
-  /// config_.refine_threads > 1 (the pool is created lazily and owned so
-  /// a clone gets private workers).
-  std::unique_ptr<ThreadPool> pool_;
-  std::unique_ptr<ParallelFmRefiner> parallel_refiner_;
 };
 
 }  // namespace vlsipart

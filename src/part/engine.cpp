@@ -142,12 +142,12 @@ EngineResult run_engine(const EngineSpec& spec, const Hypergraph& h,
   if (!out.error.empty()) return out;
   const EngineKind kind = find_engine(spec.engine)->kind;
   const FmConfig fm = engine_fm(spec, kind);
-  // The round refiner has no CLIP mode: flat, ml and evo would run LIFO
-  // keys under a CLIP label.  nlevel refines serially and keeps them.
-  if (fm.clip && fm.refine_threads > 1 && kind != EngineKind::kNlevel) {
+  // No served answer depends on a width: the round engines are left
+  // only for the probes and tests that call them directly.
+  if (fm.refine_threads != 1 || spec.ml.coarsen.coarsen_threads != 1) {
     out.error =
-        "CLIP needs serial refinement: refine_threads > 1 runs the round "
-        "refiner, which has no CLIP mode";
+        "refine_threads and coarsen_threads must be 1: run_engine runs "
+        "only the serial refiner and coarsener";
     return out;
   }
 

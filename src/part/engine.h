@@ -41,9 +41,7 @@ struct EngineSpec {
   /// never nest: across starts (k = 2, starts >= 2), across evo's
   /// offspring (evo, one start), or across bisection starts and RB
   /// subtrees (k > 2, KwayConfig::threads).  A single-start
-  /// ml/flat/clip/nlevel run stays serial.  The round engines'
-  /// fm.refine_threads and ml.coarsen.coarsen_threads sit outside the
-  /// budget: each budget thread may use that many more.  The answer is
+  /// ml/flat/clip/nlevel run stays serial.  The answer is
   /// bit-identical at every budget.
   std::size_t threads = 1;
   /// Every engine's refine policy and initial-solution generator (clip
@@ -57,9 +55,9 @@ struct EngineSpec {
 struct EngineResult {
   Weight cut = 0;
   std::vector<PartId> parts;
-  /// Non-empty: no answer (bad spec, CLIP with fm.refine_threads > 1
-  /// on an engine that would run the round refiner, nothing feasible,
-  /// failed audit); cut and parts are then only diagnostics.
+  /// Non-empty: no answer (bad spec, fm.refine_threads or
+  /// ml.coarsen.coarsen_threads other than 1, nothing feasible, failed
+  /// audit); cut and parts are then only diagnostics.
   std::string error;
   MultistartResult multistart;  ///< k = 2 per-start record
 };

@@ -2,8 +2,8 @@
 // recipe of KaHyPar-E (arXiv 1710.01968) scaled to this testbed: keep a
 // small population of full solutions, produce offspring by RECOMBINING
 // two parents through a V-cycle whose restricted coarsening respects the
-// agreement classes of both (guide[v] = 2*p1[v] + p2[v], riding
-// CoarsenConfig::respect_parts), diversify with MUTATION as a perturbed
+// agreement classes of both (guide[v] = 2*p1[v] + p2[v], passed as the
+// coarsener's parts), diversify with MUTATION as a perturbed
 // V-cycle, and replace with strict elitism (parents and offspring ranked
 // together, best `population` survive).
 //

@@ -42,9 +42,7 @@ CoarsenLevel coarsen_once(const Hypergraph& h, const CoarsenConfig& config,
                            static_cast<double>(size - 1);
       for (const VertexId w : h.pins(e)) {
         if (w == u || matched[w] || is_fixed(w)) continue;
-        if (config.respect_parts && !parts.empty() && parts[w] != parts[u]) {
-          continue;
-        }
+        if (!parts.empty() && parts[w] != parts[u]) continue;
         if (rating[w] == 0.0) touched.push_back(w);
         rating[w] += score;
       }
@@ -81,20 +79,20 @@ std::vector<CoarsenLevel> build_levels(const Hypergraph& h,
                                        const LevelBuilder& build_level) {
   std::vector<CoarsenLevel> levels;
   const Hypergraph* current = &h;
-  std::vector<PartId> current_fixed = fixed;
+  const std::vector<PartId>* current_fixed = &fixed;
   std::vector<PartId> current_parts = parts;
 
   while (current->num_vertices() > config.coarsen_to) {
-    CoarsenLevel level = build_level(*current, current_fixed, current_parts);
+    CoarsenLevel level = build_level(*current, *current_fixed, current_parts);
     const double reduction =
         static_cast<double>(level.coarse.num_vertices()) /
         static_cast<double>(current->num_vertices());
     if (reduction > config.min_reduction) break;  // stalled
-    if (!current_fixed.empty()) {
-      current_fixed = project_fixed(current_fixed, level.fine_to_coarse,
-                                    level.coarse.num_vertices());
+    if (!current_fixed->empty()) {
+      level.fixed = project_fixed(*current_fixed, level.fine_to_coarse,
+                                  level.coarse.num_vertices());
     }
-    if (config.respect_parts && !current_parts.empty()) {
+    if (!current_parts.empty()) {
       // Clusters are part-homogeneous, so any member's part is the
       // cluster's part.
       std::vector<PartId> coarse_parts(level.coarse.num_vertices(), kNoPart);
@@ -105,6 +103,7 @@ std::vector<CoarsenLevel> build_levels(const Hypergraph& h,
     }
     levels.push_back(std::move(level));
     current = &levels.back().coarse;
+    current_fixed = &levels.back().fixed;
   }
   return levels;
 }

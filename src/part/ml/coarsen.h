@@ -34,27 +34,27 @@ struct CoarsenConfig {
   /// Worker threads for coarsening.  1 = the serial random-order
   /// coarsener below (bit-identical to historical behavior); > 1 selects
   /// the two-phase rate/resolve coarsener (parallel_coarsen.h), whose
-  /// hierarchy is identical for every thread count.
-  std::size_t coarsen_threads = 1;
-  /// If true, only merge vertices currently in the same part — the
-  /// restricted coarsening used by V-cycling [25][26].  Not a CLI knob:
-  /// vcycle() sets it internally when re-coarsening around an existing
-  /// solution, and flipping it from a flag would silently build
-  /// hierarchies inconsistent with that solution.
+  /// hierarchy is identical for every thread count.  No command line
+  /// sets it and run_engine rejects any value other than 1: it stays
+  /// only for e2ebench's round-engine probe and the parallel tests.
   // det-lint: allow(knob-completeness)
-  bool respect_parts = false;
+  std::size_t coarsen_threads = 1;
 };
 
 struct CoarsenLevel {
   Hypergraph coarse;
   std::vector<VertexId> fine_to_coarse;
+  /// Fixed side of each coarse vertex (build_levels projects it down;
+  /// empty when the input has no fixed vertices).
+  std::vector<PartId> fixed;
 };
 
 /// One clustering + contraction step.  `fixed` (may be empty) marks
-/// vertices that must stay singletons; `parts` is consulted only when
-/// config.respect_parts is set.  `memory` (optional) supplies reusable
+/// vertices that must stay singletons; a non-empty `parts` restricts
+/// merges to vertices of the same part — the restricted coarsening used
+/// by V-cycling [25][26].  `memory` (optional) supplies reusable
 /// contraction scratch so repeated coarsening (V-cycles, multistart ML)
-/// stays allocation-free.
+/// stays allocation-free.  Leaves the level's `fixed` empty.
 CoarsenLevel coarsen_once(const Hypergraph& h, const CoarsenConfig& config,
                           const std::vector<PartId>& fixed,
                           const std::vector<PartId>& parts, Rng& rng,
@@ -69,8 +69,9 @@ using LevelBuilder = std::function<CoarsenLevel(
 /// The hierarchy loop of both coarseners: build levels with
 /// `build_level` until at most coarsen_to vertices remain or a level
 /// shrinks by less than min_reduction (that level is dropped), pushing
-/// fixed vertices, and under respect_parts the parts, down each kept
-/// level.  levels[0] maps the input graph to levels[0].coarse, etc.
+/// fixed vertices (into each level's `fixed`) and a non-empty `parts`
+/// down each kept level.  levels[0] maps the input graph to
+/// levels[0].coarse, etc.
 std::vector<CoarsenLevel> build_levels(const Hypergraph& h,
                                        const CoarsenConfig& config,
                                        const std::vector<PartId>& fixed,

@@ -31,17 +31,16 @@ Weight MlPartitioner::run_internal(const PartitionProblem& problem, Rng& rng,
                                    const std::vector<PartId>* cluster_guide) {
   const Hypergraph& fine = *problem.graph;
 
-  CoarsenConfig coarsen_config = config_.coarsen;
-  coarsen_config.respect_parts = restricted;
+  // A non-empty guide restricts clustering to equal labels.
   const std::vector<PartId> guide =
       restricted ? (cluster_guide != nullptr ? *cluster_guide : parts)
                  : std::vector<PartId>{};
   std::vector<CoarsenLevel> levels =
-      coarsen_config.coarsen_threads > 1
-          ? parallel_build_hierarchy(fine, coarsen_config, problem.fixed,
+      config_.coarsen.coarsen_threads > 1
+          ? parallel_build_hierarchy(fine, config_.coarsen, problem.fixed,
                                      guide, acquire_pool(),
                                      &contraction_memory_)
-          : build_hierarchy(fine, coarsen_config, problem.fixed, guide, rng,
+          : build_hierarchy(fine, config_.coarsen, problem.fixed, guide, rng,
                             &contraction_memory_);
 
   // Under runtime audits, every contracted hypergraph gets the full
@@ -52,19 +51,11 @@ Weight MlPartitioner::run_internal(const PartitionProblem& problem, Rng& rng,
     for (const CoarsenLevel& level : levels) level.coarse.validate();
   }
 
-  // Fixed constraints at each level.
-  std::vector<std::vector<PartId>> fixed_at_level;
-  fixed_at_level.reserve(levels.size() + 1);
-  fixed_at_level.push_back(problem.fixed);
-  for (const CoarsenLevel& level : levels) {
-    const auto& prev = fixed_at_level.back();
-    if (prev.empty()) {
-      fixed_at_level.emplace_back();
-    } else {
-      fixed_at_level.push_back(project_fixed(prev, level.fine_to_coarse,
-                                             level.coarse.num_vertices()));
-    }
-  }
+  // Fixed constraints at level i (0 = the input graph); build_levels
+  // projected them down with each kept level.
+  auto fixed_at_level = [&](std::size_t i) -> const std::vector<PartId>& {
+    return i == 0 ? problem.fixed : levels[i - 1].fixed;
+  };
 
   const Hypergraph* coarsest =
       levels.empty() ? &fine : &levels.back().coarse;
@@ -94,7 +85,7 @@ Weight MlPartitioner::run_internal(const PartitionProblem& problem, Rng& rng,
   PartitionProblem coarse_problem;
   coarse_problem.graph = coarsest;
   coarse_problem.balance = problem.balance;
-  coarse_problem.fixed = fixed_at_level.back();
+  coarse_problem.fixed = fixed_at_level(levels.size());
 
   // Coarsest-level solution.
   std::vector<PartId> coarse_parts;
@@ -102,7 +93,9 @@ Weight MlPartitioner::run_internal(const PartitionProblem& problem, Rng& rng,
     // Project the current solution down the (guide-respecting)
     // hierarchy; clusters are guide-homogeneous and the guide refines
     // the solution, so the projected cut equals the fine cut by
-    // construction.
+    // construction.  build_levels projected the guide, which under
+    // vcycle_guided holds labels (2*p1 + p2), not parts, so the parts
+    // are projected here.
     coarse_parts = parts;
     for (const CoarsenLevel& level : levels) {
       std::vector<PartId> next(level.coarse.num_vertices(), kNoPart);
@@ -131,7 +124,7 @@ Weight MlPartitioner::run_internal(const PartitionProblem& problem, Rng& rng,
     PartitionProblem level_problem;
     level_problem.graph = level_graph;
     level_problem.balance = problem.balance;
-    level_problem.fixed = fixed_at_level[i];
+    level_problem.fixed = fixed_at_level(i);
 
     PartitionState state(*level_graph);
     state.assign(coarse_parts);

@@ -22,7 +22,7 @@ CoarsenLevel parallel_coarsen_once(const Hypergraph& h,
   auto is_fixed = [&fixed](VertexId v) {
     return !fixed.empty() && fixed[v] != kNoPart;
   };
-  const bool check_parts = config.respect_parts && !parts.empty();
+  const bool check_parts = !parts.empty();
 
   // Phase 1: every vertex independently rates its neighbors against the
   // immutable fine graph and records its preferred partner.  Per-shard

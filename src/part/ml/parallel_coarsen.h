@@ -9,8 +9,8 @@
 //      preferred partner pref[v]: the neighbor with the highest
 //      heavy-edge rating sum(w(e) / (|e|-1)) over shared nets no larger
 //      than max_rated_net_size, ties to the lowest id, restricted to
-//      partners whose pair weight fits max_cluster_weight (and, under
-//      respect_parts, the same part).  Preferences read only the
+//      partners whose pair weight fits max_cluster_weight (and, when
+//      `parts` is non-empty, the same part).  Preferences read only the
 //      immutable fine graph, so vertex-range shards race on nothing and
 //      pref[] is a pure function of the graph — independent of the
 //      shard count.

@@ -16,15 +16,10 @@
 // and never of server load, worker count, batching or cache state.  The
 // engines guarantee this (bit-identical multistart, DESIGN.md
 // "Threading model"); the service preserves it by running every job on
-// exactly one worker.  Each job's engine uses the daemon-wide
-// refine_threads/coarsen_threads setting; the intra-run parallel engines
-// are bit-identical at any thread count > 1, but 1 (serial FM) and > 1
-// (synchronous-round engine) are different heuristics, so a deployment
-// must pick one setting and keep it for results to be comparable across
-// restarts.  That contract
-// is also what makes the result cache sound: a repeated request may be
-// answered from cache because recomputing it could not produce anything
-// else.
+// exactly one worker.  No daemon setting reaches the engines, so answers
+// also agree across restarts.  That contract is also what makes the
+// result cache sound: a repeated request may be answered from cache
+// because recomputing it could not produce anything else.
 #pragma once
 
 #include <cstdint>

@@ -54,12 +54,11 @@ struct PartitionService::Connection {
 
 namespace {
 
-/// The run a job asks for, plus the daemon-wide intra-run threads and
-/// the per-job thread budget.  run_engine() builds the engine per job;
-/// the answer is a pure function of the request at any budget
-/// (ServiceDeterminism tests), so the budget stays out of the cache key.
-EngineSpec job_spec(const SubmitRequest& req, const ServiceConfig& config,
-                    std::size_t job_threads) {
+/// The run a job asks for, plus the per-job thread budget.
+/// run_engine() builds the engine per job; the answer is a pure function
+/// of the request at any budget (ServiceDeterminism tests), so the
+/// budget stays out of the cache key.
+EngineSpec job_spec(const SubmitRequest& req, std::size_t job_threads) {
   EngineSpec spec;
   spec.threads = job_threads;
   spec.engine = req.engine;
@@ -70,9 +69,6 @@ EngineSpec job_spec(const SubmitRequest& req, const ServiceConfig& config,
   spec.seed = req.seed;
   spec.evo.population = req.population;
   spec.evo.generations = req.generations;
-  spec.fm.refine_threads = std::max<std::size_t>(1, config.refine_threads);
-  spec.ml.coarsen.coarsen_threads =
-      std::max<std::size_t>(1, config.coarsen_threads);
   return spec;
 }
 
@@ -110,12 +106,8 @@ void PartitionService::start() {
   if (!bound_.is_unix()) bound_.tcp_port = bound_tcp_port(listener_);
 
   // The CPUs left idle by `workers` one-job-at-a-time workers, shared out
-  // as one thread budget per job.  Each budget thread may run a round
-  // engine of up to round_threads threads, so they share the CPUs too.
-  const std::size_t round_threads = std::max<std::size_t>(
-      {1, config_.refine_threads, config_.coarsen_threads});
-  job_threads_ = std::max<std::size_t>(
-      1, usable_cpus() / (config_.workers * round_threads));
+  // as one thread budget per job.
+  job_threads_ = std::max<std::size_t>(1, usable_cpus() / config_.workers);
   pool_ = std::make_unique<ThreadPool>(config_.workers);
   for (std::size_t i = 0; i < config_.workers; ++i) {
     pool_->submit_with_slot([this](std::size_t slot) { worker_driver(slot); });
@@ -550,7 +542,7 @@ void PartitionService::worker_driver(std::size_t slot) {
         job->cache = "result";
       } else {
         EngineResult outcome = run_engine(
-            job_spec(job->request, config_, job_threads_), instance->graph);
+            job_spec(job->request, job_threads_), instance->graph);
         release_free_memory();
         if (!outcome.error.empty()) {
           job->error = outcome.error;

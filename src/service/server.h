@@ -12,12 +12,10 @@
 //                         builds its engine per job and audits the answer
 //                         (check_solution for k = 2, check_kway for k > 2).
 //                         Each job gets the thread budget
-//                         max(1, usable_cpus() / (workers * round
-//                         threads)), round threads being the larger of
-//                         refine_threads and coarsen_threads (1 by
-//                         default); run_engine spends it on the job's
-//                         starts, evo offspring or RB subtrees, and
-//                         answers do not depend on it;
+//                         max(1, usable_cpus() / workers); run_engine
+//                         spends it on the job's starts, evo offspring
+//                         or RB subtrees, and answers do not depend on
+//                         it;
 //   * the caller's thread (serve_until_shutdown) — periodic stats log +
 //                         shutdown latch.
 //
@@ -64,14 +62,6 @@ struct ServiceConfig {
   std::size_t instance_cache_capacity = 8;  // resident hypergraphs
   std::size_t result_cache_capacity = 256;
   bool verbose = false;                     // per-event log lines
-  /// Intra-run threads of each job's engine (1 = the serial engines;
-  /// > 1 = the deterministic synchronous-round refiner / two-phase
-  /// coarsener).  Results stay a pure function of the request either
-  /// way, so cached and recomputed answers agree at any setting — but
-  /// the two settings are different heuristics, so a deployment must
-  /// pick one and keep it (see protocol.h determinism contract).
-  std::size_t refine_threads = 1;
-  std::size_t coarsen_threads = 1;
 };
 
 class PartitionService {
@@ -100,8 +90,7 @@ class PartitionService {
 
   const ServiceMetrics& metrics() const { return metrics_; }
   /// Thread budget of each job (EngineSpec::threads), fixed at start():
-  /// max(1, usable_cpus() / (workers * max(refine_threads,
-  /// coarsen_threads))).
+  /// max(1, usable_cpus() / workers).
   std::size_t job_threads() const { return job_threads_; }
   std::size_t queue_depth() const;
   /// Jobs admitted but not yet terminal (queued + running).

@@ -126,34 +126,28 @@ TEST(Engine, InitialSchemeReachesEveryEngine) {
   }
 }
 
-// The round refiner has no CLIP mode, so CLIP with refine_threads > 1 is
-// an error naming why, whether it comes from the clip engine or from
-// fm.clip, at k = 2 and k > 2.  nlevel refines serially and keeps CLIP.
-TEST(Engine, RejectsClipWithRoundRefiner) {
+// No served answer depends on a round-engine width: either width other
+// than 1 is an error with no parts, on every engine at k = 2 and on the
+// recursive-bisection engines at k = 4.
+TEST(Engine, RejectsRoundEngineWidths) {
   const Hypergraph h = generate_netlist(preset("tiny"));
-  for (const char* engine : {"clip", "flat", "ml", "evo"}) {
-    for (const std::size_t k : {2u, 4u}) {
-      if (k > 2 && std::string(engine) == "evo") continue;
-      EngineSpec spec = small_spec(engine, k, 2);
-      spec.fm.clip = true;
+  for (const std::size_t k : {2u, 4u}) {
+    for (const std::string& engine : engine_names()) {
+      if (!engine_spec_error(engine, k).empty()) continue;
+      const EngineSpec spec = small_spec(engine, k, 2);
       ASSERT_EQ(run_engine(spec, h).error, "") << engine << " k=" << k;
-      spec.fm.refine_threads = 2;
-      const EngineResult r = run_engine(spec, h);
-      EXPECT_NE(r.error.find("no CLIP mode"), std::string::npos)
-          << engine << " k=" << k << ": " << r.error;
-      EXPECT_TRUE(r.parts.empty()) << engine << " k=" << k;
+      EngineSpec refine = spec;
+      refine.fm.refine_threads = 2;
+      EngineSpec coarsen = spec;
+      coarsen.ml.coarsen.coarsen_threads = 2;
+      for (const EngineSpec& wide : {refine, coarsen}) {
+        const EngineResult r = run_engine(wide, h);
+        EXPECT_NE(r.error.find("must be 1"), std::string::npos)
+            << engine << " k=" << k << ": " << r.error;
+        EXPECT_TRUE(r.parts.empty()) << engine << " k=" << k;
+      }
     }
   }
-  EngineSpec clip = small_spec("clip", 2, 2);
-  clip.fm.refine_threads = 2;
-  EXPECT_NE(run_engine(clip, h).error, "");
-  EngineSpec flat = small_spec("flat", 2, 2);
-  flat.fm.refine_threads = 2;
-  EXPECT_EQ(run_engine(flat, h).error, "");
-  EngineSpec nlevel = small_spec("nlevel", 2, 2);
-  nlevel.fm.clip = true;
-  nlevel.fm.refine_threads = 2;
-  EXPECT_EQ(run_engine(nlevel, h).error, "");
 }
 
 std::size_t corked_starts(const EngineResult& r) {

@@ -1,6 +1,8 @@
 // Tests for multilevel coarsening, the ML partitioner and V-cycling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/gen/netlist_gen.h"
 #include "src/part/core/partitioner.h"
 #include "src/part/ml/coarsen.h"
@@ -67,10 +69,8 @@ TEST(Coarsen, RespectPartsKeepsClustersHomogeneous) {
   Rng init(3);
   std::vector<PartId> parts(h.num_vertices());
   for (auto& p : parts) p = static_cast<PartId>(init.below(2));
-  CoarsenConfig config;
-  config.respect_parts = true;
   Rng rng(4);
-  const CoarsenLevel level = coarsen_once(h, config, {}, parts, rng);
+  const CoarsenLevel level = coarsen_once(h, CoarsenConfig{}, {}, parts, rng);
   std::vector<PartId> cluster_part(level.coarse.num_vertices(), kNoPart);
   for (std::size_t v = 0; v < parts.size(); ++v) {
     PartId& slot = cluster_part[level.fine_to_coarse[v]];
@@ -149,6 +149,40 @@ TEST(Coarsen, BuildLevelsDropsTheStalledLevel) {
       });
   EXPECT_EQ(built, 3u);
   EXPECT_EQ(levels.size(), 2u);
+}
+
+// Each kept level carries its own fixed sides: a fixed vertex's cluster
+// keeps the side at every level, and a hierarchy without fixed vertices
+// carries none.
+TEST(Coarsen, HierarchyCarriesFixedPerLevel) {
+  const Hypergraph h = generate_netlist(preset("small"));
+  std::vector<PartId> fixed(h.num_vertices(), kNoPart);
+  for (std::size_t v = 0; v < fixed.size(); v += 7) {
+    fixed[v] = static_cast<PartId>(v % 2);
+  }
+  const auto num_fixed = [](const std::vector<PartId>& f) {
+    return std::count_if(f.begin(), f.end(),
+                         [](PartId p) { return p != kNoPart; });
+  };
+  Rng rng(8);
+  const auto levels = build_hierarchy(h, CoarsenConfig{}, fixed, {}, rng);
+  ASSERT_FALSE(levels.empty());
+  const std::vector<PartId>* fine = &fixed;
+  for (const CoarsenLevel& level : levels) {
+    ASSERT_EQ(level.fixed.size(), level.coarse.num_vertices());
+    for (std::size_t v = 0; v < fine->size(); ++v) {
+      if ((*fine)[v] != kNoPart) {
+        EXPECT_EQ(level.fixed[level.fine_to_coarse[v]], (*fine)[v]);
+      }
+    }
+    EXPECT_EQ(num_fixed(level.fixed), num_fixed(fixed));  // singletons
+    fine = &level.fixed;
+  }
+  Rng free_rng(8);
+  for (const CoarsenLevel& level :
+       build_hierarchy(h, CoarsenConfig{}, {}, {}, free_rng)) {
+    EXPECT_TRUE(level.fixed.empty());
+  }
 }
 
 TEST(Coarsen, ProjectFixedDetectsConflicts) {

@@ -256,28 +256,6 @@ TEST(ParallelRefine, MlPipelineBitIdenticalAcrossThreadCounts) {
   }
 }
 
-/// FlatFmPartitioner with refine_threads > 1 under the multistart
-/// harness: still thread-invariant, still feasible.
-TEST(ParallelRefine, FlatPartitionerMultistartThreadInvariant) {
-  const Hypergraph h = generate_netlist(preset("small"));
-  const PartitionProblem p = make_problem(h, 0.02);
-
-  auto run = [&](std::size_t refine_threads) {
-    FmConfig cfg;
-    cfg.refine_threads = refine_threads;
-    FlatFmPartitioner engine(cfg);
-    const MultistartResult r = run_multistart(p, engine, 4, /*seed=*/9);
-    Digest d;
-    d.add_signed(r.best_cut);
-    for (const PartId part : r.best_parts) d.add(part);
-    return d.h;
-  };
-
-  const std::uint64_t ref = run(2);
-  EXPECT_EQ(run(4), ref);
-  EXPECT_EQ(run(8), ref);
-}
-
 // ---------------------------------------------------------------------
 // Parallel coarsening invariance.
 

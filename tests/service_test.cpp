@@ -502,17 +502,6 @@ TEST_F(ServiceFixture, ServiceStatsReportJobThreads) {
   }
 }
 
-// Round-engine threads run inside each budget thread, so they divide the
-// CPUs as well.
-TEST_F(ServiceFixture, JobThreadsLeaveRoomForRoundThreads) {
-  ServiceConfig config = test_config(1);
-  config.refine_threads = 2;
-  config.coarsen_threads = 3;
-  start(std::move(config));
-  EXPECT_EQ(server_->job_threads(),
-            std::max<std::size_t>(1, usable_cpus() / 3));
-}
-
 // ---------------------------------------------------------------------
 // Component-level pieces.
 

@@ -11,8 +11,7 @@
 //   vpartd --socket tcp:7077                      (127.0.0.1 only)
 // Options:
 //   --workers 2            concurrent partitioning jobs; each job gets
-//                          max(1, usable CPUs / (workers * the larger
-//                          of the two round-thread counts below)) threads
+//                          max(1, usable CPUs / workers) threads
 //   --queue 64             admission queue capacity (beyond = shed)
 //   --max-payload-mb 4     per-frame payload cap
 //   --idle-timeout-ms 30000  silent connections are closed
@@ -20,9 +19,6 @@
 //   --stats-interval 0     seconds between stats log lines (0 = off)
 //   --instance-cache 8     resident built hypergraphs
 //   --result-cache 256     resident finished results
-//   --refine-threads 1     intra-run refinement threads per engine
-//                          (1 = serial FM; >1 = synchronous-round engine)
-//   --coarsen-threads 1    intra-run coarsening threads per engine
 //   --verbose              per-event log lines on stderr
 #include <cstdio>
 
@@ -39,8 +35,7 @@ int run(int argc, char** argv) {
   const CliArgs args(argc, argv);
   args.check_known({"socket", "workers", "queue", "max-payload-mb",
                     "idle-timeout-ms", "drain-grace-ms", "stats-interval",
-                    "instance-cache", "result-cache", "refine-threads",
-                    "coarsen-threads", "verbose"});
+                    "instance-cache", "result-cache", "verbose"});
   ServiceConfig config;
   std::string endpoint_error;
   if (!Endpoint::parse(args.get("socket", "unix:/tmp/vpartd.sock"),
@@ -61,10 +56,6 @@ int run(int argc, char** argv) {
       static_cast<std::size_t>(args.get_int("instance-cache", 8));
   config.result_cache_capacity =
       static_cast<std::size_t>(args.get_int("result-cache", 256));
-  config.refine_threads =
-      static_cast<std::size_t>(args.get_int("refine-threads", 1));
-  config.coarsen_threads =
-      static_cast<std::size_t>(args.get_int("coarsen-threads", 1));
   config.verbose = args.get_bool("verbose");
 
   install_shutdown_handler();
