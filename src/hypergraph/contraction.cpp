@@ -101,11 +101,11 @@ ContractionResult contract(const Hypergraph& h,
     while (true) {
       const std::uint32_t idx = mem.slots[slot];
       if (idx == kEmptySlot) {
-        // Pending-net count and per-net pin count are bounded by the fine
-        // edge/pin counts, which the id contract keeps below 2^32.
+        // Pending-net count and pin-pool size are bounded by the fine
+        // edge/pin counts, which the builder keeps below 2^32.
         mem.slots[slot] = vp::checked_narrow<std::uint32_t>(mem.pending.size());
         mem.pending.push_back(
-            {mem.pin_pool.size(),
+            {vp::checked_narrow<std::uint32_t>(mem.pin_pool.size()),
              vp::checked_narrow<std::uint32_t>(coarse_pins.size()), ew});
         mem.pin_pool.insert(mem.pin_pool.end(), coarse_pins.begin(),
                             coarse_pins.end());

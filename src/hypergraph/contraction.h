@@ -36,7 +36,7 @@ struct ContractionMemory {
   /// Flat pin storage of all surviving (pending) nets.
   std::vector<VertexId> pin_pool;
   struct PendingNet {
-    std::size_t pins_begin = 0;
+    std::uint32_t pins_begin = 0;
     std::uint32_t pins_size = 0;
     Weight weight = 0;
   };

@@ -106,8 +106,12 @@ EdgeId HypergraphBuilder::add_edge(std::span<const VertexId> pins,
   // The new edge's id is the current edge count; checked_narrow enforces
   // that it stays below the kInvalidEdge sentinel.
   const auto id = vp::checked_narrow<EdgeId>(edge_weights_.size());
+  // The CSR offsets are 32-bit: a pin count past 2^32 - 1 is an error
+  // here, before the pins are stored, never a wrapped offset.
+  const auto end =
+      vp::checked_narrow<std::uint32_t>(edge_pins_.size() + pins.size());
   edge_pins_.insert(edge_pins_.end(), pins.begin(), pins.end());
-  edge_offsets_.push_back(edge_pins_.size());
+  edge_offsets_.push_back(end);
   edge_weights_.push_back(weight);
   return id;
 }
@@ -134,8 +138,8 @@ Hypergraph HypergraphBuilder::finalize(std::string name) {
     h.vertex_offsets_[v + 1] += h.vertex_offsets_[v];
   }
   h.vertex_edges_.resize(h.edge_pins_.size());
-  std::vector<std::size_t> cursor(h.vertex_offsets_.begin(),
-                                  h.vertex_offsets_.end() - 1);
+  std::vector<std::uint32_t> cursor(h.vertex_offsets_.begin(),
+                                    h.vertex_offsets_.end() - 1);
   std::vector<Weight> wdeg(n, 0);
   for (std::size_t e = 0; e < m; ++e) {
     const Weight w = h.edge_weights_[e];

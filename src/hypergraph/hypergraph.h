@@ -9,6 +9,7 @@
 // nets, wide cell-area variation (Sec. 2.1).
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -73,11 +74,12 @@ class Hypergraph {
   std::string name_;
   std::vector<Weight> vertex_weights_;
   std::vector<Weight> edge_weights_;
-  // CSR edge -> pins.
-  std::vector<std::size_t> edge_offsets_;   // size num_edges()+1
+  // CSR edge -> pins.  Offsets are 32-bit: the builder keeps the pin
+  // count below 2^32, and both directions hold one entry per pin.
+  std::vector<std::uint32_t> edge_offsets_;    // size num_edges()+1
   std::vector<VertexId> edge_pins_;
   // CSR vertex -> incident edges.
-  std::vector<std::size_t> vertex_offsets_;  // size num_vertices()+1
+  std::vector<std::uint32_t> vertex_offsets_;  // size num_vertices()+1
   std::vector<EdgeId> vertex_edges_;
   Weight total_vertex_weight_ = 0;
   Weight total_edge_weight_ = 0;
@@ -101,7 +103,8 @@ class HypergraphBuilder {
   /// Add a hyperedge over the given pins.  Duplicate pins within one edge
   /// are removed; edges with fewer than 2 distinct pins are dropped
   /// (they can never be cut).  Returns the edge id, or kInvalidEdge if
-  /// the edge was dropped.
+  /// the edge was dropped.  Throws when the total pin count would pass
+  /// 2^32 - 1, the reach of the 32-bit CSR offsets.
   EdgeId add_edge(std::span<const VertexId> pins, Weight weight = 1);
   EdgeId add_edge(std::initializer_list<VertexId> pins, Weight weight = 1) {
     return add_edge(std::span<const VertexId>(pins.begin(), pins.size()),
@@ -116,7 +119,7 @@ class HypergraphBuilder {
   std::vector<std::string> vertex_names_;
   bool has_names_ = false;
   std::vector<Weight> edge_weights_;
-  std::vector<std::size_t> edge_offsets_{0};
+  std::vector<std::uint32_t> edge_offsets_{0};
   std::vector<VertexId> edge_pins_;
   std::vector<VertexId> scratch_;
 };

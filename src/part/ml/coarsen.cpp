@@ -80,10 +80,13 @@ std::vector<CoarsenLevel> build_levels(const Hypergraph& h,
   std::vector<CoarsenLevel> levels;
   const Hypergraph* current = &h;
   const std::vector<PartId>* current_fixed = &fixed;
-  std::vector<PartId> current_parts = parts;
+  // The input's parts are only read; projections own their storage from
+  // level 1 on.
+  const std::vector<PartId>* current_parts = &parts;
+  std::vector<PartId> projected_parts;
 
   while (current->num_vertices() > config.coarsen_to) {
-    CoarsenLevel level = build_level(*current, *current_fixed, current_parts);
+    CoarsenLevel level = build_level(*current, *current_fixed, *current_parts);
     const double reduction =
         static_cast<double>(level.coarse.num_vertices()) /
         static_cast<double>(current->num_vertices());
@@ -92,14 +95,15 @@ std::vector<CoarsenLevel> build_levels(const Hypergraph& h,
       level.fixed = project_fixed(*current_fixed, level.fine_to_coarse,
                                   level.coarse.num_vertices());
     }
-    if (!current_parts.empty()) {
+    if (!current_parts->empty()) {
       // Clusters are part-homogeneous, so any member's part is the
       // cluster's part.
       std::vector<PartId> coarse_parts(level.coarse.num_vertices(), kNoPart);
-      for (std::size_t v = 0; v < current_parts.size(); ++v) {
-        coarse_parts[level.fine_to_coarse[v]] = current_parts[v];
+      for (std::size_t v = 0; v < current_parts->size(); ++v) {
+        coarse_parts[level.fine_to_coarse[v]] = (*current_parts)[v];
       }
-      current_parts = std::move(coarse_parts);
+      projected_parts = std::move(coarse_parts);
+      current_parts = &projected_parts;
     }
     levels.push_back(std::move(level));
     current = &levels.back().coarse;

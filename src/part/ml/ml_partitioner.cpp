@@ -31,10 +31,12 @@ Weight MlPartitioner::run_internal(const PartitionProblem& problem, Rng& rng,
                                    const std::vector<PartId>* cluster_guide) {
   const Hypergraph& fine = *problem.graph;
 
-  // A non-empty guide restricts clustering to equal labels.
-  const std::vector<PartId> guide =
+  // A non-empty guide restricts clustering to equal labels.  Coarsening
+  // only reads it, so it binds the caller's vector.
+  const std::vector<PartId> no_guide;
+  const std::vector<PartId>& guide =
       restricted ? (cluster_guide != nullptr ? *cluster_guide : parts)
-                 : std::vector<PartId>{};
+                 : no_guide;
   std::vector<CoarsenLevel> levels =
       config_.coarsen.coarsen_threads > 1
           ? parallel_build_hierarchy(fine, config_.coarsen, problem.fixed,
@@ -114,12 +116,15 @@ Weight MlPartitioner::run_internal(const PartitionProblem& problem, Rng& rng,
         rng, refiner_for(coarse_problem));
   }
 
-  // Uncoarsen + refine.
+  // Uncoarsen + refine.  Once its map has projected the solution, a
+  // level is spent: popping it frees its graph before the next (larger)
+  // level refines, so level 0's FM runs without the hierarchy resident.
   Weight audit_prev_cut =
       audit.enabled() ? compute_cut(*coarsest, coarse_parts) : 0;
   for (std::size_t i = levels.size(); i-- > 0;) {
     const Hypergraph* level_graph = (i == 0) ? &fine : &levels[i - 1].coarse;
     coarse_parts = project_partition(levels[i].fine_to_coarse, coarse_parts);
+    levels.pop_back();
 
     PartitionProblem level_problem;
     level_problem.graph = level_graph;

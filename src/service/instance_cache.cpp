@@ -131,10 +131,11 @@ std::shared_ptr<const CachedResult> ResultCache::find(std::uint64_t key) {
   return it->second.result;
 }
 
-void ResultCache::insert(std::uint64_t key, CachedResult result) {
+void ResultCache::insert(std::uint64_t key,
+                         std::shared_ptr<const CachedResult> result) {
   std::lock_guard<std::mutex> lock(mutex_);
   Entry& entry = entries_[key];
-  entry.result = std::make_shared<const CachedResult>(std::move(result));
+  entry.result = std::move(result);
   entry.last_use = ++use_counter_;
   while (entries_.size() > capacity_) {
     auto oldest = entries_.begin();

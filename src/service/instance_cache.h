@@ -8,9 +8,10 @@
 // builds are resident.
 //
 // ResultCache maps a result_cache_key() hash to a finished (cut, parts)
-// pair.  This is sound only because results are deterministic functions
-// of the request (see protocol.h): serving from cache is observationally
-// identical to recomputing.
+// pair, shared with the jobs that answered with it.  This is sound only
+// because results are deterministic functions of the request (see
+// protocol.h): serving from cache is observationally identical to
+// recomputing.
 #pragma once
 
 #include <cstdint>
@@ -82,7 +83,9 @@ class ResultCache {
 
   /// Returns the cached result for `key`, or nullptr on miss.
   std::shared_ptr<const CachedResult> find(std::uint64_t key);
-  void insert(std::uint64_t key, CachedResult result);
+  /// Stores `result`, which the caller may keep sharing: a job and the
+  /// cache hold one answer, and an evicted answer lives on in its jobs.
+  void insert(std::uint64_t key, std::shared_ptr<const CachedResult> result);
 
   std::uint64_t hits() const;
   std::uint64_t misses() const;

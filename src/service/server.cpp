@@ -31,8 +31,9 @@ struct PartitionService::Job {
   SubmitRequest request;
   JobState state = JobState::kQueued;
   std::string error;
-  Weight cut = 0;
-  std::vector<PartId> parts;
+  /// The finished answer, shared with the result cache: a cold run is
+  /// stored once, and a hit holds the cached answer without copying it.
+  std::shared_ptr<const CachedResult> answer;
   std::string cache = "none";  // result | instance | none
   ServiceClock::time_point admitted_at;
   double queue_wait_seconds = 0.0;
@@ -397,14 +398,14 @@ JsonValue PartitionService::job_response(const Job& job) const {
   out.set("job", JsonValue::integer(static_cast<std::int64_t>(job.id)));
   out.set("state", JsonValue::string(job_state_name(job.state)));
   if (job.state == JobState::kDone) {
-    out.set("cut", JsonValue::integer(job.cut));
+    out.set("cut", JsonValue::integer(job.answer->cut));
     out.set("cache", JsonValue::string(job.cache));
     out.set("queue_wait_s", JsonValue::number(job.queue_wait_seconds));
     out.set("run_s", JsonValue::number(job.run_seconds));
     out.set("run_cpu_s", JsonValue::number(job.run_cpu_seconds));
     if (job.request.include_parts) {
       JsonValue parts = JsonValue::array();
-      for (const PartId p : job.parts) {
+      for (const PartId p : job.answer->parts) {
         parts.push(JsonValue::integer(p));
       }
       out.set("parts", std::move(parts));
@@ -537,8 +538,7 @@ void PartitionService::worker_driver(std::size_t slot) {
       const ThreadCpuTimer cpu_timer;
       if (cached != nullptr) {
         metrics_.count_result_cache_hit();
-        job->cut = cached->cut;
-        job->parts = cached->parts;
+        job->answer = std::move(cached);
         job->cache = "result";
       } else {
         EngineResult outcome = run_engine(
@@ -550,13 +550,10 @@ void PartitionService::worker_driver(std::size_t slot) {
           finish_job(job, JobState::kFailed);
           continue;
         }
-        job->cut = outcome.cut;
-        job->parts = std::move(outcome.parts);
+        job->answer = std::make_shared<const CachedResult>(
+            CachedResult{outcome.cut, std::move(outcome.parts)});
         job->cache = instance_hit ? "instance" : "none";
-        CachedResult to_cache;
-        to_cache.cut = job->cut;
-        to_cache.parts = job->parts;
-        results_.insert(key, std::move(to_cache));
+        results_.insert(key, job->answer);
       }
       job->run_seconds = run_timer.elapsed();
       job->run_cpu_seconds = cpu_timer.elapsed();

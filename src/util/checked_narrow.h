@@ -1,14 +1,15 @@
 // Checked integral narrowing for the compact-CSR id space.
 //
-// The hypergraph stores offsets as std::size_t while ids (VertexId,
-// EdgeId) are 32-bit; every conversion from the 64-bit size domain into
-// the id domain is a potential silent truncation once instances pass
-// 2^32 pins.  vp::checked_narrow<T>(v) is the sanctioned spelling of
-// that conversion: it asserts the value is representable in T and then
-// casts.  In src/part and src/hypergraph an implicit narrowing
-// assignment does not compile (-Werror=conversion), and vpart_lint's
-// narrowing-cast rule flags a bare static_cast of a size-derived value
-// while treating a checked_narrow-wrapped one as proven.
+// The hypergraph's ids (VertexId, EdgeId) and CSR offsets are 32-bit
+// while container sizes are std::size_t; every conversion from the
+// 64-bit size domain into the id or offset domain is a potential silent
+// truncation once instances pass 2^32 pins.  vp::checked_narrow<T>(v)
+// is the sanctioned spelling of that conversion: it asserts the value is
+// representable in T and then casts.  In src/part and src/hypergraph an
+// implicit narrowing assignment does not compile (-Werror=conversion),
+// and vpart_lint's narrowing-cast rule flags a bare static_cast of a
+// size-derived value while treating a checked_narrow-wrapped one as
+// proven.
 //
 // The check is VP_CHECK (always on): it is one compare against a
 // constant with a never-taken branch, which is noise next to the memory

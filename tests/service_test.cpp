@@ -223,6 +223,35 @@ TEST_F(ServiceFixture, ServiceResultCacheHitReturnsIdenticalResult) {
   EXPECT_NE(other.cache, "result");
 }
 
+// A job shares its answer with the result cache; evicting the cache
+// entry must not take the answer from the job that computed it.
+TEST_F(ServiceFixture, EvictedAnswerStaysFetchable) {
+  ServiceConfig config = test_config(1);
+  config.result_cache_capacity = 1;
+  const Endpoint endpoint = start(config);
+  ServiceClient client;
+  ASSERT_TRUE(client.connect(endpoint)) << client.error();
+  const PartitionReply first = client.submit_and_wait(tiny_request(31));
+  ASSERT_TRUE(first.ok) << first.error << ": " << first.message;
+  ASSERT_FALSE(first.parts.empty());
+  // Job B takes the one cache slot.
+  ASSERT_TRUE(client.submit_and_wait(tiny_request(32)).ok);
+  JsonValue stats;
+  ASSERT_TRUE(client.stats(stats));
+  EXPECT_EQ(stats.find("results_resident")->as_int(), 1);
+
+  const PartitionReply again = client.fetch_result(first.job);
+  ASSERT_TRUE(again.ok) << again.error << ": " << again.message;
+  EXPECT_EQ(again.job, first.job);
+  EXPECT_EQ(again.cut, first.cut);
+  EXPECT_EQ(again.parts, first.parts);
+  // A's entry really was evicted: resubmitting it runs the engine again.
+  const PartitionReply rerun = client.submit_and_wait(tiny_request(31));
+  ASSERT_TRUE(rerun.ok);
+  EXPECT_NE(rerun.cache, "result");
+  EXPECT_EQ(rerun.parts, first.parts);
+}
+
 // Front-end equivalence: a vpartd submit answers exactly what
 // run_engine() answers for the same spec, also for a seed above 2^53,
 // which a double on the wire would round.
