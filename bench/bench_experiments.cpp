@@ -14,8 +14,8 @@
 // (Tables 4/5) whose numbers the row's cells average, and may adapt its
 // spec to each case's graph.  Every cell is one run_engine call per
 // spec, so every answer is audited by check_solution.  The report
-// entries (bsf, pareto, noise, pruning, significance, kway) hand each
-// table and every case to a report instead.
+// entries (bsf, pareto, noise, pruning, significance, kway, knobs) hand
+// each table and every case to a report instead.
 //
 // A flag the selected experiment does not read is a usage error; `all`
 // runs every entry at its defaults and accepts only the common
@@ -93,6 +93,9 @@ struct Table {
   /// More views of the same runs, one line per (row, case): a title and
   /// its cells each.
   std::vector<std::pair<std::string, std::vector<Cell>>> listings = {};
+  /// knobs only: why the knob stays whatever its verdict (kItem8Note
+  /// replaces the verdict); empty when the rule decides.
+  std::string note = {};
 };
 
 using Report = void (*)(const std::vector<Case>&, const Table&,
@@ -778,6 +781,178 @@ void kway_report(const std::vector<Case>& cases, const Table& table,
   emit(out, opt, table.title);
 }
 
+/// Mann-Whitney p-values as printed: three decimals, or two significant
+/// digits below 0.001.
+std::string fmt_p(double p) {
+  if (p >= 0.001) return fmt_fixed(p, 3);
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.1e", p);
+  return buf;
+}
+
+/// The knobs note of the coarsening rows, which wait for ROADMAP item 8:
+/// measured, with no verdict.
+const char* const kItem8Note = "item 8 (coarsening), no verdict";
+
+/// The knob audit: one table per engine knob that only vpart sets, its
+/// default row first, then each alternative, all on one engine at 2%
+/// balance.  The rule is fixed before measuring (knobs_report).  The
+/// knobs it condemned are constants now, so only the knobs that stay
+/// have tables; EXPERIMENTS.md keeps the verdicts of all of them.
+std::vector<Table> knobs(const BenchOptions& opt, const CliArgs&) {
+  const auto row = [&](const char* engine, const std::string& label,
+                       const std::function<void(EngineSpec&)>& set) {
+    EngineSpec spec = multistart_spec(opt, engine, our_lifo(), 0.02);
+    set(spec);
+    return Row{label, {spec}};
+  };
+  const auto knob = [](const std::string& field, const char* engine,
+                       std::vector<Row> rows, const std::string& note = "") {
+    return Table{.title = field + " on " + engine,
+                 .label_header = "alternative",
+                 .rows = std::move(rows),
+                 .note = note};
+  };
+  const auto unchanged = [](EngineSpec&) {};
+  const std::string sec23 = "a Sec. 2.3 decision";
+
+  std::vector<Table> tables;
+  tables.push_back(knob(
+      "NlevelConfig::initial_tries", "nlevel",
+      {row("nlevel", "default 8", unchanged),
+       row("nlevel", "2", [](EngineSpec& s) { s.nlevel.initial_tries = 2; }),
+       row("nlevel", "16",
+           [](EngineSpec& s) { s.nlevel.initial_tries = 16; })}));
+  tables.push_back(knob(
+      "NlevelConfig::local_moves_past_best", "nlevel",
+      {row("nlevel", "default 16", unchanged),
+       row("nlevel", "4",
+           [](EngineSpec& s) { s.nlevel.local_moves_past_best = 4; }),
+       row("nlevel", "64",
+           [](EngineSpec& s) { s.nlevel.local_moves_past_best = 64; })}));
+  for (const char* engine : {"flat", "clip", "ml"}) {
+    tables.push_back(knob(
+        "FmConfig::illegal_head", engine,
+        {row(engine, "default bucket", unchanged),
+         row(engine, "side",
+             [](EngineSpec& s) {
+               s.fm.illegal_head = IllegalHeadPolicy::kSkipSide;
+             })},
+        sec23));
+  }
+  for (const char* engine : {"flat", "clip"}) {
+    tables.push_back(knob(
+        "FmConfig::look_beyond_first", engine,
+        {row(engine, "default off", unchanged),
+         row(engine, "on",
+             [](EngineSpec& s) { s.fm.look_beyond_first = true; })},
+        sec23));
+  }
+  tables.push_back(knob(
+      "CoarsenConfig::min_reduction", "ml",
+      {row("ml", "default 0.95", unchanged),
+       row("ml", "0.90",
+           [](EngineSpec& s) { s.ml.coarsen.min_reduction = 0.90; }),
+       row("ml", "0.99",
+           [](EngineSpec& s) { s.ml.coarsen.min_reduction = 0.99; })},
+      kItem8Note));
+  tables.push_back(knob(
+      "NlevelConfig::coarsen_to", "nlevel",
+      {row("nlevel", "default 96", unchanged),
+       row("nlevel", "40", [](EngineSpec& s) { s.nlevel.coarsen_to = 40; }),
+       row("nlevel", "400",
+           [](EngineSpec& s) { s.nlevel.coarsen_to = 400; })},
+      kItem8Note));
+  // The cap is instance-relative, as in the clustering sweep.
+  Table cap = knob("NlevelConfig::max_cluster_weight", "nlevel",
+                   {row("nlevel", "default derived", unchanged)}, kItem8Note);
+  for (const Weight divisor : {400, 30}) {
+    Row r = row("nlevel", "total/" + std::to_string(divisor), unchanged);
+    r.for_case = [divisor](EngineSpec& spec, const Hypergraph& h) {
+      spec.nlevel.max_cluster_weight = std::max<Weight>(
+          h.max_vertex_weight(), h.total_vertex_weight() / divisor);
+    };
+    cap.rows.push_back(std::move(r));
+  }
+  tables.push_back(std::move(cap));
+  return tables;
+}
+
+/// One knob's verdict.  On each case, compare_engines runs every row;
+/// each (alternative, case) pair gets its mean cut against the
+/// default's, its CPU per start over the default's, and the two-sided
+/// Mann-Whitney p of its per-start cuts against the default's, Holm-
+/// adjusted over every pair of the table.  An alternative earns the
+/// knob on a case when its mean cut is lower and its adjusted p is
+/// below 0.05; CPU is reported but keeps no knob.  A knob no
+/// alternative earns is a constant at its default.
+void knobs_report(const std::vector<Case>& cases, const Table& table,
+                  const BenchOptions& opt) {
+  struct Pair {
+    std::size_t row;
+    std::string label;
+    double mean, default_mean, cpu_ratio, p;
+  };
+  std::vector<Pair> pairs;
+  for (const Case& c : cases) {
+    std::vector<LabeledSpec> engines;
+    for (const Row& row : table.rows) {
+      EngineSpec spec = row.specs.front();
+      if (row.for_case) row.for_case(spec, c.graph);
+      engines.emplace_back(row.label, spec);
+    }
+    const ComparisonReport report = compare_on(c, engines, {});
+    const MultistartResult& base = report.engines.front().multistart;
+    for (std::size_t r = 1; r < report.engines.size(); ++r) {
+      const MultistartResult& m = report.engines[r].multistart;
+      const double base_cpu = base.avg_cpu_seconds();
+      pairs.push_back(
+          {r, c.label, m.avg_cut(), base.avg_cut(),
+           base_cpu > 0.0 ? m.avg_cpu_seconds() / base_cpu : 0.0,
+           mann_whitney_u(m.cut_sample(), base.cut_sample()).p_value});
+    }
+  }
+  std::vector<double> p_values;
+  for (const Pair& pair : pairs) p_values.push_back(pair.p);
+  const std::vector<double> adjusted = holm_adjust(p_values);
+
+  const bool no_verdict = table.note == kItem8Note;
+  TextTable out({"alternative", "case", "mean cut", "default mean cut",
+                 "CPU ratio", "p", "p Holm", "earns"});
+  std::string earned;
+  for (std::size_t r = 1; r < table.rows.size(); ++r) {
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      const Pair& pair = pairs[i];
+      if (pair.row != r) continue;
+      const bool earns =
+          pair.mean < pair.default_mean && adjusted[i] < 0.05;
+      if (earns) {
+        earned += (earned.empty() ? "" : ", ") + table.rows[r].label +
+                  " on " + pair.label;
+      }
+      out.add_row({table.rows[r].label, pair.label, fmt_fixed(pair.mean, 1),
+                   fmt_fixed(pair.default_mean, 1),
+                   fmt_fixed(pair.cpu_ratio, 2), fmt_p(pair.p),
+                   fmt_p(adjusted[i]),
+                   no_verdict ? "-" : (earns ? "yes" : "no")});
+    }
+  }
+  emit(out, opt, table.title);
+
+  std::string verdict =
+      earned.empty() ? "no alternative earns it" : "earned by " + earned;
+  if (no_verdict) {
+    verdict = table.note;
+  } else if (!table.note.empty()) {
+    verdict += "; kept: " + table.note;
+  } else {
+    verdict += earned.empty() ? "; a constant" : "; kept";
+  }
+  TextTable line({"knob", "verdict"});
+  line.add_row({table.title, verdict});
+  emit(line, opt, table.title + ": verdict");
+}
+
 const std::vector<Experiment>& experiments() {
   static const std::vector<Experiment> registry = [] {
     const std::string first3 = "ibm01,ibm02,ibm03";
@@ -864,6 +1039,11 @@ const std::vector<Experiment>& experiments() {
          "the served cut against the unpolished RB cut; --runs starts per "
          "bisection",
          first3, 2, 0.5, {}, kway, kway_report},
+        {"knobs",
+         "Knob audit: every engine knob only vpart sets against its "
+         "alternatives, 2% balance; an alternative earns its knob with a "
+         "lower mean cut at Holm-adjusted Mann-Whitney p < 0.05",
+         first3, 20, 0.3, {"threads"}, knobs, knobs_report},
     };
   }();
   return registry;

@@ -23,19 +23,16 @@
 //   --tie-break away|part0|toward      --zero-gain all|nonzero
 //   --insert-order lifo|fifo|random    --best-choice first|last|balance
 //   --illegal-head bucket|side         --look-beyond-first
-//   --lookahead R   --lookahead-scan N
-//   --max-passes N  --max-moves-past-best N  --exclude-oversized
+//   --lookahead R   --max-passes N     --exclude-oversized
 //   --audit off|pass|moves  --audit-every N
 //   --initial-scheme random|bfs|mixed  (per flat start; per coarsest-
 //                   level try of ml, nlevel, evo and k > 2 bisections)
 // Multilevel knobs (ml engine):
-//   --initial-tries N  --coarsen-to N  --min-reduction X
-// n-level knobs (nlevel engine; shares --coarsen-to/--initial-tries):
-//   --max-cluster-weight W  --max-rated-net-size N
-//   --local-moves-past-best N  --final-refine 0|1
+//   --coarsen-to N  --min-reduction X
+// n-level knobs (nlevel engine; shares --coarsen-to):
+//   --initial-tries N  --max-cluster-weight W  --local-moves-past-best N
 // Memetic knobs (evo engine; nests the full ml surface):
-//   --population N  --generations N  --offspring N
-//   --mutation-period N  --mutation-size N
+//   --population N  --generations N
 #include <cstdio>
 #include <stdexcept>
 #include <utility>
@@ -114,9 +111,7 @@ void fm_config_from_args(const CliArgs& args, FmConfig& fm) {
   fm.look_beyond_first = args.get_bool("look-beyond-first",
                                        fm.look_beyond_first);
   int_flag(args, "lookahead", fm.lookahead_depth);
-  int_flag(args, "lookahead-scan", fm.lookahead_scan_limit);
   int_flag(args, "max-passes", fm.max_passes);
-  int_flag(args, "max-moves-past-best", fm.max_moves_past_best);
   fm.audit.mode = parse_choice(args, "audit",
                                {{"off", AuditMode::kOff},
                                 {"pass", AuditMode::kPerPass},
@@ -135,7 +130,6 @@ void fm_config_from_args(const CliArgs& args, FmConfig& fm) {
 /// every engine's refine policy.
 void engine_configs_from_args(const CliArgs& args, EngineSpec& spec) {
   MlConfig& ml = spec.ml;
-  int_flag(args, "initial-tries", ml.initial_tries);
   int_flag(args, "coarsen-to", ml.coarsen.coarsen_to);
   ml.coarsen.min_reduction =
       args.get_double("min-reduction", ml.coarsen.min_reduction);
@@ -143,17 +137,12 @@ void engine_configs_from_args(const CliArgs& args, EngineSpec& spec) {
   NlevelConfig& nlevel = spec.nlevel;
   int_flag(args, "coarsen-to", nlevel.coarsen_to);
   int_flag(args, "max-cluster-weight", nlevel.max_cluster_weight);
-  int_flag(args, "max-rated-net-size", nlevel.max_rated_net_size);
   int_flag(args, "initial-tries", nlevel.initial_tries);
   int_flag(args, "local-moves-past-best", nlevel.local_moves_past_best);
-  nlevel.final_refine = args.get_bool("final-refine", nlevel.final_refine);
 
   EvoConfig& evo = spec.evo;
   int_flag(args, "population", evo.population);
   int_flag(args, "generations", evo.generations);
-  int_flag(args, "offspring", evo.offspring);
-  int_flag(args, "mutation-period", evo.mutation_period);
-  int_flag(args, "mutation-size", evo.mutation_size);
 }
 
 int run(int argc, char** argv) {
@@ -162,14 +151,11 @@ int run(int argc, char** argv) {
                     "ubfactor", "engine", "starts", "vcycles", "seed",
                     "out", "help", "tie-break", "zero-gain", "insert-order",
                     "best-choice", "illegal-head", "exclude-oversized",
-                    "look-beyond-first", "lookahead", "lookahead-scan",
-                    "max-passes", "max-moves-past-best", "audit",
+                    "look-beyond-first", "lookahead", "max-passes", "audit",
                     "audit-every", "initial-tries", "coarsen-to",
                     "min-reduction", "max-cluster-weight",
-                    "max-rated-net-size", "local-moves-past-best",
-                    "final-refine", "initial-scheme", "population",
-                    "generations", "offspring", "mutation-period",
-                    "mutation-size", "threads"});
+                    "local-moves-past-best", "initial-scheme", "population",
+                    "generations", "threads"});
   if (args.get_bool("help")) {
     print_help();
     return 0;

@@ -41,8 +41,4 @@ std::vector<BsfPoint> observed_bsf_curve(
   return curve;
 }
 
-double prob_reach(const Sample& cuts, std::size_t k, double threshold) {
-  return cuts.prob_min_leq(k, threshold);
-}
-
 }  // namespace vlsipart

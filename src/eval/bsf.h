@@ -37,8 +37,4 @@ std::vector<BsfPoint> expected_bsf_curve(
 std::vector<BsfPoint> observed_bsf_curve(
     const std::vector<StartRecord>& starts);
 
-/// Probability that k starts reach cost <= threshold (used for the
-/// "P(c_tau = C0)"-style ranking diagnostics of [33][34]).
-double prob_reach(const Sample& cuts, std::size_t k, double threshold);
-
 }  // namespace vlsipart

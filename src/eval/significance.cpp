@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <sstream>
 #include <vector>
 
@@ -146,6 +147,25 @@ TestResult mann_whitney_u(const Sample& a, const Sample& b) {
   result.statistic = (u_a - mean_u) / std::sqrt(var_u);
   result.p_value = normal_two_sided_p(result.statistic);
   return result;
+}
+
+std::vector<double> holm_adjust(const std::vector<double>& p_values) {
+  const std::size_t m = p_values.size();
+  std::vector<std::size_t> order(m);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return p_values[a] < p_values[b];
+                   });
+  std::vector<double> adjusted(m);
+  double running = 0.0;
+  for (std::size_t j = 0; j < m; ++j) {
+    const double scaled =
+        static_cast<double>(m - j) * p_values[order[j]];
+    running = std::max(running, std::min(1.0, scaled));
+    adjusted[order[j]] = running;
+  }
+  return adjusted;
 }
 
 std::string describe_comparison(const std::string& label_a, const Sample& a,

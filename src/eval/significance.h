@@ -10,6 +10,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "src/util/stats.h"
 
@@ -32,6 +33,12 @@ TestResult welch_t_test(const Sample& a, const Sample& b);
 /// which are typically skewed.  Requires at least 2 observations per
 /// sample.
 TestResult mann_whitney_u(const Sample& a, const Sample& b);
+
+/// Holm's step-down adjustment of a family of p-values: the i-th
+/// smallest becomes max over j <= i of min(1, (m - j + 1) * p_(j)), so
+/// "adjusted p < alpha" controls the family-wise error rate at alpha.
+/// Returned in the input order.
+std::vector<double> holm_adjust(const std::vector<double>& p_values);
 
 /// Two-sided p-value of a standard normal deviate.
 double normal_two_sided_p(double z);

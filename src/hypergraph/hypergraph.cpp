@@ -77,15 +77,6 @@ void HypergraphBuilder::set_vertex_weight(VertexId v, Weight w) {
   vertex_weights_[v] = w;
 }
 
-void HypergraphBuilder::set_vertex_name(VertexId v, std::string name) {
-  VP_CHECK(v < vertex_weights_.size(), "vertex in range");
-  if (!has_names_) {
-    vertex_names_.resize(vertex_weights_.size());
-    has_names_ = true;
-  }
-  vertex_names_[v] = std::move(name);
-}
-
 EdgeId HypergraphBuilder::add_edge(std::span<const VertexId> pins,
                                    Weight weight) {
   VP_CHECK(weight > 0, "edge weight must be positive");
@@ -123,7 +114,6 @@ Hypergraph HypergraphBuilder::finalize(std::string name) {
   h.edge_weights_ = std::move(edge_weights_);
   h.edge_offsets_ = std::move(edge_offsets_);
   h.edge_pins_ = std::move(edge_pins_);
-  if (has_names_) h.vertex_names_ = std::move(vertex_names_);
 
   const std::size_t n = h.vertex_weights_.size();
   const std::size_t m = h.edge_weights_.size();

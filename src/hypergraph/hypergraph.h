@@ -56,12 +56,6 @@ class Hypergraph {
   }
 
   const std::string& name() const { return name_; }
-  void set_name(std::string name) { name_ = std::move(name); }
-
-  /// Optional per-vertex names (empty when the instance is anonymous).
-  const std::vector<std::string>& vertex_names() const {
-    return vertex_names_;
-  }
 
   /// Structural sanity check: offsets monotone, pins in range, both
   /// incidence directions consistent, positive weights.  Throws
@@ -85,7 +79,6 @@ class Hypergraph {
   Weight total_edge_weight_ = 0;
   Weight max_vertex_weight_ = 0;
   Weight max_weighted_degree_ = 0;
-  std::vector<std::string> vertex_names_;
 };
 
 /// Mutable accumulator that finalizes into an immutable Hypergraph.
@@ -98,7 +91,6 @@ class HypergraphBuilder {
   std::size_t num_edges() const { return edge_weights_.size(); }
 
   void set_vertex_weight(VertexId v, Weight w);
-  void set_vertex_name(VertexId v, std::string name);
 
   /// Add a hyperedge over the given pins.  Duplicate pins within one edge
   /// are removed; edges with fewer than 2 distinct pins are dropped
@@ -116,8 +108,6 @@ class HypergraphBuilder {
 
  private:
   std::vector<Weight> vertex_weights_;
-  std::vector<std::string> vertex_names_;
-  bool has_names_ = false;
   std::vector<Weight> edge_weights_;
   std::vector<std::uint32_t> edge_offsets_{0};
   std::vector<VertexId> edge_pins_;

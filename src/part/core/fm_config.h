@@ -90,19 +90,10 @@ struct FmConfig {
   /// gains (binding-number based) lexicographically.  Ignored in CLIP
   /// mode (cumulative-delta keys have no level structure).
   int lookahead_depth = 1;
-  /// At most this many entries of a bucket are scanned when lookahead
-  /// tie-breaking is active (bounds the per-selection cost).
-  std::size_t lookahead_scan_limit = 16;
 
   /// Stop after this many passes even if still improving; <= 0 means run
   /// until a pass yields no improvement.
   int max_passes = -1;
-
-  /// Early pass termination: abandon a pass after this many consecutive
-  /// moves without improving the best-seen cut (0 = classic full pass).
-  /// Only the serial FM pass reads it, and only vpart's
-  /// --max-moves-past-best sets it: every engine default is 0.
-  std::size_t max_moves_past_best = 0;
 
   /// Record the per-move cut trajectory of every pass into
   /// FmResult::pass_traces (diagnostic; costs one Weight per move).

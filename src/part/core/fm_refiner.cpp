@@ -13,6 +13,11 @@
 namespace vlsipart {
 
 namespace {
+/// At most this many entries of a bucket are scanned when lookahead
+/// tie-breaking is active (bounds the per-selection cost).  A constant:
+/// in the knobs audit (EXPERIMENTS.md) neither 4 nor 64 lowered the cut.
+constexpr std::size_t kLookaheadScanLimit = 16;
+
 /// Pin-walk prefetch distance, and the minimum net size that pays for
 /// the extra prefetch instruction.  Small nets (the 3-5 pin typical
 /// case) fit the walk in flight anyway; the gather-heavy huge
@@ -104,7 +109,7 @@ VertexId FmRefiner::best_lookahead_move(const PartitionState& state,
   best_vec.clear();
   std::size_t scanned = 0;
   for (VertexId v = head;
-       v != kInvalidVertex && scanned < config_.lookahead_scan_limit;
+       v != kInvalidVertex && scanned < kLookaheadScanLimit;
        v = container_.next_in_bucket(v), ++scanned) {
     if (!move_allowed(state, v)) continue;
     lookahead_vector(state, v, vec);
@@ -300,7 +305,6 @@ FmPassStats FmRefiner::run_pass(PartitionState& state, PassCarry& carry,
   };
   Weight best_slack = slack();
   std::size_t best_prefix = 0;
-  std::size_t moves_since_best = 0;
   PartId last_from = kNoPart;
 
   // Under the All-dgain policy even a zero-delta neighbor is reinserted
@@ -407,14 +411,6 @@ FmPassStats FmRefiner::run_pass(PartitionState& state, PassCarry& carry,
       best_imb = imb;
       best_slack = slk;
       best_prefix = move_order_.size();
-      moves_since_best = 0;
-    } else {
-      ++moves_since_best;
-      if (config_.max_moves_past_best > 0 &&
-          moves_since_best >= config_.max_moves_past_best) {
-        stats.stalled = !container_.empty();
-        break;
-      }
     }
   }
 

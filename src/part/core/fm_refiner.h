@@ -177,7 +177,7 @@ class FmRefiner {
                         std::vector<Gain>& out) const;
   /// Within the bucket starting at `head`, pick the legal move with the
   /// lexicographically largest lookahead vector (scanning at most
-  /// lookahead_scan_limit entries).  kInvalidVertex if none is legal.
+  /// kLookaheadScanLimit entries).  kInvalidVertex if none is legal.
   VertexId best_lookahead_move(const PartitionState& state,
                                VertexId head) const;
 

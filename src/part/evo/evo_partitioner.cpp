@@ -6,6 +6,21 @@
 #include "src/util/logging.h"
 
 namespace vlsipart {
+namespace {
+
+// The operator settings are constants: in the knobs audit (EXPERIMENTS.md)
+// no alternative (2 or 8 offspring, mutation every 2nd or never, 2 or 32
+// flips) gave a significantly lower cut on ibm01-03.
+/// Offspring produced per generation.
+constexpr std::size_t kOffspring = 4;
+/// Every kMutationPeriod-th offspring is a mutation instead of a
+/// recombination.
+constexpr std::size_t kMutationPeriod = 4;
+/// Free vertices flipped (uniformly, with replacement) before the
+/// mutation V-cycle.
+constexpr std::size_t kMutationSize = 8;
+
+}  // namespace
 
 EvoPartitioner::EvoPartitioner(EvoConfig config, std::size_t threads)
     : config_(config), threads_(threads) {}
@@ -67,7 +82,6 @@ Weight EvoPartitioner::run(const PartitionProblem& problem, Rng& rng,
   const Hypergraph& h = *problem.graph;
   const std::size_t n = h.num_vertices();
   const std::size_t pop_size = std::max<std::size_t>(1, config_.population);
-  const std::size_t num_offspring = std::max<std::size_t>(1, config_.offspring);
   const std::vector<PartId>& fixed = problem.fixed;
 
   // Run body(i) for i in [0, count) on the evo workers (or inline when
@@ -107,8 +121,8 @@ Weight EvoPartitioner::run(const PartitionProblem& problem, Rng& rng,
   };
   std::uint64_t next_id = pop_size;
   std::vector<std::size_t> order(pop_size);
-  std::vector<OffspringSpec> specs(num_offspring);
-  std::vector<Individual> offspring(num_offspring);
+  std::vector<OffspringSpec> specs(kOffspring);
+  std::vector<Individual> offspring(kOffspring);
 
   for (std::size_t g = 0; g < config_.generations; ++g) {
     // Rank snapshot of the current population (total order — the sort is
@@ -121,17 +135,16 @@ Weight EvoPartitioner::run(const PartitionProblem& problem, Rng& rng,
     // Offspring specs are fixed BEFORE the parallel section: stream ids
     // continue the fork counter, parents walk the rank order so the best
     // individuals recombine most often but everyone participates.
-    for (std::size_t j = 0; j < num_offspring; ++j) {
+    for (std::size_t j = 0; j < kOffspring; ++j) {
       OffspringSpec& s = specs[j];
-      s.mutate = config_.mutation_period > 0 &&
-                 (j + 1) % config_.mutation_period == 0;
+      s.mutate = (j + 1) % kMutationPeriod == 0;
       s.parent1 = order[j % pop_size];
       s.parent2 = order[(j + 1) % pop_size];
-      s.stream = pop_size + g * num_offspring + j;
+      s.stream = pop_size + g * kOffspring + j;
       s.id = next_id++;
     }
 
-    for_each(num_offspring, [&](std::size_t worker, std::size_t j) {
+    for_each(kOffspring, [&](std::size_t worker, std::size_t j) {
       const OffspringSpec& s = specs[j];
       Individual& kid = offspring[j];
       Rng child = rng.fork(s.stream);
@@ -141,7 +154,7 @@ Weight EvoPartitioner::run(const PartitionProblem& problem, Rng& rng,
         // the V-cycle result when feasible and not worse than the
         // PERTURBED solution, so mutants can be worse than their parent
         // (that is the point — elitist replacement discards failures).
-        for (std::size_t t = 0; t < config_.mutation_size; ++t) {
+        for (std::size_t t = 0; t < kMutationSize; ++t) {
           const VertexId v = static_cast<VertexId>(child.below(n));
           if (fixed.empty() || fixed[v] == kNoPart) kid.parts[v] ^= 1;
         }

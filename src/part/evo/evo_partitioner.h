@@ -10,7 +10,7 @@
 // Determinism at any thread count is the headline property and is
 // enforced by ctest (evo_test.cpp):
 //   * every stochastic decision of generation g's offspring j draws from
-//     rng.fork(population + g*offspring + j) — a child stream fixed
+//     rng.fork(population + g*kOffspring + j) — a child stream fixed
 //     before the parallel section starts, independent of scheduling;
 //   * parent selection ranks a SNAPSHOT of the population by the total
 //     order (feasible-first, cut, imbalance, id) — ids break every tie,
@@ -37,14 +37,6 @@ struct EvoConfig {
   std::size_t population = 6;
   /// Generations of offspring + elitist replacement after seeding.
   std::size_t generations = 8;
-  /// Offspring produced per generation.
-  std::size_t offspring = 4;
-  /// Every mutation_period-th offspring is a mutation instead of a
-  /// recombination (0 = recombination only).
-  std::size_t mutation_period = 4;
-  /// Free vertices flipped (uniformly, with replacement) before the
-  /// mutation V-cycle.
-  std::size_t mutation_size = 8;
   /// Multilevel engine used for seeding and for every V-cycle.
   MlConfig ml;
 };

@@ -10,6 +10,13 @@
 #include "src/util/timer.h"
 
 namespace vlsipart {
+namespace {
+
+/// Initial solutions tried at the coarsest level.  A constant: in the
+/// knobs audit (EXPERIMENTS.md) neither 2 nor 16 tries moved the cut.
+constexpr std::size_t kInitialTries = 8;
+
+}  // namespace
 
 MlPartitioner::MlPartitioner(MlConfig config) : config_(config) {}
 
@@ -53,10 +60,17 @@ Weight MlPartitioner::run_internal(const PartitionProblem& problem, Rng& rng,
     for (const CoarsenLevel& level : levels) level.coarse.validate();
   }
 
-  // Fixed constraints at level i (0 = the input graph); build_levels
-  // projected them down with each kept level.
-  auto fixed_at_level = [&](std::size_t i) -> const std::vector<PartId>& {
-    return i == 0 ? problem.fixed : levels[i - 1].fixed;
+  // The problem at level i (0 = the caller's).  A coarser level's fixed
+  // sides, which build_levels projected down, are read by that level's
+  // refinement alone, so `owned` takes them out of the level instead of
+  // copying them.
+  const auto problem_at = [&](std::size_t i, PartitionProblem& owned)
+      -> const PartitionProblem& {
+    if (i == 0) return problem;
+    owned.graph = &levels[i - 1].coarse;
+    owned.balance = problem.balance;
+    owned.fixed = std::move(levels[i - 1].fixed);
+    return owned;
   };
 
   const Hypergraph* coarsest =
@@ -84,10 +98,9 @@ Weight MlPartitioner::run_internal(const PartitionProblem& problem, Rng& rng,
     };
   };
 
-  PartitionProblem coarse_problem;
-  coarse_problem.graph = coarsest;
-  coarse_problem.balance = problem.balance;
-  coarse_problem.fixed = fixed_at_level(levels.size());
+  PartitionProblem coarse_owned;
+  const PartitionProblem& coarse_problem =
+      problem_at(levels.size(), coarse_owned);
 
   // Coarsest-level solution.
   std::vector<PartId> coarse_parts;
@@ -112,7 +125,7 @@ Weight MlPartitioner::run_internal(const PartitionProblem& problem, Rng& rng,
     coarse_parts = state.parts();
   } else {
     coarse_parts = best_of_initial_tries(
-        coarse_problem, config_.refine.initial_scheme, config_.initial_tries,
+        coarse_problem, config_.refine.initial_scheme, kInitialTries,
         rng, refiner_for(coarse_problem));
   }
 
@@ -122,16 +135,13 @@ Weight MlPartitioner::run_internal(const PartitionProblem& problem, Rng& rng,
   Weight audit_prev_cut =
       audit.enabled() ? compute_cut(*coarsest, coarse_parts) : 0;
   for (std::size_t i = levels.size(); i-- > 0;) {
-    const Hypergraph* level_graph = (i == 0) ? &fine : &levels[i - 1].coarse;
     coarse_parts = project_partition(levels[i].fine_to_coarse, coarse_parts);
     levels.pop_back();
 
-    PartitionProblem level_problem;
-    level_problem.graph = level_graph;
-    level_problem.balance = problem.balance;
-    level_problem.fixed = fixed_at_level(i);
+    PartitionProblem level_owned;
+    const PartitionProblem& level_problem = problem_at(i, level_owned);
 
-    PartitionState state(*level_graph);
+    PartitionState state(*level_problem.graph);
     state.assign(coarse_parts);
     if (audit.enabled()) {
       // Contraction drops only uncuttable single-cluster nets and merges

@@ -5,7 +5,7 @@
 // Pipeline per start:
 //   1. coarsen:   heavy-edge matching to ~coarsen_to vertices
 //                 (coarsen.h);
-//   2. initial:   several solutions of the coarsest graph from
+//   2. initial:   eight solutions of the coarsest graph from
 //                 refine.initial_scheme, each FM-refined; keep the best
 //                 (best_of_initial_tries, shared with n-level);
 //   3. uncoarsen: project each level up and FM-refine with the
@@ -33,8 +33,6 @@ struct MlConfig {
   /// FM policy used at every level (CLIP toggles "ML CLIP" vs "ML LIFO");
   /// its initial_scheme generates the coarsest-level tries.
   FmConfig refine;
-  /// Initial solutions tried at the coarsest level.
-  std::size_t initial_tries = 8;
   /// V-cycles applied at the end of each start (0 = plain multilevel;
   /// the hMetis-like harness V-cycles only the best of N starts instead).
   std::size_t vcycles = 0;

@@ -9,10 +9,14 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
+
+#include "src/util/timer.h"
 
 namespace vlsipart::service {
 namespace {
@@ -302,15 +306,22 @@ FrameStatus FrameReader::poll_once(int timeout_ms) {
 
 FrameStatus read_frame(int fd, std::string& payload, std::size_t max_payload,
                        int timeout_ms) {
+  // A poll slice ends early when a recv() mid-frame runs into the
+  // socket's SO_RCVTIMEO, so the slices repeat until the deadline.
+  const WallTimer timer;
+  const auto left_ms = [&] {
+    return std::max(0.0, timeout_ms - timer.elapsed() * 1000.0);
+  };
   FrameReader reader(fd, max_payload);
   while (true) {
-    const FrameStatus status = reader.poll_once(timeout_ms);
+    const FrameStatus status = reader.poll_once(
+        timeout_ms < 0 ? -1 : static_cast<int>(std::ceil(left_ms())));
     if (status == FrameStatus::kOk) {
       payload = std::move(reader.payload());
       return status;
     }
     if (status != FrameStatus::kAgain) return status;
-    if (timeout_ms >= 0) return FrameStatus::kAgain;
+    if (timeout_ms >= 0 && left_ms() <= 0.0) return FrameStatus::kAgain;
   }
 }
 

@@ -57,7 +57,6 @@ std::shared_ptr<const CachedInstance> InstanceCache::get(
     if (it != entries_.end()) {
       it->second.last_use = ++use_counter_;
       future = it->second.future;
-      ++hits_;
       if (hit != nullptr) *hit = true;
     } else {
       Entry entry;
@@ -66,7 +65,6 @@ std::shared_ptr<const CachedInstance> InstanceCache::get(
       future = entry.future;
       entries_.emplace(key, std::move(entry));
       builder = true;
-      ++misses_;
       if (hit != nullptr) *hit = false;
     }
   }
@@ -104,16 +102,6 @@ void InstanceCache::evict_locked() {
   }
 }
 
-std::uint64_t InstanceCache::hits() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return hits_;
-}
-
-std::uint64_t InstanceCache::misses() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return misses_;
-}
-
 std::size_t InstanceCache::resident() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return entries_.size();
@@ -122,12 +110,8 @@ std::size_t InstanceCache::resident() const {
 std::shared_ptr<const CachedResult> ResultCache::find(std::uint64_t key) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    ++misses_;
-    return nullptr;
-  }
+  if (it == entries_.end()) return nullptr;
   it->second.last_use = ++use_counter_;
-  ++hits_;
   return it->second.result;
 }
 
@@ -144,16 +128,6 @@ void ResultCache::insert(std::uint64_t key,
     }
     entries_.erase(oldest);
   }
-}
-
-std::uint64_t ResultCache::hits() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return hits_;
-}
-
-std::uint64_t ResultCache::misses() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return misses_;
 }
 
 std::size_t ResultCache::resident() const {

@@ -51,8 +51,6 @@ class InstanceCache {
   std::shared_ptr<const CachedInstance> get(const InstanceSpec& spec,
                                             bool* hit);
 
-  std::uint64_t hits() const;
-  std::uint64_t misses() const;
   std::size_t resident() const;
 
  private:
@@ -68,8 +66,6 @@ class InstanceCache {
   mutable std::mutex mutex_;
   std::map<std::string, Entry> entries_;  // guarded_by(mutex_)
   std::uint64_t use_counter_ = 0;         // guarded_by(mutex_)
-  std::uint64_t hits_ = 0;                // guarded_by(mutex_)
-  std::uint64_t misses_ = 0;              // guarded_by(mutex_)
 };
 
 struct CachedResult {
@@ -87,8 +83,6 @@ class ResultCache {
   /// cache hold one answer, and an evicted answer lives on in its jobs.
   void insert(std::uint64_t key, std::shared_ptr<const CachedResult> result);
 
-  std::uint64_t hits() const;
-  std::uint64_t misses() const;
   std::size_t resident() const;
 
  private:
@@ -101,8 +95,6 @@ class ResultCache {
   mutable std::mutex mutex_;
   std::map<std::uint64_t, Entry> entries_;  // guarded_by(mutex_)
   std::uint64_t use_counter_ = 0;           // guarded_by(mutex_)
-  std::uint64_t hits_ = 0;                  // guarded_by(mutex_)
-  std::uint64_t misses_ = 0;                // guarded_by(mutex_)
 };
 
 }  // namespace vlsipart::service

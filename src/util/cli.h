@@ -6,8 +6,11 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace vlsipart {
@@ -69,10 +72,22 @@ class CliArgs {
 /// the process in an uncaught-exception abort.
 int cli_main(int argc, char** argv, int (*body)(int, char**));
 
-/// Overwrite an integer knob with --flag when it is given.
+/// Overwrite an integer knob with --flag when it is given.  A value the
+/// field's type cannot hold ("--starts -1" into a size_t) throws
+/// std::invalid_argument naming the flag and the type's range, instead
+/// of wrapping.
 template <typename T>
 void int_flag(const CliArgs& args, const std::string& flag, T& field) {
-  field = static_cast<T>(args.get_int(flag, static_cast<std::int64_t>(field)));
+  if (!args.has(flag)) return;
+  const std::int64_t value = args.get_int(flag, 0);
+  if (!std::in_range<T>(value)) {
+    throw std::invalid_argument(
+        "--" + flag + " must be an integer in [" +
+        std::to_string(std::numeric_limits<T>::min()) + ", " +
+        std::to_string(std::numeric_limits<T>::max()) + "], got '" +
+        std::to_string(value) + "'");
+  }
+  field = static_cast<T>(value);
 }
 
 }  // namespace vlsipart

@@ -23,7 +23,6 @@ class LatencyHistogram {
   void merge(const LatencyHistogram& other);
 
   std::uint64_t count() const { return count_; }
-  double total_seconds() const { return total_seconds_; }
   double max_seconds() const { return max_seconds_; }
   double mean_seconds() const {
     return count_ == 0 ? 0.0 : total_seconds_ / static_cast<double>(count_);

@@ -103,12 +103,6 @@ class Rng {
     }
   }
 
-  /// Pick a uniformly random element index; v must be nonempty.
-  template <typename T>
-  std::size_t pick_index(const std::vector<T>& v) {
-    return static_cast<std::size_t>(below(v.size()));
-  }
-
   /// Derive an independent child stream (for per-run seeding in
   /// multistart experiments, so run i is reproducible in isolation).
   Rng fork(std::uint64_t stream_id) const;

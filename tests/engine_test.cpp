@@ -28,7 +28,6 @@ EngineSpec small_spec(const std::string& engine, std::size_t k,
   spec.seed = 7;
   spec.evo.population = 3;
   spec.evo.generations = 2;
-  spec.evo.offspring = 3;
   return spec;
 }
 

@@ -37,15 +37,12 @@ PartitionProblem make_problem(const Hypergraph& h, double tol) {
 }
 
 /// Small-but-real config: every operator (seeding, recombination,
-/// mutation, elitist replacement) fires at least once.
+/// mutation, elitist replacement) fires at least once: the fourth
+/// offspring of each generation mutates.
 EvoConfig small_evo_config() {
   EvoConfig cfg;
   cfg.population = 3;
   cfg.generations = 2;
-  cfg.offspring = 3;
-  cfg.mutation_period = 3;  // offspring 2 of each generation mutates
-  cfg.mutation_size = 6;
-  cfg.ml.initial_tries = 4;
   return cfg;
 }
 
@@ -121,9 +118,9 @@ TEST(EvoDeterminism, GoldenDigests) {
       {"tiny", 1, 0x71f0233c42eee095ULL},
       {"tiny", 7, 0x71f0233c42eee095ULL},
       {"tiny", 42, 0xcd0e6f3b90bbdd81ULL},
-      {"small", 1, 0xeaaea3b9e0d44cd2ULL},
-      {"small", 7, 0xba6c779fea16c61aULL},
-      {"small", 42, 0x383db2be6da41241ULL},
+      {"small", 1, 0xbddd5f6c090eb452ULL},
+      {"small", 7, 0xf59ce96f4e99235fULL},
+      {"small", 42, 0x6c48c8cf3b4879e0ULL},
   };
   for (const GoldenEntry& entry : kGolden) {
     const Hypergraph h = generate_netlist(preset(entry.instance));
@@ -152,7 +149,6 @@ TEST(EvoFuzz, RecombinationVcycleRespectsConstraints) {
   p.fixed = fixed;
 
   MlConfig ml;
-  ml.initial_tries = 2;
   ml.refine.audit.mode = AuditMode::kPerPass;
   MlPartitioner engine(ml);
 
@@ -186,8 +182,6 @@ TEST(EvoFuzz, MutationRunsStayFeasible) {
   const Hypergraph h = generate_netlist(preset("tiny"));
   PartitionProblem p = make_problem(h, 0.05);  // tight window
   EvoConfig cfg = small_evo_config();
-  cfg.mutation_period = 1;  // every offspring mutates
-  cfg.mutation_size = 16;
   cfg.ml.refine.audit.mode = AuditMode::kPerPass;
   for (const std::uint64_t seed : {2ULL, 12ULL, 22ULL}) {
     EvoPartitioner engine(cfg);

@@ -204,31 +204,6 @@ TEST(FmRefiner, ZeroGainPolicyChangesTrajectory) {
   EXPECT_GE(differs, 4);
 }
 
-TEST(FmRefiner, EarlyExitLimitsMoves) {
-  const Hypergraph h = generate_netlist(preset("small"));
-  const PartitionProblem p = make_problem(h, 0.1);
-  Rng rng(2);
-  auto parts = random_initial(p, rng);
-
-  FmConfig unlimited;
-  PartitionState a(h);
-  a.assign(parts);
-  Rng ra(7);
-  FmRefiner rf_a(p, unlimited);
-  const FmResult full = rf_a.refine(a, ra);
-
-  FmConfig capped;
-  capped.max_moves_past_best = 20;
-  PartitionState b(h);
-  b.assign(parts);
-  Rng rb(7);
-  FmRefiner rf_b(p, capped);
-  const FmResult early = rf_b.refine(b, rb);
-
-  EXPECT_LT(early.total_moves, full.total_moves);
-  EXPECT_EQ(check_solution(p, b.parts()), "");
-}
-
 TEST(FmRefiner, MaxPassesRespected) {
   const Hypergraph h = generate_netlist(preset("small"));
   const PartitionProblem p = make_problem(h, 0.1);

@@ -9,7 +9,9 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <limits>
 #include <optional>
 #include <string>
@@ -889,6 +891,41 @@ TEST(ServiceFraming, EndpointParse) {
   EXPECT_FALSE(Endpoint::parse("tcp:notaport", ep, &error));
   EXPECT_FALSE(Endpoint::parse("tcp:99999", ep, &error));
   EXPECT_FALSE(Endpoint::parse("", ep, &error));
+}
+
+// The client's timeout covers the whole frame: a peer that pauses
+// mid-frame for longer than the sockets' 1 s SO_RCVTIMEO is still read
+// to the end.
+TEST(ServiceFraming, ReadFrameWaitsOutAPauseMidFrame) {
+  Endpoint ep;
+  ep.unix_path = (std::filesystem::temp_directory_path() /
+                  ("vpart_frame_" + std::to_string(::getpid()) + ".sock"))
+                     .string();
+  Socket listener = listen_endpoint(ep);
+  std::string error;
+  Socket reader_end = connect_endpoint(ep, 5000, &error);
+  ASSERT_TRUE(reader_end.valid()) << error;
+  Socket writer_end = accept_client(listener, 5000);
+  ASSERT_TRUE(writer_end.valid());
+
+  const std::string body(64, 'x');
+  const std::string frame = std::string("\0\0\0\x40", 4) + body;
+  std::thread writer([&] {
+    const std::size_t half = 4 + body.size() / 2;
+    ASSERT_EQ(::send(writer_end.fd(), frame.data(), half, 0),
+              static_cast<ssize_t>(half));
+    std::this_thread::sleep_for(std::chrono::milliseconds(1500));
+    ASSERT_EQ(::send(writer_end.fd(), frame.data() + half,
+                     frame.size() - half, 0),
+              static_cast<ssize_t>(frame.size() - half));
+  });
+  std::string payload;
+  const FrameStatus status =
+      read_frame(reader_end.fd(), payload, 1 << 16, 5000);
+  writer.join();
+  ::unlink(ep.unix_path.c_str());
+  EXPECT_EQ(status, FrameStatus::kOk) << frame_status_name(status);
+  EXPECT_EQ(payload, body);
 }
 
 }  // namespace

@@ -144,6 +144,22 @@ TEST(MannWhitney, RobustToOutliers) {
   EXPECT_TRUE(u.significant_at(0.01));
 }
 
+TEST(Holm, StepDownAdjustment) {
+  // Sorted 0.01, 0.02, 0.04, 0.30 scale by 4, 3, 2, 1 (0.04, 0.06,
+  // 0.08, 0.30), made monotone; returned in input order.
+  const std::vector<double> adjusted = holm_adjust({0.04, 0.01, 0.30, 0.02});
+  ASSERT_EQ(adjusted.size(), 4u);
+  EXPECT_DOUBLE_EQ(adjusted[0], 0.08);
+  EXPECT_DOUBLE_EQ(adjusted[1], 0.04);
+  EXPECT_DOUBLE_EQ(adjusted[2], 0.30);
+  EXPECT_DOUBLE_EQ(adjusted[3], 0.06);
+  // Monotone: a later p never adjusts below an earlier one; capped at 1.
+  const std::vector<double> capped = holm_adjust({0.5, 0.4});
+  EXPECT_DOUBLE_EQ(capped[0], 0.8);
+  EXPECT_DOUBLE_EQ(capped[1], 0.8);
+  EXPECT_TRUE(holm_adjust({}).empty());
+}
+
 TEST(Describe, MentionsWinnerAndSignificance) {
   const Sample a = normal_sample(100.0, 3.0, 30, 11);
   const Sample b = normal_sample(120.0, 3.0, 30, 12);

@@ -45,7 +45,8 @@ int run(int argc, char** argv) {
     std::fprintf(stderr, "vpart_client: %s\n", error.c_str());
     return 2;
   }
-  const int timeout_ms = static_cast<int>(args.get_int("timeout-ms", 600000));
+  int timeout_ms = 600000;
+  int_flag(args, "timeout-ms", timeout_ms);
   ServiceClient client;
   if (!client.connect(endpoint)) {
     std::fprintf(stderr, "vpart_client: cannot connect to %s: %s\n",

@@ -43,19 +43,16 @@ int run(int argc, char** argv) {
     std::fprintf(stderr, "vpartd: %s\n", endpoint_error.c_str());
     return 2;
   }
-  config.workers = static_cast<std::size_t>(args.get_int("workers", 2));
-  config.queue_capacity = static_cast<std::size_t>(args.get_int("queue", 64));
-  config.max_payload =
-      static_cast<std::size_t>(args.get_int("max-payload-mb", 4)) << 20;
-  config.idle_timeout_ms =
-      static_cast<int>(args.get_int("idle-timeout-ms", 30000));
-  config.drain_grace_ms =
-      static_cast<int>(args.get_int("drain-grace-ms", 2000));
+  int_flag(args, "workers", config.workers);
+  int_flag(args, "queue", config.queue_capacity);
+  std::size_t max_payload_mb = config.max_payload >> 20;
+  int_flag(args, "max-payload-mb", max_payload_mb);
+  config.max_payload = max_payload_mb << 20;
+  int_flag(args, "idle-timeout-ms", config.idle_timeout_ms);
+  int_flag(args, "drain-grace-ms", config.drain_grace_ms);
   config.stats_log_interval_s = args.get_double("stats-interval", 0.0);
-  config.instance_cache_capacity =
-      static_cast<std::size_t>(args.get_int("instance-cache", 8));
-  config.result_cache_capacity =
-      static_cast<std::size_t>(args.get_int("result-cache", 256));
+  int_flag(args, "instance-cache", config.instance_cache_capacity);
+  int_flag(args, "result-cache", config.result_cache_capacity);
   config.verbose = args.get_bool("verbose");
 
   install_shutdown_handler();
